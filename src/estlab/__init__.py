@@ -7,6 +7,7 @@ Fisher information (closed form and numeric) and seeded Monte Carlo trials.
 
 __version__ = "0.1.0"
 
+from .covariance import Dense, Exponential, make_covariance
 from .covmodel import CovSpec, WeightSpectrum, build, solvable_inverse, solvable_spectrum
 from .errors import EstlabError
 from .estimators import (
@@ -54,8 +55,10 @@ __all__ = [
     "__version__",
     "CovSpec",
     "Dataset",
+    "Dense",
     "EigenSystem",
     "EstlabError",
+    "Exponential",
     "FisherReport",
     "PartitionDesign",
     "SpinModel",
@@ -80,6 +83,7 @@ __all__ = [
     "fi_two_outcome",
     "fi_wva_solvable",
     "inverse",
+    "make_covariance",
     "make_design",
     "mean_vector",
     "optimal_alpha",

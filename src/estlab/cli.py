@@ -27,14 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .covariance import make_covariance
 from .covmodel import (
     KIND_EXPONENTIAL,
     KIND_SOLVABLE,
     KIND_WHITE,
     CovSpec,
-    build,
     solvable_spectrum,
-    spectrum_from_matrix,
 )
 from .errors import EstlabError, WrongDesign
 from .experiments import (
@@ -85,11 +84,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-o", "--output", required=True, metavar="PATH",
         help="output CSV path (written atomically)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="K",
-        help="cap on internal worker parallelism (>= 1; results are "
-        "identical for any value)",
     )
     parser.add_argument(
         "--config", metavar="PATH", default=None,
@@ -309,7 +303,7 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
     shift = args.mean_shift
     if shift == 0.0:
         raise EstlabError("--mean-shift must be nonzero")
-    matrix = build(spec)
+    cov = make_covariance(spec)
     rows = []
     scale = shift * shift
     if spec.kind == KIND_SOLVABLE:
@@ -322,8 +316,8 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
         rows.append((spec.kind, "closed_form", closed, 1.0 / closed))
         spectrum = solvable_spectrum(spec.a + spec.c, 0.0, spec.n)
     else:
-        spectrum = spectrum_from_matrix(matrix)
-    numeric = fi_direct_numeric(matrix, shift)
+        spectrum = cov.spectrum()
+    numeric = fi_direct_numeric(cov, shift)
     rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
     eigen = fi_eigen(spectrum, spec.n, shift)
     rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))
@@ -471,9 +465,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if getattr(args, "threads", 1) < 1:
-        print("estlab: --threads must be at least 1", file=sys.stderr)
-        return 3
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         try:
             args.seed = _default_seed()

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
-from .matkernel import PSD_TOLERANCE, SymMatrix, eigendecompose
+from .errors import InvalidSpec, InvalidSpectrum
+from .matkernel import SymMatrix
 
 KIND_SOLVABLE = "solvable"
 KIND_EXPONENTIAL = "exponential"
@@ -142,17 +142,6 @@ def solvable_spectrum(a: float, c: float, n: int) -> WeightSpectrum:
     weights = np.zeros(n)
     weights[0] = 1.0
     return WeightSpectrum(sigmasq=sigmasq, weights=weights)
-
-
-def spectrum_from_matrix(matrix: SymMatrix) -> WeightSpectrum:
-    """Numeric spectrum of an arbitrary positive-definite covariance."""
-    eig = eigendecompose(matrix)
-    values = eig.eigenvalues
-    if values[0] <= 0.0 or values[-1] <= PSD_TOLERANCE * values[0]:
-        raise NotPositiveDefinite("covariance matrix is not positive definite")
-    column_sums = eig.eigenvectors.sum(axis=0)
-    weights = column_sums * column_sums / matrix.dim
-    return WeightSpectrum(sigmasq=values.copy(), weights=weights)
 
 
 def solvable_inverse(a: float, c: float, n: int) -> SymMatrix:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
+from .covariance import Covariance, Dense
 from .covmodel import WeightSpectrum
 from .errors import (
     DegenerateDenominator,
@@ -100,17 +101,22 @@ class TwoOutcomeSpec:
         return cls(var1=x * scale, var2=scale, cov=r * scale * math.sqrt(x))
 
 
-def fi_direct_numeric(matrix: SymMatrix, mean_shift: float = 1.0) -> FisherReport:
-    """Direct-strategy information mean_shift^2 * sum_ij inv(C)_ij via solve."""
+def fi_direct_numeric(
+    cov: Covariance | SymMatrix, mean_shift: float = 1.0
+) -> FisherReport:
+    """Direct-strategy information mean_shift^2 * 1'C^-1 1 via ``cov.quad``.
+
+    ``cov`` is a covariance operator; a SymMatrix is contracted as Dense.
+    """
     if mean_shift == 0.0:
         raise InvalidSpec("mean shift must be nonzero")
-    ones = np.ones(matrix.dim)
-    lower = factor_spd(matrix)
-    raw = float(ones @ cho_solve((lower, True), ones))
+    if isinstance(cov, SymMatrix):
+        cov = Dense(cov)
+    ones = np.ones(cov.dim)
     scale = mean_shift * mean_shift
-    ew_var = float(matrix.entries.sum()) / (matrix.dim * matrix.dim * scale)
+    ew_var = float(cov.form(ones)) / (cov.dim * cov.dim * scale)
     return FisherReport(
-        value=scale * raw,
+        value=scale * float(cov.quad(ones)),
         method=METHOD_NUMERIC_INVERSE,
         equal_weight_variance=ew_var,
     )

@@ -6,6 +6,8 @@ matrices are validated and frozen at construction, factorization rejects
 zero-variance directions instead of jittering them away, and quadratic
 forms are evaluated through triangular solves rather than explicit
 inverses.  Storage is dense; the intended working range is dim <= 4096.
+That range binds covariance.Dense only: the exponential model goes through
+the O(n) covariance.Exponential operator and never builds a SymMatrix.
 """
 
 from __future__ import annotations

@@ -175,7 +175,9 @@ def make_design(
         retained_mask = rng.random(n) < gamma
         assignment = np.where(retained_mask, 0, 1).astype(np.intp)
     elif scheme == SCHEME_PERIODIC:
-        period = int(round(1.0 / gamma))
+        # Any period >= n retains slot 0 alone; capping keeps a tiny gamma
+        # (1/gamma = inf) from overflowing int().
+        period = int(round(min(1.0 / gamma, n)))
         if period < 1:
             raise InvalidGamma(f"gamma={gamma} gives an empty retention period")
         assignment = np.where(np.arange(n) % period == 0, 0, 1).astype(np.intp)
@@ -207,17 +209,21 @@ def make_design(
     )
 
 
-def submatrix(matrix: SymMatrix, retained) -> SymMatrix:
-    """Covariance restricted to the retained slots: C'[k, l] = C[i_k, i_l]."""
+def subset_index(retained, dim: int) -> np.ndarray:
+    """Validated retained slots: a non-empty, strictly increasing index vector."""
     idx = np.asarray(retained, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise IndexOutOfRange("retained index set must be a non-empty vector")
     if (np.diff(idx) <= 0).any():
         raise IndexOutOfRange("retained indices must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= matrix.dim:
-        raise IndexOutOfRange(
-            f"retained indices must lie in [0, {matrix.dim - 1}]"
-        )
+    if idx[0] < 0 or idx[-1] >= dim:
+        raise IndexOutOfRange(f"retained indices must lie in [0, {dim - 1}]")
+    return idx
+
+
+def submatrix(matrix: SymMatrix, retained) -> SymMatrix:
+    """Covariance restricted to the retained slots: C'[k, l] = C[i_k, i_l]."""
+    idx = subset_index(retained, matrix.dim)
     return SymMatrix(matrix.entries[np.ix_(idx, idx)])
 
 

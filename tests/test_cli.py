@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 
 from estlab import __version__
 from estlab.cli import main
@@ -56,11 +57,6 @@ class TestValidation:
             ["fisher", "--model", "exponential", "--a", "1", "--c", "0.1",
              "--n", "5", "-o", str(tmp_path / "x.csv")]
         )
-        assert code == 3
-        capsys.readouterr()
-
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        code = main(["table1", "--threads", "0", "-o", str(tmp_path / "x.csv")])
         assert code == 3
         capsys.readouterr()
 
@@ -125,6 +121,29 @@ class TestFisherCommand:
         _, headers, rows = read_csv(out)
         methods = {r[headers.index("method")] for r in rows}
         assert methods == {"numeric_inverse", "eigen_weighted"}
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("eta", [1e-2, 0.37, 10.0, 123.4, 1e3, 1e4, 1e5, 1e6])
+    def test_exponential_rows_match_levinson(self, tmp_path, capsys, eta):
+        n, a, c = 2000, 1.3, 0.07
+        out = tmp_path / "f.csv"
+        code = main(
+            ["fisher", "--model", "exponential", "--a", repr(a), "--c", repr(c),
+             "--n", str(n), "--eta", repr(eta), "-o", str(out)]
+        )
+        assert code == 0
+        _, headers, rows = read_csv(out)
+        column = c * np.exp(-np.arange(n) / eta)
+        column[0] += a
+        fi = solve_toeplitz(column, np.ones(n)).sum()
+        lag_weights = 2.0 * (n - np.arange(n))
+        lag_weights[0] = n
+        ew_var = lag_weights @ column / (n * n)
+        for row in rows:
+            assert float(row[headers.index("value")]) == pytest.approx(fi, rel=1e-10)
+            assert float(row[headers.index("equal_weight_variance")]) == pytest.approx(
+                ew_var, rel=1e-10
+            )
         capsys.readouterr()
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from estlab.covariance import Dense
 from estlab.covmodel import (
     CovSpec,
     WeightSpectrum,
     build,
     solvable_inverse,
     solvable_spectrum,
-    spectrum_from_matrix,
 )
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
 from estlab.matkernel import SymMatrix, eigendecompose
@@ -99,7 +99,7 @@ class TestSolvableSpectrum:
 
 class TestSpectrumFromMatrix:
     def test_identity(self):
-        ws = spectrum_from_matrix(SymMatrix.identity(4))
+        ws = Dense(SymMatrix.identity(4)).spectrum()
         assert abs(ws.weights.sum() - 1.0) <= 1e-10
         assert np.allclose(ws.sigmasq, 1.0)
         # Fisher check: N * sum(w / sigma^2) = N.
@@ -107,7 +107,7 @@ class TestSpectrumFromMatrix:
 
     def test_matches_solvable_closed_form(self):
         m = build(CovSpec("solvable", 1.0, 2.0, 3))
-        ws = spectrum_from_matrix(m)
+        ws = Dense(m).spectrum()
         closed = solvable_spectrum(1.0, 2.0, 3)
         assert np.allclose(np.sort(ws.sigmasq), np.sort(closed.sigmasq), rtol=1e-9)
         assert ws.weights[0] == pytest.approx(1.0, abs=1e-10)
@@ -116,14 +116,14 @@ class TestSpectrumFromMatrix:
         # sum_k sigma^2_k w_k / N equals the variance of the plain mean,
         # (1/N^2) * sum_ij C_ij.
         m = random_spd(16, seed=3)
-        ws = spectrum_from_matrix(m)
+        ws = Dense(m).spectrum()
         lhs = (ws.sigmasq * ws.weights).sum() / 16
         rhs = m.entries.sum() / 256
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
-            spectrum_from_matrix(SymMatrix([[1.0, 1.0], [1.0, 1.0]]))
+            Dense(SymMatrix([[1.0, 1.0], [1.0, 1.0]])).spectrum()
 
 
 class TestSolvableInverse:

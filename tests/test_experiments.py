@@ -1,8 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from estlab.errors import InvalidSpec
 from estlab.experiments import (
@@ -193,6 +196,47 @@ class TestFig7:
             fig7_sweep(eta_grid=[-1.0])
         with pytest.raises(InvalidSpec):
             fig7_sweep(scheme="chop")
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        gamma=st.floats(0.0, 0.9, exclude_min=True),
+        n=st.integers(2, 2000),
+        a=st.floats(0.05, 20.0),
+        c=st.floats(0.0, 1.0),
+    )
+    def test_periodic_wva_never_beats_direct_in_white_limit(self, gamma, n, a, c):
+        # The periodic design retains m = ceil(n/round(1/gamma)) slots, so
+        # its amplification is the realized n/m, not 1/gamma.
+        sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[0.0, 1e-2])
+        direct = sweep.column("fi_direct")
+        assert (sweep.column("fi_wva") <= direct * (1 + 1e-9)).all()
+        assert direct == pytest.approx(n / (a + c), rel=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 600),
+        a=st.floats(0.05, 20.0),
+        c=st.floats(0.0, 1.0),
+        eta=st.floats(-2.0, 6.0).map(lambda x: 10.0**x),
+        gamma=st.floats(0.001, 0.9),
+    )
+    def test_periodic_invariants(self, n, a, c, eta, gamma):
+        sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[eta])
+        assert (sweep.column("fi_bgsub") >= sweep.column("fi_wva") * (1 - 1e-9)).all()
+        for strategy in ("direct", "wva", "bgsub"):
+            fi = sweep.column(f"fi_{strategy}")
+            assert (sweep.column(f"inv_var_equal_{strategy}") <= fi * (1 + 1e-9)).all()
+
+    def test_memory_is_linear_in_n(self):
+        n = 20_000
+        tracemalloc.start()
+        try:
+            fig7_sweep(n=n, eta_grid=np.logspace(-2, 6, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One dense n x n covariance would be 8*n^2 bytes (3.2 GB here).
+        assert peak < 8 * n * n / 100
 
 
 class TestDeltaI:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estlab.covmodel import CovSpec, build, solvable_spectrum, spectrum_from_matrix
+from estlab.covariance import Dense
+from estlab.covmodel import CovSpec, build, solvable_spectrum
 from estlab.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -86,7 +87,7 @@ class TestEigenWeighted:
     def test_matches_direct_on_random_spd(self):
         m = random_spd(24, seed=5)
         direct = fi_direct_numeric(m).value
-        eigen = fi_eigen(spectrum_from_matrix(m), 24).value
+        eigen = fi_eigen(Dense(m).spectrum(), 24).value
         assert eigen == pytest.approx(direct, rel=1e-8)
 
     def test_size_mismatch(self):
