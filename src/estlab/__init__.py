@@ -36,8 +36,6 @@ from .matkernel import (
     SymMatrix,
     eigendecompose,
     factor_spd,
-    inverse,
-    quadratic_form,
     solve_spd,
 )
 from .montecarlo import TrialEnsemble, run_trials, sample_noise
@@ -82,12 +80,10 @@ __all__ = [
     "fi_partitioned",
     "fi_two_outcome",
     "fi_wva_solvable",
-    "inverse",
     "make_covariance",
     "make_design",
     "mean_vector",
     "optimal_alpha",
-    "quadratic_form",
     "run_trials",
     "sample_noise",
     "solvable_inverse",

@@ -35,7 +35,8 @@ from .covmodel import (
     CovSpec,
     solvable_spectrum,
 )
-from .errors import EstlabError, WrongDesign
+from .errors import EstlabError
+from .estimators import ESTIMATOR_NAMES, check_fits
 from .experiments import (
     SweepResult,
     _metadata,
@@ -48,9 +49,8 @@ from .experiments import (
     write_csv,
 )
 from .fisher import fi_direct_numeric, fi_eigen
-from .montecarlo import ESTIMATOR_NAMES, run_trials
+from .montecarlo import run_trials
 from .partition import (
-    CHANNEL_RETAINED,
     SCHEME_ALTERNATING,
     SCHEME_BERNOULLI,
     SCHEME_BLOCKS,
@@ -295,14 +295,19 @@ def _make_cov_spec(args: argparse.Namespace) -> CovSpec:
         raise EstlabError("--eta applies to the exponential model only")
     if args.model == KIND_EXPONENTIAL and eta is None:
         raise EstlabError("the exponential model requires --eta")
-    return CovSpec(args.model, args.a, args.c, args.n, eta=eta)
+    spec = CovSpec(args.model, args.a, args.c, args.n, eta=eta)
+    # CovSpec keeps these boundaries representable, but each covariance has a
+    # zero-variance direction that no command can use.
+    solvable = spec.kind == KIND_SOLVABLE
+    if (spec.a == 0.0 and (spec.c == 0.0 or solvable)) or (
+            solvable and spec.c <= -spec.a / spec.n):
+        raise EstlabError(
+            f"the {spec.kind} covariance with a={spec.a!r}, c={spec.c!r} is singular")
+    return spec
 
 
-def _fisher_result(args: argparse.Namespace) -> SweepResult:
-    spec = _make_cov_spec(args)
+def _fisher_result(args: argparse.Namespace, spec: CovSpec) -> SweepResult:
     shift = args.mean_shift
-    if shift == 0.0:
-        raise EstlabError("--mean-shift must be nonzero")
     cov = make_covariance(spec)
     rows = []
     scale = shift * shift
@@ -348,35 +353,7 @@ def _simulate_design(args: argparse.Namespace):
     )
 
 
-def _check_estimator_fits(design, estimator: str) -> None:
-    if estimator == "equal":
-        if len(design.channels) != 1 or design.coefficients[0] != 1.0:
-            raise WrongDesign("the equal estimator needs --scheme direct")
-    elif estimator in ("wva", "wva-corrected"):
-        if CHANNEL_RETAINED not in design.channels:
-            raise WrongDesign(f"the {estimator} estimator needs a retained channel")
-        if design.channel_slots(CHANNEL_RETAINED).size == 0:
-            raise WrongDesign("this retention pattern kept no slots")
-        if design.coefficient(CHANNEL_RETAINED) == 0.0:
-            raise WrongDesign("the retained channel has zero coefficient")
-        if estimator == "wva-corrected" and len(design.channels) != 2:
-            raise WrongDesign("wva-corrected needs a retained/rejected design")
-    elif estimator == "bgsub":
-        coeffs = sorted(design.coefficients.tolist())
-        if len(design.channels) != 2 or coeffs != [-1.0, 1.0]:
-            raise WrongDesign(
-                "bgsub needs a two-channel design with coefficients +1 and -1 "
-                "(alternating, or blocks with --gamma 0.5)"
-            )
-
-
-def _simulate_results(args: argparse.Namespace):
-    spec = _make_cov_spec(args)
-    design = _simulate_design(args)
-    _check_estimator_fits(design, args.estimator)
-    if args.trials < 2:
-        raise EstlabError("--trials must be at least 2")
-
+def _simulate_results(args: argparse.Namespace, spec: CovSpec, design):
     ensemble = run_trials(
         spec, design, args.estimator,
         d_true=args.d, trials=args.trials, seed=args.seed,
@@ -401,7 +378,7 @@ def _simulate_results(args: argparse.Namespace):
         )],
         metadata=metadata,
     )
-    dump = None
+    outputs = [(summary, Path(args.output))]
     if args.dump_estimates is not None:
         dump = SweepResult(
             name="simulate-estimates",
@@ -409,7 +386,8 @@ def _simulate_results(args: argparse.Namespace):
             rows=[(t, float(v)) for t, v in enumerate(ensemble.estimates)],
             metadata=metadata,
         )
-    return summary, dump
+        outputs.append((dump, Path(args.dump_estimates)))
+    return outputs
 
 
 def _figure_result(args: argparse.Namespace) -> SweepResult:
@@ -477,27 +455,17 @@ def main(argv=None) -> int:
     try:
         outputs: list[tuple[SweepResult, Path]] = []
         if args.command == "fisher":
-            _make_cov_spec(args)
+            spec = _make_cov_spec(args)
             if args.mean_shift == 0.0:
                 raise EstlabError("--mean-shift must be nonzero")
-            runner = lambda: [(_fisher_result(args), Path(args.output))]
+            runner = lambda: [(_fisher_result(args, spec), Path(args.output))]
         elif args.command == "simulate":
-            def runner():
-                summary, dump = _simulate_results(args)
-                out = [(summary, Path(args.output))]
-                if dump is not None:
-                    out.append((dump, Path(args.dump_estimates)))
-                return out
-            # Validate spec/design/estimator now, without running trials.
             spec = _make_cov_spec(args)
             design = _simulate_design(args)
-            _check_estimator_fits(design, args.estimator)
+            check_fits(args.estimator, spec, design)
             if args.trials < 2:
                 raise EstlabError("--trials must be at least 2")
-            if args.estimator == "wva-corrected" and spec.kind != KIND_SOLVABLE:
-                raise EstlabError(
-                    "wva-corrected applies to the solvable model only"
-                )
+            runner = lambda: _simulate_results(args, spec, design)
         elif args.command == "figure":
             _figure_validate(args)
             runner = lambda: [(_figure_result(args), Path(args.output))]

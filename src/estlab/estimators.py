@@ -1,5 +1,10 @@
 """Estimators mapping a sampled dataset to an estimate of d.
 
+Every estimator is linear in the samples, d_hat = w @ s.  ``estimator_weights``
+returns w once for a whole Monte Carlo run; the ``estimate_*`` functions apply
+one estimator to one Dataset and are the per-sample reference.  Both go
+through the same design-fit rules, which ``check_fits`` applies by name.
+
 All estimators are exactly unbiased on noise-free data by construction,
 with one caveat: the corrected weak-value estimator inherits an O(gamma)
 approximation from its derivation unless the default unbiased base is used.
@@ -10,10 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
+from .covmodel import KIND_SOLVABLE, CovSpec
 from .errors import DimensionMismatch, EmptyRetainedSet, InvalidSpec, WrongDesign
 from .matkernel import SymMatrix, solve_spd
 from .partition import CHANNEL_RETAINED, PartitionDesign
+
+ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
 
 
 @dataclass(frozen=True)
@@ -22,7 +31,6 @@ class Dataset:
 
     samples: np.ndarray
     design: PartitionDesign
-    truth: float | None = None
 
     def __post_init__(self) -> None:
         s = np.array(self.samples, dtype=float)
@@ -34,13 +42,79 @@ class Dataset:
         object.__setattr__(self, "samples", s)
 
 
+def _check_design(name: str, design: PartitionDesign) -> None:
+    """The design-fit rules of the named estimator."""
+    if name == "equal":
+        if len(design.channels) != 1 or design.coefficients[0] != 1.0:
+            raise WrongDesign("the equal estimator needs a single channel with "
+                              "coefficient 1 (--scheme direct)")
+    elif name == "ml":
+        if not design.mu_prime.any():
+            raise WrongDesign("ml needs a design with a nonzero mean coefficient")
+    elif name == "bgsub":
+        coeffs = np.sort(design.coefficients)
+        if len(design.channels) != 2 or coeffs[0] != -1.0 or coeffs[1] != 1.0:
+            raise WrongDesign("bgsub needs a two-channel design with coefficients "
+                              "+1 and -1 (alternating, or blocks with --gamma 0.5)")
+    else:
+        if CHANNEL_RETAINED not in design.channels:
+            raise WrongDesign(f"{name} needs a retained channel")
+        if name == "wva-corrected" and len(design.channels) != 2:
+            raise WrongDesign("wva-corrected needs a retained/rejected design")
+        if design.channel_slots(CHANNEL_RETAINED).size == 0:
+            raise EmptyRetainedSet("this retention pattern kept no slots")
+        if design.coefficient(CHANNEL_RETAINED) == 0.0:
+            raise WrongDesign("the retained channel has zero coefficient")
+
+
+def _check_correction(n: int, a: float, c: float) -> None:
+    if a <= 0.0 or a + n * c <= 0.0:
+        raise InvalidSpec("correction requires solvable parameters with a + n*c > 0")
+
+
+def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
+    """Raise unless the named estimator applies to this model and design."""
+    if name not in ESTIMATOR_NAMES:
+        raise WrongDesign(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    if design.n != spec.n:
+        raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
+    if name == "wva-corrected":
+        if spec.kind != KIND_SOLVABLE:
+            raise InvalidSpec("wva-corrected applies to the solvable model only")
+        _check_correction(spec.n, spec.a, spec.c)
+    _check_design(name, design)
+
+
+def estimator_weights(
+    name: str, spec: CovSpec, design: PartitionDesign, lower: np.ndarray
+) -> np.ndarray:
+    """Weights w of the named estimator, d_hat = w @ samples, after check_fits.
+
+    ``lower`` is the Cholesky factor of the model covariance; only ml reads
+    it, for w = C^-1 mu' / (mu' C^-1 mu').
+    """
+    check_fits(name, spec, design)
+    n = design.n
+    mu = design.mu_prime
+    if name == "equal":
+        return np.full(n, 1.0 / n)
+    if name == "bgsub":
+        return mu / n
+    if name == "ml":
+        y = cho_solve((lower, True), mu)
+        return y / float(y @ mu)
+    retained = design.channel_slots(CHANNEL_RETAINED)
+    aw = design.coefficient(CHANNEL_RETAINED)
+    weights = np.zeros(n)
+    weights[retained] = 1.0 / (aw * retained.size)
+    if name == "wva-corrected":
+        weights -= aw * spec.c * (retained.size / n) / (spec.a + n * spec.c)
+    return weights
+
+
 def estimate_equal_weight(data: Dataset) -> float:
     """Arithmetic mean; requires a single-channel design with unit coefficient."""
-    design = data.design
-    if len(design.channels) != 1 or design.coefficients[0] != 1.0:
-        raise WrongDesign(
-            "equal-weight estimator needs a single channel with coefficient 1"
-        )
+    _check_design("equal", data.design)
     return float(np.mean(data.samples))
 
 
@@ -54,6 +128,7 @@ def estimate_ml(data: Dataset, matrix: SymMatrix) -> float:
         raise DimensionMismatch(
             f"covariance dimension {matrix.dim} does not match {data.design.n} slots"
         )
+    _check_design("ml", data.design)
     mu = data.design.mu_prime
     weights = solve_spd(matrix, mu)
     return float(weights @ data.samples) / float(weights @ mu)
@@ -68,14 +143,9 @@ def estimate_wva(data: Dataset, literal_prefactor: bool = False) -> float:
     is used instead; the two coincide when Aw^2 * gamma = 1.
     """
     design = data.design
-    if CHANNEL_RETAINED not in design.channels:
-        raise WrongDesign("weak-value estimator needs a retained channel")
+    _check_design("wva", design)
     retained = design.channel_slots(CHANNEL_RETAINED)
-    if retained.size == 0:
-        raise EmptyRetainedSet("no retained slots in this realization")
     aw = design.coefficient(CHANNEL_RETAINED)
-    if aw == 0.0:
-        raise WrongDesign("retained channel has zero coefficient")
     total = float(data.samples[retained].sum())
     if literal_prefactor:
         return aw * total / design.n
@@ -89,11 +159,7 @@ def estimate_background_subtraction(data: Dataset) -> float:
     mode offsets then cancel exactly.
     """
     design = data.design
-    coeffs = np.sort(design.coefficients)
-    if len(design.channels) != 2 or coeffs[0] != -1.0 or coeffs[1] != 1.0:
-        raise WrongDesign(
-            "background subtraction needs two channels with coefficients +1 and -1"
-        )
+    _check_design("bgsub", design)
     return float(design.mu_prime @ data.samples) / design.n
 
 
@@ -107,14 +173,11 @@ def estimate_wva_corrected(
     estimate minus (Aw * c * gamma / (a + n*c)) times the sum of all
     samples.  The correction prefactor vanishes as c -> 0.
     """
-    if a <= 0.0 or a + data.design.n * c <= 0.0:
-        raise InvalidSpec("correction requires solvable parameters with a + n*c > 0")
     design = data.design
-    if CHANNEL_RETAINED not in design.channels or len(design.channels) != 2:
-        raise WrongDesign("corrected estimator needs a retained/rejected design")
+    _check_correction(design.n, a, c)
+    _check_design("wva-corrected", design)
     base = estimate_wva(data, literal_prefactor=literal_prefactor)
-    retained = design.channel_slots(CHANNEL_RETAINED)
     aw = design.coefficient(CHANNEL_RETAINED)
-    gamma = retained.size / design.n
+    gamma = design.channel_slots(CHANNEL_RETAINED).size / design.n
     prefactor = aw * c * gamma / (a + design.n * c)
     return base - prefactor * float(data.samples.sum())

@@ -1,4 +1,4 @@
-"""Dense symmetric-matrix kernel: factorization, inverse, solves, eigensystems.
+"""Dense symmetric-matrix kernel: factorization, solves, eigensystems.
 
 Everything downstream (covariance models, Fisher information, sampling)
 funnels through this module, so the contracts here are deliberately strict:
@@ -112,12 +112,6 @@ def solve_spd(matrix: SymMatrix, rhs: np.ndarray) -> np.ndarray:
     return cho_solve((lower, True), b)
 
 
-def inverse(matrix: SymMatrix) -> SymMatrix:
-    """Explicit inverse via Cholesky; product with the input is the identity."""
-    inv = solve_spd(matrix, np.eye(matrix.dim))
-    return SymMatrix(0.5 * (inv + inv.T))
-
-
 def eigendecompose(matrix: SymMatrix) -> EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues sorted descending."""
     try:
@@ -128,16 +122,3 @@ def eigendecompose(matrix: SymMatrix) -> EigenSystem:
         eigenvalues=values[::-1].copy(),
         eigenvectors=vectors[:, ::-1].copy(),
     )
-
-
-def quadratic_form(matrix: SymMatrix, u: np.ndarray, v: np.ndarray) -> float:
-    """u.T @ inverse(matrix) @ v without forming the inverse."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or v.ndim != 1:
-        raise DimensionMismatch("quadratic_form expects one-dimensional vectors")
-    if u.size != matrix.dim or v.size != matrix.dim:
-        raise DimensionMismatch(
-            f"vector lengths {u.size}, {v.size} do not match dimension {matrix.dim}"
-        )
-    return float(u @ solve_spd(matrix, v))

