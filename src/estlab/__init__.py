@@ -21,7 +21,6 @@ from .estimators import (
 from .fisher import (
     FisherReport,
     TwoOutcomeSpec,
-    equal_weight_variance,
     fi_direct_numeric,
     fi_eigen,
     fi_opm_solvable,
@@ -36,7 +35,6 @@ from .matkernel import (
     SymMatrix,
     eigendecompose,
     factor_spd,
-    solve_spd,
 )
 from .montecarlo import TrialEnsemble, run_trials, sample_noise
 from .partition import (
@@ -67,7 +65,6 @@ __all__ = [
     "build",
     "direct_design",
     "eigendecompose",
-    "equal_weight_variance",
     "estimate_background_subtraction",
     "estimate_equal_weight",
     "estimate_ml",
@@ -88,7 +85,6 @@ __all__ = [
     "sample_noise",
     "solvable_inverse",
     "solvable_spectrum",
-    "solve_spd",
     "spin_model",
     "submatrix",
     "two_outcome_variance",

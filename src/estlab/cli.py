@@ -48,7 +48,7 @@ from .experiments import (
     table1,
     write_csv,
 )
-from .fisher import fi_direct_numeric, fi_eigen
+from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
 from .montecarlo import run_trials
 from .partition import (
     SCHEME_ALTERNATING,
@@ -295,9 +295,15 @@ def _make_cov_spec(args: argparse.Namespace) -> CovSpec:
         raise EstlabError("--eta applies to the exponential model only")
     if args.model == KIND_EXPONENTIAL and eta is None:
         raise EstlabError("the exponential model requires --eta")
-    spec = CovSpec(args.model, args.a, args.c, args.n, eta=eta)
-    # CovSpec keeps these boundaries representable, but each covariance has a
-    # zero-variance direction that no command can use.
+    return _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=eta))
+
+
+def _nonsingular(spec: CovSpec) -> CovSpec:
+    """``spec``, unless its covariance is singular by construction.
+
+    CovSpec keeps these boundaries representable, but each covariance has a
+    zero-variance direction that no command can use.
+    """
     solvable = spec.kind == KIND_SOLVABLE
     if (spec.a == 0.0 and (spec.c == 0.0 or solvable)) or (
             solvable and spec.c <= -spec.a / spec.n):
@@ -310,14 +316,14 @@ def _fisher_result(args: argparse.Namespace, spec: CovSpec) -> SweepResult:
     shift = args.mean_shift
     cov = make_covariance(spec)
     rows = []
-    scale = shift * shift
+    # Full retention with Aw = shift is the direct strategy.
     if spec.kind == KIND_SOLVABLE:
-        closed = scale * spec.n / (spec.a + spec.n * spec.c)
-        closed_ew = (spec.a / spec.n + spec.c) / scale
+        closed = fi_wva_solvable(spec.a, spec.c, spec.n, 1.0, shift)
+        closed_ew = (spec.a / spec.n + spec.c) / (shift * shift)
         rows.append((spec.kind, "closed_form", closed, closed_ew))
         spectrum = solvable_spectrum(spec.a, spec.c, spec.n)
     elif spec.kind == KIND_WHITE:
-        closed = scale * spec.n / (spec.a + spec.c)
+        closed = fi_wva_solvable(spec.a + spec.c, 0.0, spec.n, 1.0, shift)
         rows.append((spec.kind, "closed_form", closed, 1.0 / closed))
         spectrum = solvable_spectrum(spec.a + spec.c, 0.0, spec.n)
     else:
@@ -472,7 +478,9 @@ def main(argv=None) -> int:
         elif args.command == "table1":
             if not 0.0 < args.gamma < 1.0:
                 raise EstlabError("--gamma must lie strictly inside (0, 1)")
-            CovSpec(KIND_SOLVABLE, args.a, args.c, args.n)
+            _nonsingular(CovSpec(KIND_SOLVABLE, args.a, args.c, args.n))
+            _nonsingular(CovSpec(KIND_WHITE, args.a, args.c, args.n))
+            make_design(args.n, SCHEME_BLOCKS, gamma=args.gamma)
             runner = lambda: [
                 (table1(args.a, args.c, args.n, args.gamma), Path(args.output))
             ]
@@ -535,7 +543,7 @@ def _figure_validate(args: argparse.Namespace) -> None:
             raise EstlabError("--reps must be at least 1")
         if not 0.0 < args.gamma < 1.0:
             raise EstlabError("--gamma must lie strictly inside (0, 1)")
-        CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0)
+        _nonsingular(CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0))
 
 
 def _describe(metadata: dict[str, str]) -> str:

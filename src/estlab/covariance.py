@@ -9,8 +9,15 @@ Every Fisher information and plain-average variance in estlab is one of
 
 ``Dense`` evaluates them on a materialized SymMatrix and serves the solvable
 and white models; it is also the reference the structured operator is tested
-against.  ``Exponential`` is white noise plus an Ornstein-Uhlenbeck (AR(1))
-kernel on increasing sample times t,
+against.  Dense is the only code that factors or solves a dense covariance:
+it computes its Cholesky factor once, on first use, and every contraction
+reuses it.  Two members sit outside the protocol and belong to Dense only:
+``lower`` (the factor, which Monte Carlo sampling needs) and ``solve``
+(C^-1 U, for the partitioned information and the ml estimator, which only
+the solvable and white models reach).
+
+``Exponential`` is white noise plus an Ornstein-Uhlenbeck (AR(1)) kernel on
+increasing sample times t,
 
     C = a*I + c*K,   K_ij = exp(-|t_i - t_j| / eta),
 
@@ -63,15 +70,27 @@ class Dense:
 
     def __init__(self, matrix: SymMatrix) -> None:
         self.matrix = matrix
+        self._lower: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
 
+    @property
+    def lower(self) -> np.ndarray:
+        """Cholesky factor L of the matrix (factor_spd), L @ L.T == C."""
+        if self._lower is None:
+            self._lower = factor_spd(self.matrix)
+        return self._lower
+
+    def solve(self, U) -> np.ndarray:
+        """C^-1 U for a vector or column-stacked U, through ``lower``."""
+        return cho_solve((self.lower, True), _columns(U, self.dim)).reshape(np.shape(U))
+
     def quad(self, U) -> np.ndarray:
         shape = np.shape(U)[1:]
         U = _columns(U, self.dim)
-        X = cho_solve((factor_spd(self.matrix), True), U)
+        X = self.solve(U)
         return np.array([u @ x for u, x in zip(U.T, X.T)]).reshape(shape)
 
     def form(self, U) -> np.ndarray:

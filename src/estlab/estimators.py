@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
+from .covariance import Dense
 from .covmodel import KIND_SOLVABLE, CovSpec
 from .errors import DimensionMismatch, EmptyRetainedSet, InvalidSpec, WrongDesign
-from .matkernel import SymMatrix, solve_spd
 from .partition import CHANNEL_RETAINED, PartitionDesign
 
 ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
@@ -86,12 +85,12 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
 
 
 def estimator_weights(
-    name: str, spec: CovSpec, design: PartitionDesign, lower: np.ndarray
+    name: str, spec: CovSpec, design: PartitionDesign, cov: Dense
 ) -> np.ndarray:
     """Weights w of the named estimator, d_hat = w @ samples, after check_fits.
 
-    ``lower`` is the Cholesky factor of the model covariance; only ml reads
-    it, for w = C^-1 mu' / (mu' C^-1 mu').
+    ``cov`` is the model covariance; only ml reads it, for
+    w = C^-1 mu' / (mu' C^-1 mu').
     """
     check_fits(name, spec, design)
     n = design.n
@@ -101,7 +100,7 @@ def estimator_weights(
     if name == "bgsub":
         return mu / n
     if name == "ml":
-        y = cho_solve((lower, True), mu)
+        y = cov.solve(mu)
         return y / float(y @ mu)
     retained = design.channel_slots(CHANNEL_RETAINED)
     aw = design.coefficient(CHANNEL_RETAINED)
@@ -118,19 +117,19 @@ def estimate_equal_weight(data: Dataset) -> float:
     return float(np.mean(data.samples))
 
 
-def estimate_ml(data: Dataset, matrix: SymMatrix) -> float:
+def estimate_ml(data: Dataset, cov: Dense) -> float:
     """Maximum-likelihood (minimum-variance) estimator.
 
     d_hat = (mu'.T @ inv(C) @ s) / (mu'.T @ inv(C) @ mu'); the denominator is
     the partitioned Fisher information of the same design.
     """
-    if matrix.dim != data.design.n:
+    if cov.dim != data.design.n:
         raise DimensionMismatch(
-            f"covariance dimension {matrix.dim} does not match {data.design.n} slots"
+            f"covariance dimension {cov.dim} does not match {data.design.n} slots"
         )
     _check_design("ml", data.design)
     mu = data.design.mu_prime
-    weights = solve_spd(matrix, mu)
+    weights = cov.solve(mu)
     return float(weights @ data.samples) / float(weights @ mu)
 
 

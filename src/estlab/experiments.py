@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .covariance import Exponential
-from .covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec, build
+from .covariance import Exponential, make_covariance
+from .covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec
 from .errors import DegenerateDenominator, EmptyRetainedSet, InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
@@ -47,7 +47,6 @@ from .partition import (
     make_design,
     spin_coefficients,
     spin_model,
-    submatrix,
 )
 
 BERNOULLI_DEFAULT_REPS = 32
@@ -120,8 +119,8 @@ def table1(
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    white = build(CovSpec(KIND_WHITE, a, c, n))
-    solvable = build(CovSpec(KIND_SOLVABLE, a, c, n))
+    white = make_covariance(CovSpec(KIND_WHITE, a, c, n))
+    solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
 
     m = int(round(gamma * n))
     if not 1 <= m <= n - 1:
@@ -132,22 +131,25 @@ def table1(
     blocks = make_design(n, "blocks", gamma=gamma)
     mu_blocks = blocks.mu_prime
 
+    # Full retention with Aw = 1 is the direct strategy; white noise is the
+    # solvable model with variance a + c and no common offset.
+    direct_white = fi_wva_solvable(a + c, 0.0, n, 1.0, 1.0)
     closed = {
-        ("direct", "uncorrelated"): n / (a + c),
+        ("direct", "uncorrelated"): direct_white,
         ("wva", "uncorrelated"): aw2 * gamma * n / (a + c),
-        ("opm", "uncorrelated"): n / (a + c),
-        ("direct", "correlated"): n / (a + n * c),
+        ("opm", "uncorrelated"): direct_white,
+        ("direct", "correlated"): fi_wva_solvable(a, c, n, 1.0, 1.0),
         ("wva", "correlated"): fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)),
         ("opm", "correlated"): fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
     }
     numeric = {
         ("direct", "uncorrelated"): fi_direct_numeric(white).value,
         ("wva", "uncorrelated"): aw2
-        * fi_direct_numeric(submatrix(white, retained)).value,
+        * fi_direct_numeric(white.restrict(retained)).value,
         ("opm", "uncorrelated"): fi_partitioned(white, mu_blocks, blocks).value,
         ("direct", "correlated"): fi_direct_numeric(solvable).value,
         ("wva", "correlated"): aw2
-        * fi_direct_numeric(submatrix(solvable, retained)).value,
+        * fi_direct_numeric(solvable.restrict(retained)).value,
         ("opm", "correlated"): fi_partitioned(solvable, mu_blocks, blocks).value,
     }
 
@@ -275,14 +277,14 @@ def fig6_decomposition(
     a = 1.0
     c = c_over_a * a
     unit = n / a
-    matrix = build(CovSpec(KIND_SOLVABLE, a, c, n))
+    cov = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
     rows = []
     for phi in phi_grid:
         model = spin_model(phi)
         report = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
         n1 = min(max(int(round(model.gamma * n)), 1), n - 1)
         design = make_design(n, "blocks", gamma=n1 / n)
-        numeric = fi_partitioned(matrix, design.mu_prime, design)
+        numeric = fi_partitioned(cov, design.mu_prime, design)
         rows.append(
             (
                 phi,

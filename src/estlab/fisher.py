@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .covariance import Covariance, Dense
 from .covmodel import WeightSpectrum
@@ -34,7 +33,6 @@ from .errors import (
     InvalidSpectrum,
     SingularCovariance,
 )
-from .matkernel import SymMatrix, factor_spd
 from .partition import PartitionDesign
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -101,17 +99,10 @@ class TwoOutcomeSpec:
         return cls(var1=x * scale, var2=scale, cov=r * scale * math.sqrt(x))
 
 
-def fi_direct_numeric(
-    cov: Covariance | SymMatrix, mean_shift: float = 1.0
-) -> FisherReport:
-    """Direct-strategy information mean_shift^2 * 1'C^-1 1 via ``cov.quad``.
-
-    ``cov`` is a covariance operator; a SymMatrix is contracted as Dense.
-    """
+def fi_direct_numeric(cov: Covariance, mean_shift: float = 1.0) -> FisherReport:
+    """Direct-strategy information mean_shift^2 * 1'C^-1 1 via ``cov.quad``."""
     if mean_shift == 0.0:
         raise InvalidSpec("mean shift must be nonzero")
-    if isinstance(cov, SymMatrix):
-        cov = Dense(cov)
     ones = np.ones(cov.dim)
     scale = mean_shift * mean_shift
     ew_var = float(cov.form(ones)) / (cov.dim * cov.dim * scale)
@@ -174,31 +165,8 @@ def optimal_alpha(spec: TwoOutcomeSpec) -> float:
     return (spec.var2 - spec.cov) / denom
 
 
-def equal_weight_variance(matrix: SymMatrix, mu_prime: np.ndarray | None = None) -> float:
-    """Variance of the matched-coefficient plain average.
-
-    Without mu_prime this is the arithmetic mean: (1/N^2) * sum_ij C_ij.
-    With mu_prime the estimator sum_i mu_prime[i]*s[i] / sum_i mu_prime[i]^2
-    is used (exactly unbiased for any design), giving
-    mu'.T @ C @ mu' / (sum mu'^2)^2.
-    """
-    a = matrix.entries
-    if mu_prime is None:
-        n = matrix.dim
-        return float(a.sum()) / (n * n)
-    mu = np.asarray(mu_prime, dtype=float)
-    if mu.shape != (matrix.dim,):
-        raise DimensionMismatch(
-            f"mu_prime length {mu.size} does not match dimension {matrix.dim}"
-        )
-    norm = float(mu @ mu)
-    if norm == 0.0:
-        raise InvalidSpec("mu_prime must not be the zero vector")
-    return float(mu @ a @ mu) / (norm * norm)
-
-
 def fi_partitioned(
-    matrix: SymMatrix,
+    cov: Dense,
     mu_prime: np.ndarray,
     design: PartitionDesign | None = None,
 ) -> FisherReport:
@@ -210,23 +178,24 @@ def fi_partitioned(
     inverse of the whole matrix, not to inverses of the sub-blocks.
     """
     mu = np.asarray(mu_prime, dtype=float)
-    if mu.shape != (matrix.dim,):
+    if mu.shape != (cov.dim,):
         raise DimensionMismatch(
-            f"mu_prime length {mu.size} does not match dimension {matrix.dim}"
+            f"mu_prime length {mu.size} does not match dimension {cov.dim}"
         )
-    lower = factor_spd(matrix)
+    norm = float(mu @ mu)
+    if norm == 0.0:
+        raise InvalidSpec("mu_prime must not be the zero vector")
     terms: tuple[float, float, float] | None = None
     if design is not None and len(design.channels) == 2:
-        if design.n != matrix.dim:
+        if design.n != cov.dim:
             raise DimensionMismatch(
-                f"design covers {design.n} slots, matrix dimension is {matrix.dim}"
+                f"design covers {design.n} slots, matrix dimension is {cov.dim}"
             )
-        masked = np.zeros((matrix.dim, 2))
+        masked = np.zeros((cov.dim, 2))
         for k in range(2):
             sel = design.assignment == k
             masked[sel, k] = mu[sel]
-        solved = cho_solve((lower, True), masked)
-        blocks = masked.T @ solved
+        blocks = masked.T @ cov.solve(masked)
         terms = (
             float(blocks[0, 0]),
             float(blocks[1, 1]),
@@ -234,12 +203,12 @@ def fi_partitioned(
         )
         value = terms[0] + terms[1] + terms[2]
     else:
-        value = float(mu @ cho_solve((lower, True), mu))
+        value = float(mu @ cov.solve(mu))
     return FisherReport(
         value=value,
         method=METHOD_NUMERIC_INVERSE,
         terms=terms,
-        equal_weight_variance=equal_weight_variance(matrix, mu),
+        equal_weight_variance=float(cov.form(mu)) / (norm * norm),
     )
 
 

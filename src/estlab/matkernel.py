@@ -1,13 +1,13 @@
-"""Dense symmetric-matrix kernel: factorization, solves, eigensystems.
+"""Dense symmetric-matrix kernel: validated storage, Cholesky, eigensystems.
 
-Everything downstream (covariance models, Fisher information, sampling)
-funnels through this module, so the contracts here are deliberately strict:
-matrices are validated and frozen at construction, factorization rejects
-zero-variance directions instead of jittering them away, and quadratic
-forms are evaluated through triangular solves rather than explicit
-inverses.  Storage is dense; the intended working range is dim <= 4096.
-That range binds covariance.Dense only: the exponential model goes through
-the O(n) covariance.Exponential operator and never builds a SymMatrix.
+Only covariance.Dense factors and solves with these primitives: it keeps
+one factor per matrix, and Fisher information, estimators and sampling
+reach the factor through it.  The contracts here are deliberately strict:
+matrices are validated and frozen at construction, and factorization
+rejects zero-variance directions instead of jittering them away.  Storage
+is dense; the intended working range is dim <= 4096.  The exponential
+model goes through the O(n) covariance.Exponential operator and never
+builds a SymMatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 
@@ -99,17 +98,6 @@ def factor_spd(matrix: SymMatrix) -> np.ndarray:
             "matrix has an effectively zero variance direction"
         )
     return lower
-
-
-def solve_spd(matrix: SymMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs for a vector or column-stacked right-hand side."""
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != matrix.dim:
-        raise DimensionMismatch(
-            f"right-hand side has {b.shape[0]} rows, matrix dimension is {matrix.dim}"
-        )
-    lower = factor_spd(matrix)
-    return cho_solve((lower, True), b)
 
 
 def eigendecompose(matrix: SymMatrix) -> EigenSystem:

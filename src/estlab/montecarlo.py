@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .covariance import Dense
 from .covmodel import CovSpec, build
 from .errors import InvalidSpec
 from .estimators import estimator_weights
-from .matkernel import SymMatrix, factor_spd
+from .matkernel import SymMatrix
 from .partition import PartitionDesign, mean_vector
 
 GENERATOR_NAME = "pcg64"
@@ -73,7 +74,7 @@ def sample_noise(matrix: SymMatrix, seed) -> np.ndarray:
     x = L @ z with L the Cholesky factor; identical seeds give bit-identical
     vectors within a build.
     """
-    lower = factor_spd(matrix)
+    lower = Dense(matrix).lower
     z = standard_normal(_rng_for(seed), matrix.dim)
     return lower @ z
 
@@ -111,10 +112,10 @@ def run_trials(
     """
     if trials < 2:
         raise InvalidSpec("at least 2 trials are required for a variance")
-    lower = factor_spd(build(spec))
-    weights = estimator_weights(estimator, spec, design, lower)
+    cov = Dense(build(spec))
+    weights = estimator_weights(estimator, spec, design, cov)
     offset = float(weights @ mean_vector(design, d_true))
-    loading = lower.T @ weights
+    loading = cov.lower.T @ weights
     estimates = np.empty(trials)
     for first in range(0, trials, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trials - first)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from estlab.cli import main as cli_main
+from estlab.covariance import Dense
 from estlab.covmodel import CovSpec, build, solvable_inverse
 from estlab.experiments import fig7_sweep, table1
 from estlab.fisher import (
@@ -89,7 +90,7 @@ def test_criterion_2_fig7_shape():
 def test_criterion_3_phi_independence():
     a, c, n = 1.0, 0.5, 100
     target = n / a
-    matrix = build(CovSpec("solvable", a, c, n))
+    cov = Dense(build(CovSpec("solvable", a, c, n)))
     worst_closed = 0.0
     worst_numeric = 0.0
     for phi in np.linspace(0.01, math.pi - 0.01, 100):
@@ -98,7 +99,7 @@ def test_criterion_3_phi_independence():
         worst_closed = max(worst_closed, abs(closed - target) / target)
         n1 = min(max(int(round(model.gamma * n)), 1), n - 1)
         design = make_design(n, "blocks", gamma=n1 / n)
-        numeric = fi_partitioned(matrix, design.mu_prime, design).value
+        numeric = fi_partitioned(cov, design.mu_prime, design).value
         worst_numeric = max(worst_numeric, abs(numeric - target) / target)
     ok = worst_closed < 1e-9 and worst_numeric < 1e-7
     _report(
@@ -113,7 +114,7 @@ def test_criterion_4_cramer_rao_suite():
     worst_product = np.inf
     for _ in range(500):
         dim = int(rng.integers(1, 65))
-        rep = fi_direct_numeric(random_spd(dim, int(rng.integers(0, 2**31))))
+        rep = fi_direct_numeric(Dense(random_spd(dim, int(rng.integers(0, 2**31)))))
         worst_product = min(worst_product, rep.equal_weight_variance * rep.value)
     ok = worst_product >= 1.0 - 1e-12
 
@@ -121,7 +122,7 @@ def test_criterion_4_cramer_rao_suite():
     for a in (0.5, 1.0, 2.0):
         for n in (2, 10, 100, 512):
             for c in (-0.4 * a / n, 0.0, 0.05, 1.5):
-                rep = fi_direct_numeric(build(CovSpec("solvable", a, c, n)))
+                rep = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n))))
                 worst_gap = max(worst_gap, abs(rep.equal_weight_variance * rep.value - 1.0))
     ok &= worst_gap <= 1e-10
     _report(
@@ -145,7 +146,7 @@ def test_criterion_5_monte_carlo_efficiency():
     ml = run_trials(spec, blocks, "ml", trials=trials, seed=20240103)
     elapsed = time.monotonic() - started
 
-    fi_ml = fi_partitioned(build(spec), blocks.mu_prime, blocks).value
+    fi_ml = fi_partitioned(Dense(build(spec)), blocks.mu_prime, blocks).value
 
     ok = abs(equal.empirical_variance - 0.06) <= 0.02 * 0.06
     ok &= abs(bgsub.empirical_variance - 0.01) <= 0.02 * 0.01

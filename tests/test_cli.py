@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
 
-from estlab import __version__
+from estlab import __version__, matkernel
 from estlab.cli import main
 
 
@@ -77,8 +77,12 @@ class TestValidation:
          "--estimator", "equal", "--trials", "10"],
         ["fisher", "--model", "exponential", "--a", "0", "--c", "0", "--n", "10",
          "--eta", "2"],
+        ["table1", "--a", "1", "--c", "-0.1", "--n", "10"],
+        ["table1", "--n", "100", "--gamma", "0.001"],
+        ["figure", "fig7", "--a", "0", "--c", "0", "--n", "50"],
     ], ids=["solvable-a0-fisher", "solvable-a0-simulate", "solvable-c-boundary",
-            "white-zero", "exponential-zero"])
+            "white-zero", "exponential-zero", "table1-c-boundary",
+            "table1-empty-block", "fig7-zero"])
     def test_singular_covariance_is_invalid_configuration(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(argv + ["-o", str(out)]) == 3
@@ -100,6 +104,38 @@ class TestValidation:
              "--trials", "10", "-o", str(tmp_path / "x.csv")]
         )
         assert code == 3
+        capsys.readouterr()
+
+
+class TestFactorsOnce:
+    """Each command factors each covariance it contracts exactly once."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Dimensions of every matrix factored, wherever factor_spd is bound."""
+        dims = []
+        original = matkernel.factor_spd
+
+        def counting(matrix):
+            dims.append(matrix.dim)
+            return original(matrix)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "estlab" or name.startswith("estlab.")) and \
+                    getattr(module, "factor_spd", None) is original:
+                monkeypatch.setattr(module, "factor_spd", counting)
+        return dims
+
+    @pytest.mark.parametrize("argv,dims", [
+        (["figure", "fig6", "--phi-points", "12"], [100]),
+        # Two n x n covariances and their two retained blocks.
+        (["table1"], [5, 5, 1000, 1000]),
+        (["simulate", "--model", "solvable", "--n", "40", "--scheme", "blocks",
+          "--gamma", "0.5", "--estimator", "ml", "--trials", "50"], [40]),
+    ], ids=["fig6", "table1", "simulate-ml"])
+    def test_factor_count(self, argv, dims, factored, tmp_path, capsys):
+        assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 0
+        assert sorted(factored) == dims
         capsys.readouterr()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from estlab.covariance import Dense
 from estlab.covmodel import CovSpec, build
 from estlab.errors import (
     DimensionMismatch,
@@ -62,7 +63,7 @@ class TestEqualWeight:
 class TestMaximumLikelihood:
     def test_identity_covariance_is_mean(self):
         data = _dataset([1.0, 2.0, 3.0, 6.0], direct_design(4))
-        assert estimate_ml(data, SymMatrix.identity(4)) == pytest.approx(3.0)
+        assert estimate_ml(data, Dense(SymMatrix.identity(4))) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("scheme,gamma", [("blocks", 0.25), ("alternating", None)])
     def test_noise_free_recovery_any_design(self, scheme, gamma):
@@ -70,7 +71,7 @@ class TestMaximumLikelihood:
         d0 = -2.5
         data = _dataset(mean_vector(design, d0), design)
         C = build(CovSpec("solvable", 1.0, 0.4, 8))
-        assert estimate_ml(data, C) == pytest.approx(d0, rel=1e-12)
+        assert estimate_ml(data, Dense(C)) == pytest.approx(d0, rel=1e-12)
 
     def test_equals_background_subtraction_on_balanced_solvable(self):
         design = make_design(10, "blocks", gamma=0.5)
@@ -78,7 +79,7 @@ class TestMaximumLikelihood:
         rng = np.random.default_rng(5)
         for _ in range(5):
             data = _dataset(mean_vector(design, 1.0) + rng.normal(size=10), design)
-            assert estimate_ml(data, C) == pytest.approx(
+            assert estimate_ml(data, Dense(C)) == pytest.approx(
                 estimate_background_subtraction(data), rel=1e-12
             )
 
@@ -91,11 +92,11 @@ class TestMaximumLikelihood:
             coefficients=np.array([2.0, 0.0]),
         )
         with pytest.raises(WrongDesign):
-            estimate_ml(_dataset(np.zeros(3), design), SymMatrix.identity(3))
+            estimate_ml(_dataset(np.zeros(3), design), Dense(SymMatrix.identity(3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            estimate_ml(_dataset(np.zeros(4), direct_design(4)), SymMatrix.identity(3))
+            estimate_ml(_dataset(np.zeros(4), direct_design(4)), Dense(SymMatrix.identity(3)))
 
 
 class TestWeakValue:
@@ -249,7 +250,7 @@ class TestMonteCarloCalibration:
         spec = CovSpec("solvable", 1.0, 0.05, 50)
         design = make_design(50, "blocks", gamma=0.5)
         target = 1.0 / fi_partitioned(
-            build(spec), design.mu_prime, design
+            Dense(build(spec)), design.mu_prime, design
         ).value
         ens = run_trials(spec, design, "ml", trials=20_000, seed=9)
         assert ens.empirical_variance == pytest.approx(target, rel=0.05)

@@ -17,7 +17,6 @@ from estlab.errors import (
 from estlab.fisher import (
     FisherReport,
     TwoOutcomeSpec,
-    equal_weight_variance,
     fi_direct_numeric,
     fi_eigen,
     fi_opm_solvable,
@@ -50,29 +49,29 @@ class TestFisherReport:
 class TestDirectNumeric:
     def test_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 20))
-        assert fi_direct_numeric(m).value == pytest.approx(20 / 1.05, rel=1e-12)
+        assert fi_direct_numeric(Dense(m)).value == pytest.approx(20 / 1.05, rel=1e-12)
 
     def test_solvable_large(self):
         m = build(CovSpec("solvable", 1.0, 0.05, 1000))
-        assert fi_direct_numeric(m).value == pytest.approx(
+        assert fi_direct_numeric(Dense(m)).value == pytest.approx(
             19.607843137254903, rel=1e-10
         )
 
     def test_diagonal_additivity(self):
         sig = np.array([0.5, 2.0, 1.25, 4.0])
         m = SymMatrix(np.diag(sig))
-        assert fi_direct_numeric(m).value == pytest.approx((1.0 / sig).sum(), rel=1e-12)
+        assert fi_direct_numeric(Dense(m)).value == pytest.approx((1.0 / sig).sum(), rel=1e-12)
 
     def test_mean_shift_scaling(self):
         m = build(CovSpec("solvable", 1.0, 0.1, 10))
-        base = fi_direct_numeric(m).value
-        assert fi_direct_numeric(m, mean_shift=3.0).value == pytest.approx(
+        base = fi_direct_numeric(Dense(m)).value
+        assert fi_direct_numeric(Dense(m), mean_shift=3.0).value == pytest.approx(
             9.0 * base, rel=1e-12
         )
 
     def test_zero_mean_shift_rejected(self):
         with pytest.raises(InvalidSpec):
-            fi_direct_numeric(SymMatrix.identity(2), mean_shift=0.0)
+            fi_direct_numeric(Dense(SymMatrix.identity(2)), mean_shift=0.0)
 
 
 class TestEigenWeighted:
@@ -86,7 +85,7 @@ class TestEigenWeighted:
 
     def test_matches_direct_on_random_spd(self):
         m = random_spd(24, seed=5)
-        direct = fi_direct_numeric(m).value
+        direct = fi_direct_numeric(Dense(m)).value
         eigen = fi_eigen(Dense(m).spectrum(), 24).value
         assert eigen == pytest.approx(direct, rel=1e-8)
 
@@ -165,21 +164,21 @@ class TestPartitioned:
     def test_uniform_mu_reduces_to_direct(self):
         m = random_spd(10, seed=21)
         shift = 1.7
-        rep = fi_partitioned(m, np.full(10, shift))
+        rep = fi_partitioned(Dense(m), np.full(10, shift))
         assert rep.value == pytest.approx(
-            fi_direct_numeric(m, mean_shift=shift).value, rel=1e-12
+            fi_direct_numeric(Dense(m), mean_shift=shift).value, rel=1e-12
         )
 
     def test_alternating_signs_on_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 12))
         mu = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-        assert fi_partitioned(m, mu).value == pytest.approx(12 / 1.05, rel=1e-12)
+        assert fi_partitioned(Dense(m), mu).value == pytest.approx(12 / 1.05, rel=1e-12)
 
     def test_terms_match_closed_form(self):
         a, c, n = 1.0, 0.5, 100
         design = make_design(n, "blocks", gamma=0.3)
         m = build(CovSpec("solvable", a, c, n))
-        numeric = fi_partitioned(m, design.mu_prime, design)
+        numeric = fi_partitioned(Dense(m), design.mu_prime, design)
         aw, awp = design.coefficients
         closed = fi_opm_solvable(a, c, n, 0.3, aw, awp)
         assert numeric.value == pytest.approx(closed.value, rel=1e-10)
@@ -189,12 +188,12 @@ class TestPartitioned:
     def test_terms_sum_to_value(self):
         design = make_design(30, "blocks", gamma=0.2)
         m = random_spd(30, seed=30)
-        rep = fi_partitioned(m, design.mu_prime, design)
+        rep = fi_partitioned(Dense(m), design.mu_prime, design)
         assert sum(rep.terms) == pytest.approx(rep.value, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fi_partitioned(SymMatrix.identity(3), np.ones(4))
+            fi_partitioned(Dense(SymMatrix.identity(3)), np.ones(4))
 
 
 class TestWvaSolvable:
@@ -272,11 +271,15 @@ class TestOpmSolvable:
 class TestEqualWeightVariance:
     def test_solvable_closed_form(self):
         m = build(CovSpec("solvable", 1.0, 0.05, 100))
-        assert equal_weight_variance(m) == pytest.approx(0.06, rel=1e-12)
+        assert fi_direct_numeric(Dense(m)).equal_weight_variance == pytest.approx(
+            0.06, rel=1e-12
+        )
 
     def test_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 20))
-        assert equal_weight_variance(m) == pytest.approx(1.05 / 20, rel=1e-12)
+        assert fi_direct_numeric(Dense(m)).equal_weight_variance == pytest.approx(
+            1.05 / 20, rel=1e-12
+        )
 
     def test_background_subtraction_signs_kill_offset(self):
         a, c, n = 1.0, 0.4, 50
@@ -284,13 +287,13 @@ class TestEqualWeightVariance:
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         # Oracle: direct numeric contraction of the coefficient vector.
         oracle = float(signs @ m.entries @ signs) / float(signs @ signs) ** 2
-        value = equal_weight_variance(m, signs)
+        value = fi_partitioned(Dense(m), signs).equal_weight_variance
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value == pytest.approx(a / n, rel=1e-12)
 
     def test_mu_prime_length_checked(self):
         with pytest.raises(DimensionMismatch):
-            equal_weight_variance(SymMatrix.identity(3), np.ones(2))
+            fi_partitioned(Dense(SymMatrix.identity(3)), np.ones(2))
 
 
 class TestInformationInequalities:
@@ -298,7 +301,7 @@ class TestInformationInequalities:
     @given(dim=st.integers(1, 64), seed=st.integers(0, 2**31 - 1))
     def test_cramer_rao_bound(self, dim, seed):
         m = random_spd(dim, seed)
-        rep = fi_direct_numeric(m)
+        rep = fi_direct_numeric(Dense(m))
         assert rep.equal_weight_variance * rep.value >= 1.0 - 1e-12
 
     @pytest.mark.parametrize(
@@ -306,14 +309,14 @@ class TestInformationInequalities:
     )
     def test_solvable_saturates_bound(self, a, c, n):
         m = build(CovSpec("solvable", a, c, n))
-        rep = fi_direct_numeric(m)
+        rep = fi_direct_numeric(Dense(m))
         assert abs(rep.equal_weight_variance * rep.value - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 16, 100, 512])
     def test_cross_method_agreement(self, n):
         a, c = 1.0, 0.05
         closed = fi_wva_solvable(a, c, n, 1.0, 1.0)  # gamma = 1: direct closed form
-        numeric = fi_direct_numeric(build(CovSpec("solvable", a, c, n))).value
+        numeric = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n)))).value
         eigen = fi_eigen(solvable_spectrum(a, c, n), n).value
         assert numeric == pytest.approx(closed, rel=1e-8)
         assert eigen == pytest.approx(closed, rel=1e-8)

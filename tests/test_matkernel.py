@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from estlab.covariance import Dense
 from estlab.covmodel import CovSpec, build
 from estlab.errors import DimensionMismatch, NotPositiveDefinite
 from estlab.matkernel import (
     SymMatrix,
     eigendecompose,
     factor_spd,
-    solve_spd,
 )
 
 from conftest import random_spd
@@ -17,7 +17,7 @@ from conftest import random_spd
 
 def inverse(matrix: SymMatrix) -> SymMatrix:
     """Explicit inverse via Cholesky; product with the input is the identity."""
-    inv = solve_spd(matrix, np.eye(matrix.dim))
+    inv = Dense(matrix).solve(np.eye(matrix.dim))
     return SymMatrix(0.5 * (inv + inv.T))
 
 
@@ -31,7 +31,7 @@ def quadratic_form(matrix: SymMatrix, u: np.ndarray, v: np.ndarray) -> float:
         raise DimensionMismatch(
             f"vector lengths {u.size}, {v.size} do not match dimension {matrix.dim}"
         )
-    return float(u @ solve_spd(matrix, v))
+    return float(u @ Dense(matrix).solve(v))
 
 
 class TestSymMatrix:
@@ -164,12 +164,12 @@ class TestSolveSpd:
     def test_matches_dense_solve(self):
         m = random_spd(9, seed=11)
         rhs = np.arange(9, dtype=float)
-        assert np.allclose(solve_spd(m, rhs), np.linalg.solve(m.entries, rhs), rtol=1e-9)
+        assert np.allclose(Dense(m).solve(rhs), np.linalg.solve(m.entries, rhs), rtol=1e-9)
 
     def test_matrix_rhs(self):
         m = random_spd(5, seed=12)
         rhs = np.eye(5)
-        assert np.allclose(m.entries @ solve_spd(m, rhs), np.eye(5), atol=1e-9)
+        assert np.allclose(m.entries @ Dense(m).solve(rhs), np.eye(5), atol=1e-9)
 
 
 @settings(deadline=None, max_examples=40)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from estlab.covariance import Dense
 from estlab.covmodel import CovSpec, build
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite, WrongDesign
 from estlab.estimators import (
@@ -174,7 +175,7 @@ class TestRunTrials:
             z = standard_normal(_rng_for(77, t), 12)
             data = Dataset(mean_vector(design, 1.0) + lower @ z, design)
             assert ens.estimates[t] == pytest.approx(
-                estimate_ml(data, matrix), rel=1e-12
+                estimate_ml(data, Dense(matrix)), rel=1e-12
             )
 
 
@@ -185,7 +186,7 @@ def _reference_estimates(spec, design, estimator, d_true, trials, seed):
     mean = mean_vector(design, d_true)
     apply = {
         "equal": estimate_equal_weight,
-        "ml": lambda data: estimate_ml(data, matrix),
+        "ml": lambda data: estimate_ml(data, Dense(matrix)),
         "wva": estimate_wva,
         "bgsub": estimate_background_subtraction,
         "wva-corrected": lambda data: estimate_wva_corrected(data, spec.a, spec.c),
@@ -241,7 +242,7 @@ class TestBatchedTrials:
         # The exact standard deviation of one estimate, sqrt(w'Cw): a handful
         # of trials can have a sample spread near 0 by chance.
         matrix = build(spec)
-        w = estimator_weights(estimator, spec, design, factor_spd(matrix))
+        w = estimator_weights(estimator, spec, design, Dense(matrix))
         spread = np.sqrt(w @ matrix.entries @ w)
         assert np.abs(ens.estimates - reference).max() <= 1e-12 * spread
 

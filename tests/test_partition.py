@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from estlab.covariance import Dense
 from estlab.covmodel import CovSpec, build, solvable_inverse
 from estlab.errors import IndexOutOfRange, InvalidGamma, OutOfDomain
 from estlab.fisher import fi_partitioned
-from estlab.matkernel import SymMatrix, solve_spd
+from estlab.matkernel import SymMatrix
 from estlab.partition import (
     direct_design,
     make_design,
@@ -197,11 +198,11 @@ class TestBalancedBlocksInformation:
         design = make_design(n, "blocks", gamma=0.5)
         m = build(CovSpec("solvable", a, c, n))
         mu = design.mu_prime
-        value = float(mu @ solve_spd(m, mu))
+        value = float(mu @ Dense(m).solve(mu))
         assert value == pytest.approx(n / a, rel=1e-10)
 
     def test_matches_fi_partitioned(self):
         design = make_design(12, "blocks", gamma=0.5)
         m = build(CovSpec("solvable", 1.0, 0.3, 12))
-        rep = fi_partitioned(m, design.mu_prime, design)
+        rep = fi_partitioned(Dense(m), design.mu_prime, design)
         assert rep.value == pytest.approx(12.0, rel=1e-10)
