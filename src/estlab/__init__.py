@@ -8,7 +8,7 @@ Fisher information (closed form and numeric) and seeded Monte Carlo trials.
 __version__ = "0.1.0"
 
 from .covariance import Dense, Exponential, make_covariance
-from .covmodel import CovSpec, WeightSpectrum, build, solvable_inverse, solvable_spectrum
+from .covmodel import CovSpec, WeightSpectrum, build, solvable_spectrum
 from .errors import EstlabError
 from .estimators import (
     Dataset,
@@ -36,7 +36,7 @@ from .matkernel import (
     eigendecompose,
     factor_spd,
 )
-from .montecarlo import TrialEnsemble, run_trials, sample_noise
+from .montecarlo import TrialEnsemble, run_trials
 from .partition import (
     PartitionDesign,
     SpinModel,
@@ -82,8 +82,6 @@ __all__ = [
     "mean_vector",
     "optimal_alpha",
     "run_trials",
-    "sample_noise",
-    "solvable_inverse",
     "solvable_spectrum",
     "spin_model",
     "submatrix",

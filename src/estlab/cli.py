@@ -49,7 +49,7 @@ from .experiments import (
     write_csv,
 )
 from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
-from .montecarlo import run_trials
+from .montecarlo import MAX_TRIALS, run_trials
 from .partition import (
     SCHEME_ALTERNATING,
     SCHEME_BERNOULLI,
@@ -449,11 +449,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            print(f"estlab: {exc}", file=sys.stderr)
+    if hasattr(args, "seed"):
+        if args.seed is None:
+            try:
+                args.seed = _default_seed()
+            except ValueError as exc:
+                print(f"estlab: {exc}", file=sys.stderr)
+                return 3
+        if args.seed < 0:
+            print(f"estlab: invalid configuration: seed must be >= 0, got {args.seed}",
+                  file=sys.stderr)
             return 3
 
     # Validation phase: every parameter checked against module preconditions
@@ -471,6 +476,8 @@ def main(argv=None) -> int:
             check_fits(args.estimator, spec, design)
             if args.trials < 2:
                 raise EstlabError("--trials must be at least 2")
+            if args.trials > MAX_TRIALS:
+                raise EstlabError("--trials must be at most 2**32")
             runner = lambda: _simulate_results(args, spec, design)
         elif args.command == "figure":
             _figure_validate(args)

@@ -143,18 +143,3 @@ def solvable_spectrum(a: float, c: float, n: int) -> WeightSpectrum:
     weights[0] = 1.0
     return WeightSpectrum(sigmasq=sigmasq, weights=weights)
 
-
-def solvable_inverse(a: float, c: float, n: int) -> SymMatrix:
-    """Exact inverse of the solvable covariance.
-
-    Entries are ((a + c*n)*delta_ij - c) / (a^2 + n*a*c); multiplying back
-    against build() gives the identity to machine precision.
-    """
-    if a <= 0.0:
-        raise InvalidSpec("solvable inverse requires a > 0")
-    if c <= -a / n:
-        raise InvalidSpec("solvable inverse requires c > -a/n")
-    denom = a * a + n * a * c
-    m = np.full((n, n), -c / denom)
-    m[np.diag_indices(n)] += (a + c * n) / denom
-    return SymMatrix(m)

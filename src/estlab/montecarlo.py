@@ -1,17 +1,19 @@
-"""Seeded generation of correlated Gaussian data and trial ensembles.
+"""Seeded trial ensembles of correlated Gaussian data.
 
 Reproducibility contract: the generator is PCG64 and normal variates come
-from the inverse CDF applied to a 53-bit uniform lattice, so every draw is
-a pure function of the seed within one build.  Trial t of a run uses the
-substream SeedSequence(seed, spawn_key=(t,)), which makes trials
+from the inverse CDF applied to a centered 53-bit uniform lattice, so every
+draw is a pure function of the seed within one build.  Trial t of a run uses
+the substream SeedSequence(seed, spawn_key=(t,)), which makes trials
 independent and the ensemble insensitive to execution order.
 
 A run never forms a trial's samples: with samples = mean + L @ z and the
 estimator's weights w, trial t's estimate is w @ mean + z_t @ (L.T @ w).
-Trials are drawn BLOCK_TRIALS at a time, each substream filling one row with
-PCG64.random_raw(n) >> 11, bit for bit the Generator.integers(0, 2**53) draw
-of standard_normal (Lemire's method never rejects for a power-of-two range);
-a block takes one inverse CDF, and memory stays O(BLOCK_TRIALS * n).
+Trials are drawn BLOCK_TRIALS at a time.  The block's substream seeds come
+from one vectorized pass of SeedSequence's hash (_spawn_states), so no
+SeedSequence object is built per trial; each trial's PCG64 then fills one row
+with random_raw(n) >> 11, bit for bit the Generator.integers(0, 2**53) draw
+(Lemire's method never rejects for a power-of-two range).  A block takes one
+inverse CDF, and memory stays O(BLOCK_TRIALS * n).
 """
 
 from __future__ import annotations
@@ -25,58 +27,80 @@ from .covariance import Dense
 from .covmodel import CovSpec, build
 from .errors import InvalidSpec
 from .estimators import estimator_weights
-from .matkernel import SymMatrix
 from .partition import PartitionDesign, mean_vector
 
 GENERATOR_NAME = "pcg64"
 NORMAL_METHOD = "inverse-cdf"
 
 BLOCK_TRIALS = 256
+# Keys t < 2**32 are one uint32 word of spawn key, the case _spawn_states covers.
+MAX_TRIALS = 1 << 32
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, NEP 19), names as numpy's.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
-def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normals via the inverse CDF on a centered 53-bit lattice.
+def _spawn_states(seed: int, first: int, count: int) -> np.ndarray:
+    """Rows SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64).
 
-    u = (k + 0.5) / 2^53 with k uniform on [0, 2^53) keeps u strictly inside
-    (0, 1), so ndtri never sees 0 or 1.
+    One row per t in [first, first + count), for keys t < 2**32 (one uint32
+    word).  SeedSequence(seed).pool is the spawned pool before the key word
+    is mixed in, and the entropy hash has then run 16 + 4 * max(0, w - 4)
+    steps for a seed of w uint32 words.  The running hash constant stays a
+    Python int: numpy warns when two uint32 scalars overflow, not arrays.
     """
-    return _lattice_normals(rng.integers(0, 1 << 53, size=size, dtype=np.uint64))
+    words = max(1, -(-seed.bit_length() // 32))
+    pool = np.random.SeedSequence(seed).pool
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    keys = np.arange(first, first + count, dtype=np.uint64).astype(np.uint32)
+    mixed = np.empty((4, count), dtype=np.uint32)
+    for i, word in enumerate(pool.tolist()):
+        # mixed[i] = mix(pool[i], hashmix(key))
+        value = keys ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> _XSHIFT
+        value *= np.uint32(_MIX_MULT_R)
+        np.subtract(np.uint32(_MIX_MULT_L * word & _MASK32), value, out=value)
+        value ^= value >> _XSHIFT
+        mixed[i] = value
+    # generate_state(4, np.uint64): eight uint32 output words cycling the pool.
+    state = np.empty((count, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for j in range(8):
+        value = mixed[j % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> _XSHIFT
+        state[:, j] = value
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _lattice_normals(lattice: np.ndarray) -> np.ndarray:
-    u = lattice + 0.5
-    u *= 2.0 ** -53
-    return ndtri(u, out=u)
+class _SpawnedState(np.random.bit_generator.ISeedSequence):
+    """A substream whose generate_state row _spawn_states already computed."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
 
 
 def _trial_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
-    """Rows of standard_normal(_rng_for(seed, t), n) for t in [first, first + count)."""
+    """Row i: n standard normals of substream SeedSequence(seed, spawn_key=(first + i,))."""
     words = np.empty((count, n), dtype=np.uint64)
-    sequence, generator = np.random.SeedSequence, np.random.PCG64
-    for i in range(count):
-        words[i] = generator(sequence(seed, spawn_key=(first + i,))).random_raw(n)
+    generator = np.random.PCG64
+    for i, state in enumerate(_spawn_states(seed, first, count)):
+        words[i] = generator(_SpawnedState(state)).random_raw(n)
     words >>= 11
-    return _lattice_normals(words)
-
-
-def _rng_for(seed, trial: int | None = None) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        sequence = seed
-    else:
-        key = () if trial is None else (trial,)
-        sequence = np.random.SeedSequence(int(seed), spawn_key=key)
-    return np.random.default_rng(sequence)
-
-
-def sample_noise(matrix: SymMatrix, seed) -> np.ndarray:
-    """One zero-mean Gaussian vector with covariance ``matrix``.
-
-    x = L @ z with L the Cholesky factor; identical seeds give bit-identical
-    vectors within a build.
-    """
-    lower = Dense(matrix).lower
-    z = standard_normal(_rng_for(seed), matrix.dim)
-    return lower @ z
+    # u = (k + 0.5) / 2^53 lies strictly inside (0, 1), so ndtri never sees 0 or 1.
+    u = words + 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -112,6 +136,8 @@ def run_trials(
     """
     if trials < 2:
         raise InvalidSpec("at least 2 trials are required for a variance")
+    if trials > MAX_TRIALS:
+        raise InvalidSpec(f"at most 2**32 trials are supported, got {trials}")
     cov = Dense(build(spec))
     weights = estimator_weights(estimator, spec, design, cov)
     offset = float(weights @ mean_vector(design, d_true))

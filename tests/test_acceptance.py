@@ -11,7 +11,7 @@ import numpy as np
 
 from estlab.cli import main as cli_main
 from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build, solvable_inverse
+from estlab.covmodel import CovSpec, build
 from estlab.experiments import fig7_sweep, table1
 from estlab.fisher import (
     TwoOutcomeSpec,
@@ -24,7 +24,7 @@ from estlab.fisher import (
 from estlab.montecarlo import run_trials
 from estlab.partition import direct_design, make_design, spin_model
 
-from conftest import random_spd
+from conftest import random_spd, solvable_inverse
 
 
 def _report(name: str, ok: bool) -> None:

@@ -106,6 +106,44 @@ class TestValidation:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,env_seed",
+        [
+            (["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+              "--scheme", "direct", "--trials", "20", "--seed", "-1"], None),
+            (["figure", "fig7", "--scheme", "bernoulli", "--n", "50", "--reps", "2",
+              "--seed", "-1"], None),
+            (["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+              "--scheme", "direct", "--trials", "20"], "-1"),
+        ],
+        ids=["simulate", "fig7-bernoulli", "env-seed"],
+    )
+    def test_negative_seed_is_invalid_configuration(
+        self, argv, env_seed, tmp_path, capsys, monkeypatch
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("ESTLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ESTLAB_SEED", env_seed)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [2**32 + 1, 100_000_000_000])
+    def test_trials_beyond_spawn_keys_is_invalid_configuration(
+        self, trials, tmp_path, capsys
+    ):
+        # Rejected in the validation phase, before any allocation or draw.
+        out = tmp_path / "x.csv"
+        code = main(
+            ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+             "--trials", str(trials), "--seed", "1", "-o", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
 
 class TestFactorsOnce:
     """Each command factors each covariance it contracts exactly once."""

@@ -8,13 +8,12 @@ from estlab.covmodel import (
     CovSpec,
     WeightSpectrum,
     build,
-    solvable_inverse,
     solvable_spectrum,
 )
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
 from estlab.matkernel import SymMatrix, eigendecompose
 
-from conftest import random_spd
+from conftest import random_spd, solvable_inverse
 
 
 class TestCovSpec:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import chi2
 
 from estlab.covariance import Dense
@@ -23,13 +24,32 @@ from estlab.montecarlo import (
     BLOCK_TRIALS,
     GENERATOR_NAME,
     NORMAL_METHOD,
-    _rng_for,
+    _spawn_states,
     _trial_normals,
     run_trials,
-    sample_noise,
-    standard_normal,
 )
 from estlab.partition import direct_design, make_design, mean_vector
+
+
+def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Standard normals via the inverse CDF on a centered 53-bit lattice.
+
+    u = (k + 0.5) / 2^53 with k uniform on [0, 2^53) keeps u strictly inside
+    (0, 1).  With _rng_for this is the RNG contract's reference draw.
+    """
+    u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
+
+
+def _rng_for(seed, trial: int | None = None) -> np.random.Generator:
+    key = () if trial is None else (trial,)
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+
+
+def sample_noise(matrix: SymMatrix, seed) -> np.ndarray:
+    """One zero-mean Gaussian vector L @ z with covariance ``matrix``."""
+    return Dense(matrix).lower @ standard_normal(_rng_for(seed), matrix.dim)
 
 
 class TestStandardNormal:
@@ -144,6 +164,12 @@ class TestRunTrials:
         with pytest.raises(InvalidSpec):
             run_trials(spec, direct_design(10), "equal", trials=1, seed=0)
 
+    def test_rejects_more_trials_than_one_word_spawn_keys(self):
+        # Rejected before the estimates array is allocated or anything drawn.
+        spec = CovSpec("solvable", 1.0, 0.05, 10)
+        with pytest.raises(InvalidSpec, match="2\\*\\*32"):
+            run_trials(spec, direct_design(10), "equal", trials=100_000_000_000, seed=0)
+
     def test_design_size_must_match(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
@@ -163,7 +189,6 @@ class TestRunTrials:
     def test_ml_matches_public_estimator_sample_for_sample(self):
         from estlab.estimators import Dataset, estimate_ml
         from estlab.matkernel import factor_spd
-        from estlab.montecarlo import _rng_for
         from estlab.partition import mean_vector
 
         spec = CovSpec("solvable", 1.0, 0.3, 12)
@@ -227,6 +252,38 @@ def _runs(draw):
         fitting.append(name)
     assume(fitting)
     return spec, design, draw(st.sampled_from(fitting))
+
+
+@st.composite
+def _spawn_blocks(draw):
+    """A seed of 1 to 6 uint32 words and a block of one-word spawn keys."""
+    words = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, (1 << 32 * words) - 1))
+    count = draw(st.integers(1, 300))
+    first = draw(st.one_of(st.sampled_from([0, 255, 256, 2**32 - count]),
+                           st.integers(0, 2**32 - count)))
+    return seed, first, count
+
+
+class TestSpawnStates:
+    """_spawn_states is numpy's SeedSequence hash, one block of keys at a time."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(block=_spawn_blocks())
+    @example(block=(0, 0, 1))
+    @example(block=(2**32 - 1, 255, 2))
+    @example(block=(2**32, 256, 300))
+    @example(block=(2**128, 2**32 - 5, 5))
+    @example(block=(2**160, 2**32 - 1, 1))
+    def test_matches_numpy_seed_sequence(self, block):
+        seed, first, count = block
+        expected = np.array([
+            np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)
+            for t in range(first, first + count)
+        ])
+        got = _spawn_states(seed, first, count)
+        assert got.dtype == np.uint64 and got.shape == (count, 4)
+        assert np.array_equal(got, expected)
 
 
 class TestBatchedTrials:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build, solvable_inverse
+from estlab.covmodel import CovSpec, build
 from estlab.errors import IndexOutOfRange, InvalidGamma, OutOfDomain
 from estlab.fisher import fi_partitioned
 from estlab.matkernel import SymMatrix
@@ -16,6 +16,8 @@ from estlab.partition import (
     spin_model,
     submatrix,
 )
+
+from conftest import solvable_inverse
 
 # Retained slots for make_design(1000, "bernoulli", gamma=0.005, seed=12345),
 # frozen from a recorded run of this build's generator.
