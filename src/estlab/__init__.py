@@ -7,8 +7,8 @@ Fisher information (closed form and numeric) and seeded Monte Carlo trials.
 
 __version__ = "0.1.0"
 
-from .covariance import Dense, Exponential, make_covariance
-from .covmodel import CovSpec, WeightSpectrum, build, solvable_spectrum
+from .covariance import Chain, make_covariance
+from .covmodel import CovSpec, WeightSpectrum, solvable_spectrum
 from .errors import EstlabError
 from .estimators import (
     Dataset,
@@ -30,12 +30,6 @@ from .fisher import (
     optimal_alpha,
     two_outcome_variance,
 )
-from .matkernel import (
-    EigenSystem,
-    SymMatrix,
-    eigendecompose,
-    factor_spd,
-)
 from .montecarlo import TrialEnsemble, run_trials
 from .partition import (
     PartitionDesign,
@@ -44,33 +38,26 @@ from .partition import (
     make_design,
     mean_vector,
     spin_model,
-    submatrix,
 )
 
 __all__ = [
     "__version__",
+    "Chain",
     "CovSpec",
     "Dataset",
-    "Dense",
-    "EigenSystem",
     "EstlabError",
-    "Exponential",
     "FisherReport",
     "PartitionDesign",
     "SpinModel",
-    "SymMatrix",
     "TrialEnsemble",
     "TwoOutcomeSpec",
     "WeightSpectrum",
-    "build",
     "direct_design",
-    "eigendecompose",
     "estimate_background_subtraction",
     "estimate_equal_weight",
     "estimate_ml",
     "estimate_wva",
     "estimate_wva_corrected",
-    "factor_spd",
     "fi_direct_numeric",
     "fi_eigen",
     "fi_opm_solvable",
@@ -84,6 +71,5 @@ __all__ = [
     "run_trials",
     "solvable_spectrum",
     "spin_model",
-    "submatrix",
     "two_outcome_variance",
 ]

@@ -45,6 +45,7 @@ from .experiments import (
     fig345_curves,
     fig6_decomposition,
     fig7_sweep,
+    retention_designs,
     table1,
     write_csv,
 )
@@ -551,6 +552,9 @@ def _figure_validate(args: argparse.Namespace) -> None:
         if not 0.0 < args.gamma < 1.0:
             raise EstlabError("--gamma must lie strictly inside (0, 1)")
         _nonsingular(CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0))
+        # Only drawing the retention stream tells whether it is usable; the
+        # run draws it again, at a small fraction of the sweep's cost.
+        retention_designs(args.n, args.gamma, args.scheme, args.reps, args.seed)
 
 
 def _describe(metadata: dict[str, str]) -> str:

@@ -1,30 +1,29 @@
-"""Covariance operators: the four contractions the strategy code needs.
+"""Covariance operators: the contractions the strategy code needs.
 
-Every Fisher information and plain-average variance in estlab is one of
+Every Fisher information, plain-average variance, estimator weight and Monte
+Carlo loading in estlab is one of
 
 * ``quad(U)``      u'C^-1 u for each column u of U,
+* ``solve(U)``     C^-1 U,
 * ``form(U)``      u'C u for each column,
+* ``loading(U)``   G'U for the Cholesky factor G of C (C = G G'),
 * ``restrict(idx)``  the covariance of a retained subset of the slots,
 * ``spectrum()``   eigenvalues of C with the flat-vector weights.
 
-``Dense`` evaluates them on a materialized SymMatrix and serves the solvable
-and white models; it is also the reference the structured operator is tested
-against.  Dense is the only code that factors or solves a dense covariance:
-it computes its Cholesky factor once, on first use, and every contraction
-reuses it.  Two members sit outside the protocol and belong to Dense only:
-``lower`` (the factor, which Monte Carlo sampling needs) and ``solve``
-(C^-1 U, for the partitioned information and the ml estimator, which only
-the solvable and white models reach).
-
-``Exponential`` is white noise plus an Ornstein-Uhlenbeck (AR(1)) kernel on
-increasing sample times t,
+All three noise models are white noise plus an Ornstein-Uhlenbeck (AR(1))
+chain on increasing sample times t,
 
     C = a*I + c*K,   K_ij = exp(-|t_i - t_j| / eta),
 
-whose K^-1 is tridiagonal (Rybicki & Press 1995), so quad, form and restrict
-cost O(n) and never build an n x n array.  A retained subset of an OU chain
-is again an OU chain with per-gap correlations rho_k = exp(-dt_k/eta).
-``make_covariance`` picks the implementation from the model kind.
+so one operator, ``Chain``, serves them all: eta = inf is the solvable model
+(K is all ones), eta = 0 is white noise (K = I) and a finite eta is the
+exponential model.  A retained subset of a chain is again a chain, with
+per-gap correlations phi_k = exp(-dt_k/eta).  C is diagonal plus
+semiseparable, so its Cholesky factor costs O(n) to build and to apply (the
+one-term celerite factorization, Foreman-Mackey et al. 2017), and no
+operation builds an n x n array.  ``make_covariance`` maps a CovSpec to its
+chain.  The dense kernel in ``matkernel`` is the reference the tests hold
+this operator to; no module here uses it.
 """
 
 from __future__ import annotations
@@ -32,12 +31,17 @@ from __future__ import annotations
 from typing import Protocol
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
-from .covmodel import KIND_EXPONENTIAL, CovSpec, WeightSpectrum, build
+from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, CovSpec, WeightSpectrum
 from .errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite
-from .matkernel import PSD_TOLERANCE, SymMatrix, eigendecompose, factor_spd
-from .partition import subset_index, submatrix
+from .partition import subset_index
+
+# Eigenvalues (and squared Cholesky pivots) at or below this fraction of the
+# largest one are treated as exactly zero: a deterministic, infinitely
+# informative direction that the estimation theory excludes.
+PSD_TOLERANCE = 1e-10
 
 
 class Covariance(Protocol):
@@ -48,7 +52,11 @@ class Covariance(Protocol):
 
     def quad(self, U) -> np.ndarray: ...
 
+    def solve(self, U) -> np.ndarray: ...
+
     def form(self, U) -> np.ndarray: ...
+
+    def loading(self, U) -> np.ndarray: ...
 
     def restrict(self, idx) -> "Covariance": ...
 
@@ -65,61 +73,58 @@ def _columns(U, dim: int) -> np.ndarray:
     return U.reshape(dim, -1)
 
 
-class Dense:
-    """Operator on a materialized covariance; O(n^2) memory, O(n^3) to factor."""
+def _e_terms(a: float, c: float, fresh: list, kept: list) -> list:
+    """E_0 .. E_{n-1} of one chain (see Chain); fresh = 1 - phi^2, kept = a phi^2.
 
-    def __init__(self, matrix: SymMatrix) -> None:
-        self.matrix = matrix
-        self._lower: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Cholesky factor L of the matrix (factor_spd), L @ L.T == C."""
-        if self._lower is None:
-            self._lower = factor_spd(self.matrix)
-        return self._lower
-
-    def solve(self, U) -> np.ndarray:
-        """C^-1 U for a vector or column-stacked U, through ``lower``."""
-        return cho_solve((self.lower, True), _columns(U, self.dim)).reshape(np.shape(U))
-
-    def quad(self, U) -> np.ndarray:
-        shape = np.shape(U)[1:]
-        U = _columns(U, self.dim)
-        X = self.solve(U)
-        return np.array([u @ x for u, x in zip(U.T, X.T)]).reshape(shape)
-
-    def form(self, U) -> np.ndarray:
-        shape = np.shape(U)[1:]
-        U = _columns(U, self.dim)
-        entries = self.matrix.entries
-        # Elementwise products make u = 1 give exactly entries.sum().
-        return np.array([(entries * np.outer(u, u)).sum() for u in U.T]).reshape(shape)
-
-    def restrict(self, idx) -> "Dense":
-        return Dense(submatrix(self.matrix, idx))
-
-    def spectrum(self) -> WeightSpectrum:
-        eig = eigendecompose(self.matrix)
-        values = eig.eigenvalues
-        if values[0] <= 0.0 or values[-1] <= PSD_TOLERANCE * values[0]:
-            raise NotPositiveDefinite("covariance matrix is not positive definite")
-        column_sums = eig.eigenvectors.sum(axis=0)
-        weights = column_sums * column_sums / self.dim
-        return WeightSpectrum(sigmasq=values.copy(), weights=weights)
+    The recurrence is nonlinear, so it runs as a scalar loop, over Python
+    floats: a step costs far less than one over numpy rows of a few etas.
+    """
+    e = 1.0
+    terms = [e]
+    for f, k in zip(fresh, kept):
+        e = f + k * (e / (a + c * e))
+        terms.append(e)
+    return terms
 
 
-class Exponential:
-    """a*I + c*exp(-|t_i - t_j|/eta) on increasing times, in O(n) per contraction.
+def _bidiagonal_solve(sub: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Overwrite b with T^-1 b, or T'^-1 b, one eta at a time.
+
+    T is unit lower bidiagonal with subdiagonal -sub; sub is (eta, 1, n-1)
+    and b is (eta, column, n), so each b[g].T is the Fortran-ordered
+    right-hand side LAPACK's banded triangular solve works on in place.
+    """
+    band = np.zeros((2, b.shape[-1]))
+    band[0] = 1.0
+    trans = "T" if transpose else "N"
+    for sub_g, b_g in zip(sub[:, 0], b):
+        np.negative(sub_g, out=band[1, :-1])
+        x, _ = dtbtrs(band, b_g.T, uplo="L", trans=trans, diag="U", overwrite_b=1)
+        b_g[...] = x.T
+    return b
+
+
+class Chain:
+    """a*I + c*K on increasing times, factored once as L diag(D) L' in O(n).
+
+    With phi_i the correlation across the gap before slot i,
+
+        E_0 = 1,   E_i = (1 - phi_i^2) + phi_i^2 a W_{i-1},
+        D_i = a + c E_i,   W_i = E_i / D_i,
+        L_ij = c W_j phi_{j+1} ... phi_i  for i > j,  L_ii = 1.
+
+    Both terms of E_i are non-negative while the D_i stay positive, so
+    nothing cancels as phi -> 1, and 1 - phi^2 is taken as -expm1(-2 dt/eta).
+    The D_i are the squared Cholesky pivots of C, so C is rejected as
+    factor_spd would reject it: when a D_i falls to PSD_TOLERANCE (a + c).
+
+    L^-1 = B^-1 A with A and B unit lower bidiagonal, subdiagonals -phi_i
+    and -gain_i = -phi_i a / D_{i-1} (since 1 - c W = a / D), so every
+    operation is a few bidiagonal solves and elementwise products.
 
     ``eta`` may be a 1-D grid: every contraction then returns one leading
-    axis entry per eta, computed in the same pass.  eta = 0 is the white
-    limit (rho = 0 exactly), as in covmodel.build.  Work arrays are laid out
-    (eta, column, slot), so sums over the slots are pairwise.
+    axis entry per eta.  Work arrays are laid out (eta, column, slot), so
+    sums over the slots are contiguous and pairwise.
     """
 
     def __init__(self, a: float, c: float, eta, times) -> None:
@@ -127,133 +132,126 @@ class Exponential:
         self.c = float(c)
         self.eta = np.asarray(eta, dtype=float)
         self.times = np.asarray(times, dtype=float)
-        if self.eta.ndim > 1 or not (np.isfinite(self.eta) & (self.eta >= 0.0)).all():
-            raise InvalidSpec("eta must be a finite scalar or grid, all >= 0")
+        if self.eta.ndim > 1 or not (self.eta >= 0.0).all():
+            raise InvalidSpec("eta must be a scalar or grid, all >= 0 (inf allowed)")
         if self.times.ndim != 1 or self.times.size == 0:
             raise DimensionMismatch("sample times must be a non-empty vector")
         gaps = np.diff(self.times)
         if not (gaps > 0.0).all():
             raise InvalidSpec("sample times must be strictly increasing")
+        # (len(eta), n-1): lag 0 at eta = inf, inf at eta = 0.
         with np.errstate(divide="ignore"):
             lag = gaps / self.eta.reshape(-1, 1)
-        # (len(eta), n-1) per-gap correlations and 1 - rho without cancellation.
-        self._rho = np.exp(-lag)
-        self._one_minus = -np.expm1(-lag)
-        # Every Cholesky pivot^2 of C is at least a + c*(1 - rho_k^2), so this
-        # accepts no matrix that the dense kernel's pivot test would reject
-        # and, for a = 0, rejects exactly those it would.
-        floor = self.a + self.c * (
-            self._one_minus * (1.0 + self._rho)
-        ).min(axis=1, initial=1.0)
-        if (floor <= PSD_TOLERANCE * (self.a + self.c)).any():
+        phi = np.exp(-lag)
+        one_minus = -np.expm1(-lag)
+        fresh = -np.expm1(-2.0 * lag)
+        del lag
+        kept = phi * phi
+        kept *= self.a
+        e = np.empty((self.eta.size, self.dim))
+        for g in range(self.eta.size):
+            try:
+                e[g] = _e_terms(self.a, self.c, fresh[g].tolist(), kept[g].tolist())
+            except ZeroDivisionError:
+                e[g] = np.nan  # a zero pivot, which the check below rejects
+        del fresh, kept
+        cw = e
+        cw *= self.c
+        pivot = cw + self.a
+        if not (pivot > PSD_TOLERANCE * (self.a + self.c)).all():
             raise NotPositiveDefinite(
                 "covariance has an effectively zero variance direction"
             )
+        cw /= pivot
+        gain = self.a * phi
+        gain /= pivot[:, :-1]
+        self._phi = phi[:, None]
+        self._one_minus = one_minus[:, None]
+        self._gain = gain[:, None]
+        self._pivot = pivot[:, None]
+        self._cw = cw[:, None]
 
     @property
     def dim(self) -> int:
         return self.times.size
 
-    def _operand(self, U) -> tuple[np.ndarray, tuple]:
-        """Columns of U as a (1, k, n) array, and the result shape to return.
+    def _operand(self, U) -> np.ndarray:
+        """Columns of U as a (1, column, slot) array."""
+        return np.ascontiguousarray(_columns(U, self.dim).T)[None]
 
-        C order matters: it makes every product with U lay the slots out
-        contiguously, which is what keeps the sums pairwise.
+    def _work(self, U: np.ndarray) -> np.ndarray:
+        """A fresh (eta, column, slot) copy of the operand."""
+        work = np.empty((self.eta.size,) + U.shape[1:])
+        work[...] = U
+        return work
+
+    def _out(self, values: np.ndarray, U) -> np.ndarray:
+        """(eta, column, slot) values as eta.shape + U.shape."""
+        return np.moveaxis(values, -1, 1).reshape(self.eta.shape + np.shape(U))
+
+    def _forward(self, U: np.ndarray) -> np.ndarray:
+        """y = L^-1 U = B^-1 (A U).
+
+        (A u)_i is taken as (u_i - u_{i-1}) + (1 - phi_i) u_{i-1}, so for
+        u = 1 every term of y is non-negative and nothing cancels as phi -> 1.
         """
-        shape = self.eta.shape + np.shape(U)[1:]
-        return np.ascontiguousarray(_columns(U, self.dim).T)[None], shape
-
-    def _kinv_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row sums K^-1 1 (len(eta), 1, n) and off-diagonal magnitudes of K^-1.
-
-        Each row sum is 1/2 per chain end plus (1 - rho)/(2(1 + rho)) per
-        adjacent gap: all terms positive, so accurate as rho -> 1.
-        """
-        one_plus = 1.0 + self._rho
-        half_gap = self._one_minus / (2.0 * one_plus)
-        rowsum = np.zeros((self.eta.size, 1, self.dim))
-        rowsum[..., :-1] += half_gap[:, None]
-        rowsum[..., 1:] += half_gap[:, None]
-        rowsum[..., 0] += 0.5
-        rowsum[..., -1] += 0.5
-        return rowsum, (self._rho / (self._one_minus * one_plus))[:, None]
+        y = np.empty((self.eta.size,) + U.shape[1:])
+        y[..., 0] = U[..., 0]
+        np.multiply(self._one_minus, U[..., :-1], out=y[..., 1:])
+        y[..., 1:] += np.diff(U, axis=-1)
+        return _bidiagonal_solve(self._gain, y)
 
     def quad(self, U) -> np.ndarray:
-        """u'C^-1 u = (K^-1 u).z with z solving M z = u, M = a K^-1 + c I.
+        """u'C^-1 u = sum_i y_i^2 / D_i with y = L^-1 u: positive terms only."""
+        shape = self.eta.shape + np.shape(U)[1:]
+        y = self._forward(self._operand(U))
+        y *= y
+        y /= self._pivot
+        return y.sum(axis=-1).reshape(shape)
 
-        Its terms share one sign for u = 1 and for alternating u.  Where they
-        cancel (rough u, small c), a C^-1 = I - c M^-1 gives the same value
-        as (u'u - c u.z)/a; each column takes the form with the smaller
-        rounding bound.
+    def solve(self, U) -> np.ndarray:
+        """C^-1 U = A' B'^-1 z with z = D^-1 L^-1 U.
+
+        With v = B'^-1 z, (A'v)_i = v_i - phi_{i+1} v_{i+1} is evaluated as
+        z_i - c W_i phi_{i+1} v_{i+1}.
         """
-        U, shape = self._operand(U)
-        rowsum, off = self._kinv_parts()
-        # Row i of K^-1 u: rowsum_i u_i + off_{i-1}(u_i - u_{i-1}) + off_i(u_i - u_{i+1}).
-        step = off * np.diff(U, axis=-1)
-        terms = rowsum * U
-        terms[..., 1:] += step
-        terms[..., :-1] -= step
-        del step
-        z = self._solve_shifted(self.a * rowsum + self.c, self.a * off, U)
-        terms *= z
-        value = terms.sum(axis=-1)
-        if self.a > 0.0:
-            np.abs(terms, out=terms)
-            bound = self.a * terms.sum(axis=-1)
-            z *= U
-            uu = (U * U).sum(axis=-1)
-            uz = z.sum(axis=-1)
-            np.abs(z, out=z)
-            rough = uu + self.c * z.sum(axis=-1) < bound
-            value = np.where(rough, (uu - self.c * uz) / self.a, value)
-        return value.reshape(shape)
+        z = self._forward(self._operand(U))
+        z /= self._pivot
+        v = _bidiagonal_solve(self._gain, z.copy(), transpose=True)[..., 1:]
+        v *= self._phi
+        v *= self._cw[..., :-1]
+        z[..., :-1] -= v
+        return self._out(z, U)
 
-    def _solve_shifted(self, rowsum, off, U) -> np.ndarray:
-        """Solve the tridiagonal M-matrix a K^-1 + c I for each column of U.
+    def loading(self, U) -> np.ndarray:
+        """G'U with G = L diag(sqrt(D)), the Cholesky factor of C (C = G G').
 
-        Elimination carries the row sums of the trailing Schur complement:
-        pivot_i = carry_i + off_i with carry_i = rowsum_i +
-        off_{i-1} carry_{i-1} / pivot_{i-1}, a sum of positive terms, where
-        the textbook d_i - e_i^2/pivot_{i-1} cancels as rho -> 1.
+        L' = B' A'^-1, so with p = A'^-1 u, (L'u)_i = u_i + c W_i phi_{i+1} p_{i+1}:
+        non-negative terms for u >= 0.
         """
-        n = self.dim
-        pivot = np.empty_like(rowsum)
-        y = np.empty(np.broadcast_shapes(rowsum.shape, U.shape))
-        y[..., 0] = U[..., 0]
-        carry = rowsum[..., 0]
-        for i in range(1, n):
-            pivot[..., i - 1] = carry + off[..., i - 1]
-            ratio = off[..., i - 1] / pivot[..., i - 1]
-            carry = rowsum[..., i] + ratio * carry
-            y[..., i] = U[..., i] + ratio * y[..., i - 1]
-        pivot[..., n - 1] = carry
-        y[..., n - 1] /= pivot[..., n - 1]
-        for i in range(n - 2, -1, -1):
-            y[..., i] = (y[..., i] + off[..., i] * y[..., i + 1]) / pivot[..., i]
-        return y
+        U3 = self._operand(U)
+        v = _bidiagonal_solve(self._phi, self._work(U3), transpose=True)
+        # v is p here, and p_{n-1} = u_{n-1} is already (L'u)_{n-1}.
+        v[..., :-1] = self._phi * v[..., 1:]
+        v[..., :-1] *= self._cw[..., :-1]
+        v[..., :-1] += U3[..., :-1]
+        v *= np.sqrt(self._pivot)
+        return self._out(v, U)
 
     def form(self, U) -> np.ndarray:
-        """u'C u = a u'u + c u'K u, with K u from the AR(1) recursions both ways."""
-        U, shape = self._operand(U)
-        rho = self._rho[:, None]
-        ku = np.empty(np.broadcast_shapes(rho.shape[:-1] + (1,), U.shape))
-        behind = np.empty_like(ku)
-        ku[..., 0] = U[..., 0]
-        behind[..., -1] = U[..., -1]
-        for i in range(1, self.dim):
-            ku[..., i] = U[..., i] + rho[..., i - 1] * ku[..., i - 1]
-            j = self.dim - 1 - i
-            behind[..., j] = U[..., j] + rho[..., j] * behind[..., j + 1]
-        ku += behind
-        del behind
+        """u'C u = a u'u + c u'K u, with K u = A^-1 u + A'^-1 u - u (AR(1) both ways)."""
+        shape = self.eta.shape + np.shape(U)[1:]
+        U = self._operand(U)
+        ku = _bidiagonal_solve(self._phi, self._work(U))
+        ku += _bidiagonal_solve(self._phi, self._work(U), transpose=True)
         ku -= U
         ku *= U
         value = self.a * (U * U).sum(axis=-1) + self.c * ku.sum(axis=-1)
         return value.reshape(shape)
 
-    def restrict(self, idx) -> "Exponential":
-        """The retained slots idx (strictly increasing): again an OU chain."""
-        return Exponential(self.a, self.c, self.eta, self.times[subset_index(idx, self.dim)])
+    def restrict(self, idx) -> "Chain":
+        """The retained slots idx (strictly increasing): again a chain."""
+        return Chain(self.a, self.c, self.eta, self.times[subset_index(idx, self.dim)])
 
     def spectrum(self) -> WeightSpectrum:
         """Eigenpairs of C from the tridiagonal K^-1, O(n^2) for the vectors.
@@ -263,11 +261,16 @@ class Exponential:
         v_0^2 + sum_j ((v_j - v_{j-1}) + (1 - rho_j) v_{j-1})^2 / (1 - rho_j^2),
         which is free of cancellation and second order in the vector error,
         where the eigenvalues eigh_tridiagonal returns lose digits as rho -> 1.
+        K is singular at eta = inf, which has no such K^-1.
         """
         if self.eta.ndim:
             raise InvalidSpec("spectrum needs a single eta, not a grid")
-        rho = self._rho[0]
-        one_minus = self._one_minus[0]
+        if np.isinf(self.eta):
+            raise InvalidSpec("spectrum needs a finite eta")
+        with np.errstate(divide="ignore"):
+            lag = np.diff(self.times) / self.eta
+        rho = np.exp(-lag)
+        one_minus = -np.expm1(-lag)
         one_minus_sq = one_minus * (1.0 + rho)
         diag = np.zeros(self.dim)
         diag[0] = 1.0
@@ -286,8 +289,10 @@ class Exponential:
         )
 
 
-def make_covariance(spec: CovSpec) -> Dense | Exponential:
-    """Operator for ``spec``: structured for the exponential kind, else dense."""
+def make_covariance(spec: CovSpec) -> Chain:
+    """The chain of ``spec``: eta = inf for solvable, 0 for white."""
     if spec.kind == KIND_EXPONENTIAL:
-        return Exponential(spec.a, spec.c, spec.eta, np.arange(spec.n))
-    return Dense(build(spec))
+        eta = spec.eta
+    else:
+        eta = np.inf if spec.kind == KIND_SOLVABLE else 0.0
+    return Chain(spec.a, spec.c, eta, np.arange(spec.n))

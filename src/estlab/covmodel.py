@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, InvalidSpectrum
-from .matkernel import SymMatrix
 
 KIND_SOLVABLE = "solvable"
 KIND_EXPONENTIAL = "exponential"
@@ -101,26 +100,6 @@ class WeightSpectrum:
         w.setflags(write=False)
         object.__setattr__(self, "sigmasq", sig)
         object.__setattr__(self, "weights", w)
-
-
-def build(spec: CovSpec) -> SymMatrix:
-    """Materialize the covariance matrix described by ``spec``.
-
-    eta = 0 is mapped to the white limit exactly (diagonal a + c) instead of
-    evaluating exp(-inf), which would be 0/0 on the diagonal.
-    """
-    n = spec.n
-    if spec.kind == KIND_SOLVABLE:
-        m = np.full((n, n), spec.c)
-        m[np.diag_indices(n)] += spec.a
-        return SymMatrix(m)
-    if spec.kind == KIND_WHITE or spec.eta == 0.0:
-        return SymMatrix((spec.a + spec.c) * np.eye(n))
-    idx = np.arange(n)
-    lags = np.abs(idx[:, None] - idx[None, :])
-    m = spec.c * np.exp(-lags / spec.eta)
-    m[np.diag_indices(n)] += spec.a
-    return SymMatrix(m)
 
 
 def solvable_spectrum(a: float, c: float, n: int) -> WeightSpectrum:

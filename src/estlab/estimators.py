@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Dense
+from .covariance import Covariance
 from .covmodel import KIND_SOLVABLE, CovSpec
 from .errors import DimensionMismatch, EmptyRetainedSet, InvalidSpec, WrongDesign
 from .partition import CHANNEL_RETAINED, PartitionDesign
@@ -85,7 +85,7 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
 
 
 def estimator_weights(
-    name: str, spec: CovSpec, design: PartitionDesign, cov: Dense
+    name: str, spec: CovSpec, design: PartitionDesign, cov: Covariance
 ) -> np.ndarray:
     """Weights w of the named estimator, d_hat = w @ samples, after check_fits.
 
@@ -117,7 +117,7 @@ def estimate_equal_weight(data: Dataset) -> float:
     return float(np.mean(data.samples))
 
 
-def estimate_ml(data: Dataset, cov: Dense) -> float:
+def estimate_ml(data: Dataset, cov: Covariance) -> float:
     """Maximum-likelihood (minimum-variance) estimator.
 
     d_hat = (mu'.T @ inv(C) @ s) / (mu'.T @ inv(C) @ mu'); the denominator is

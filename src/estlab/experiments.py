@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .covariance import Exponential, make_covariance
+from .covariance import Chain, make_covariance
 from .covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec
 from .errors import DegenerateDenominator, EmptyRetainedSet, InvalidSpec
 from .fisher import (
@@ -44,6 +44,7 @@ from .fisher import (
 from .partition import (
     SCHEME_BERNOULLI,
     SCHEME_PERIODIC,
+    PartitionDesign,
     make_design,
     spin_coefficients,
     spin_model,
@@ -266,10 +267,9 @@ def fig6_decomposition(
     """Two-channel information terms versus phi on the solvable model.
 
     Columns I1, I2, I3 and their sum are in units of N/a (the uncorrelated
-    information); the sum is 1.0 at every phi.  ``total_numeric`` contracts
-    the inverse of the actual matrix against the contiguous-blocks design at
-    the realized retained fraction round(gamma*n)/n, whose own closed form
-    is also N/a.
+    information); the sum is 1.0 at every phi.  ``total_numeric`` is the
+    numeric mu'C^-1 mu' of the contiguous-blocks design at the realized
+    retained fraction round(gamma*n)/n, whose own closed form is also N/a.
     """
     if phi_grid is None:
         phi_grid = np.linspace(0.01, math.pi - 0.01, 100)
@@ -277,14 +277,16 @@ def fig6_decomposition(
     a = 1.0
     c = c_over_a * a
     unit = n / a
-    cov = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
+    models = [spin_model(phi) for phi in phi_grid]
+    retained = [min(max(int(round(m.gamma * n)), 1), n - 1) for m in models]
+    # One pass over the mu' columns of every phi, not one solve per phi.
+    mu_prime = np.column_stack(
+        [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
+    )
+    numeric = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)).quad(mu_prime)
     rows = []
-    for phi in phi_grid:
-        model = spin_model(phi)
+    for phi, model, n1, total_numeric in zip(phi_grid, models, retained, numeric):
         report = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
-        n1 = min(max(int(round(model.gamma * n)), 1), n - 1)
-        design = make_design(n, "blocks", gamma=n1 / n)
-        numeric = fi_partitioned(cov, design.mu_prime, design)
         rows.append(
             (
                 phi,
@@ -294,7 +296,7 @@ def fig6_decomposition(
                 report.terms[1] / unit,
                 report.terms[2] / unit,
                 report.value / unit,
-                numeric.value / unit,
+                total_numeric / unit,
             )
         )
     return SweepResult(
@@ -313,8 +315,20 @@ def fig6_decomposition(
 # fig7: exponential-correlation sweep
 # ---------------------------------------------------------------------------
 
-def _bernoulli_designs(n, gamma, seed, reps):
-    """Seeded retention patterns, redrawing any that retain no slots."""
+def retention_designs(
+    n: int, gamma: float, scheme: str, reps: int, seed: int
+) -> list[PartitionDesign]:
+    """fig7's retention patterns: the periodic design, or ``reps`` bernoulli ones.
+
+    Bernoulli patterns use the seeds seed, seed + 1, ... in turn, skipping
+    any that retain no slot.  That stream is fixed by (n, gamma, seed,
+    reps), so one without ``reps`` non-empty patterns in its first
+    100 * reps + 1 draws is a configuration error, not a numeric failure.
+    """
+    if scheme == SCHEME_PERIODIC:
+        return [make_design(n, SCHEME_PERIODIC, gamma=gamma)]
+    if scheme != SCHEME_BERNOULLI:
+        raise InvalidSpec("fig7 retention scheme must be periodic or bernoulli")
     designs = []
     draw = 0
     while len(designs) < reps:
@@ -323,7 +337,10 @@ def _bernoulli_designs(n, gamma, seed, reps):
         if design.channel_slots("retained").size > 0:
             designs.append(design)
         if draw > 100 * reps:
-            raise EmptyRetainedSet("could not draw non-empty retention patterns")
+            raise EmptyRetainedSet(
+                f"bernoulli retention (n={n}, gamma={gamma!r}) kept no slot in "
+                f"{draw - len(designs)} of {draw} patterns from seed {seed}; "
+                f"{reps} non-empty patterns are needed")
     return designs
 
 
@@ -346,8 +363,8 @@ def fig7_sweep(
     of C.  The periodic scheme is deterministic and amplifies by its
     realized n/m, m retained slots of n; the bernoulli scheme keeps the
     idealized Aw^2 = 1/gamma and averages the weak-value columns over
-    ``reps`` seeded retention patterns (fixed across eta).  Every eta of
-    the grid is evaluated in one O(n) pass of the exponential operator.
+    ``reps`` seeded retention patterns (fixed across eta).  The whole eta
+    grid shares one covariance chain, at O(n) per eta.
     """
     if eta_grid is None:
         eta_grid = np.logspace(-2.0, 6.0, 40)
@@ -355,17 +372,12 @@ def fig7_sweep(
     if (eta_grid < 0.0).any():
         raise InvalidSpec("eta grid must be non-negative")
 
-    if scheme == SCHEME_PERIODIC:
-        designs = [make_design(n, SCHEME_PERIODIC, gamma=gamma)]
-    elif scheme == SCHEME_BERNOULLI:
-        designs = _bernoulli_designs(n, gamma, seed, reps)
-    else:
-        raise InvalidSpec("fig7 retention scheme must be periodic or bernoulli")
+    designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]
 
     g = make_design(n, "alternating").mu_prime
     rhs = np.column_stack([np.ones(n), g])
-    cov = Exponential(a, c, eta_grid, np.arange(n))
+    cov = Chain(a, c, eta_grid, np.arange(n))
     fi_direct, fi_bgsub = cov.quad(rhs).T
     iv_direct, iv_bgsub = n * n / cov.form(rhs).T
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Covariance, Dense
+from .covariance import Covariance
 from .covmodel import WeightSpectrum
 from .errors import (
     DegenerateDenominator,
@@ -166,7 +166,7 @@ def optimal_alpha(spec: TwoOutcomeSpec) -> float:
 
 
 def fi_partitioned(
-    cov: Dense,
+    cov: Covariance,
     mu_prime: np.ndarray,
     design: PartitionDesign | None = None,
 ) -> FisherReport:

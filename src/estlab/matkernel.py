@@ -1,13 +1,13 @@
 """Dense symmetric-matrix kernel: validated storage, Cholesky, eigensystems.
 
-Only covariance.Dense factors and solves with these primitives: it keeps
-one factor per matrix, and Fisher information, estimators and sampling
-reach the factor through it.  The contracts here are deliberately strict:
-matrices are validated and frozen at construction, and factorization
-rejects zero-variance directions instead of jittering them away.  Storage
-is dense; the intended working range is dim <= 4096.  The exponential
-model goes through the O(n) covariance.Exponential operator and never
-builds a SymMatrix.
+The dense reference that the O(n) covariance.Chain is tested against; no
+estlab module imports it.  The tests' dense oracle factors, solves and
+diagonalizes with these primitives, and the benchmark tracer wraps
+SymMatrix.  The contracts are deliberately strict: matrices are validated
+and frozen at construction, and factorization rejects zero-variance
+directions (squared pivots at or below PSD_TOLERANCE of the largest
+diagonal entry, the test Chain applies to its pivots) instead of jittering
+them away.  Storage is dense; the intended working range is dim <= 4096.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import PSD_TOLERANCE
 from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
-
-# Eigenvalues (and squared Cholesky pivots) at or below this fraction of the
-# largest one are treated as exactly zero: a deterministic, infinitely
-# informative direction that the estimation theory excludes.
-PSD_TOLERANCE = 1e-10
 
 
 class SymMatrix:

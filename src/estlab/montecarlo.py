@@ -6,8 +6,10 @@ draw is a pure function of the seed within one build.  Trial t of a run uses
 the substream SeedSequence(seed, spawn_key=(t,)), which makes trials
 independent and the ensemble insensitive to execution order.
 
-A run never forms a trial's samples: with samples = mean + L @ z and the
-estimator's weights w, trial t's estimate is w @ mean + z_t @ (L.T @ w).
+A run never forms a trial's samples: with samples = mean + L @ z, L the
+Cholesky factor of C, and the estimator's weights w, trial t's estimate is
+w @ mean + z_t @ (L.T @ w).  covariance.Chain computes the loading L.T @ w
+in O(n) without forming L, so a run needs O(n) memory besides its draws.
 Trials are drawn BLOCK_TRIALS at a time.  The block's substream seeds come
 from one vectorized pass of SeedSequence's hash (_spawn_states), so no
 SeedSequence object is built per trial; each trial's PCG64 then fills one row
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import Dense
-from .covmodel import CovSpec, build
+from .covariance import make_covariance
+from .covmodel import CovSpec
 from .errors import InvalidSpec
 from .estimators import estimator_weights
 from .partition import PartitionDesign, mean_vector
@@ -138,10 +140,10 @@ def run_trials(
         raise InvalidSpec("at least 2 trials are required for a variance")
     if trials > MAX_TRIALS:
         raise InvalidSpec(f"at most 2**32 trials are supported, got {trials}")
-    cov = Dense(build(spec))
+    cov = make_covariance(spec)
     weights = estimator_weights(estimator, spec, design, cov)
     offset = float(weights @ mean_vector(design, d_true))
-    loading = cov.lower.T @ weights
+    loading = cov.loading(weights)
     estimates = np.empty(trials)
     for first in range(0, trials, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trials - first)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidGamma, OutOfDomain
-from .matkernel import SymMatrix
 
 SCHEME_BERNOULLI = "bernoulli"
 SCHEME_PERIODIC = "periodic"
@@ -219,12 +218,6 @@ def subset_index(retained, dim: int) -> np.ndarray:
     if idx[0] < 0 or idx[-1] >= dim:
         raise IndexOutOfRange(f"retained indices must lie in [0, {dim - 1}]")
     return idx
-
-
-def submatrix(matrix: SymMatrix, retained) -> SymMatrix:
-    """Covariance restricted to the retained slots: C'[k, l] = C[i_k, i_l]."""
-    idx = subset_index(retained, matrix.dim)
-    return SymMatrix(matrix.entries[np.ix_(idx, idx)])
 
 
 def mean_vector(design: PartitionDesign, d: float) -> np.ndarray:

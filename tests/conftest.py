@@ -1,8 +1,20 @@
+"""Shared test helpers, and the dense oracle the O(n) covariance is held to.
+
+``build``, ``submatrix`` and ``Dense`` materialize a covariance as an n x n
+SymMatrix and evaluate every ``estlab.covariance.Covariance`` operation on
+it with the dense kernel (Cholesky and eigh): O(n^2) memory and O(n^3) work,
+but no structure to get wrong.
+"""
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
-from estlab.errors import InvalidSpec
-from estlab.matkernel import SymMatrix
+from estlab.covariance import PSD_TOLERANCE
+from estlab.covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec, WeightSpectrum
+from estlab.errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite
+from estlab.matkernel import SymMatrix, eigendecompose, factor_spd
+from estlab.partition import subset_index
 
 
 def random_spd(dim: int, seed: int, cond_lo: float = 0.1, cond_hi: float = 10.0) -> SymMatrix:
@@ -27,6 +39,90 @@ def solvable_inverse(a: float, c: float, n: int) -> SymMatrix:
     m = np.full((n, n), -c / denom)
     m[np.diag_indices(n)] += (a + c * n) / denom
     return SymMatrix(m)
+
+
+def build(spec: CovSpec) -> SymMatrix:
+    """Materialize the covariance matrix described by ``spec``.
+
+    eta = 0 is mapped to the white limit exactly (diagonal a + c) instead of
+    evaluating exp(-inf), which would be 0/0 on the diagonal.
+    """
+    n = spec.n
+    if spec.kind == KIND_SOLVABLE:
+        m = np.full((n, n), spec.c)
+        m[np.diag_indices(n)] += spec.a
+        return SymMatrix(m)
+    if spec.kind == KIND_WHITE or spec.eta == 0.0:
+        return SymMatrix((spec.a + spec.c) * np.eye(n))
+    idx = np.arange(n)
+    lags = np.abs(idx[:, None] - idx[None, :])
+    m = spec.c * np.exp(-lags / spec.eta)
+    m[np.diag_indices(n)] += spec.a
+    return SymMatrix(m)
+
+
+def submatrix(matrix: SymMatrix, retained) -> SymMatrix:
+    """Covariance restricted to the retained slots: C'[k, l] = C[i_k, i_l]."""
+    idx = subset_index(retained, matrix.dim)
+    return SymMatrix(matrix.entries[np.ix_(idx, idx)])
+
+
+def _columns(U, dim: int) -> np.ndarray:
+    U = np.asarray(U, dtype=float)
+    if U.ndim not in (1, 2) or U.shape[0] != dim:
+        raise DimensionMismatch(
+            f"expected a vector or columns of length {dim}, got shape {U.shape}"
+        )
+    return U.reshape(dim, -1)
+
+
+class Dense:
+    """The covariance operations on a materialized SymMatrix, for any SPD C."""
+
+    def __init__(self, matrix: SymMatrix) -> None:
+        self.matrix = matrix
+        self._lower = None
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.dim
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Cholesky factor L of the matrix (factor_spd), L @ L.T == C."""
+        if self._lower is None:
+            self._lower = factor_spd(self.matrix)
+        return self._lower
+
+    def solve(self, U) -> np.ndarray:
+        return cho_solve((self.lower, True), _columns(U, self.dim)).reshape(np.shape(U))
+
+    def loading(self, U) -> np.ndarray:
+        return (self.lower.T @ _columns(U, self.dim)).reshape(np.shape(U))
+
+    def quad(self, U) -> np.ndarray:
+        shape = np.shape(U)[1:]
+        U = _columns(U, self.dim)
+        X = self.solve(U)
+        return np.array([u @ x for u, x in zip(U.T, X.T)]).reshape(shape)
+
+    def form(self, U) -> np.ndarray:
+        shape = np.shape(U)[1:]
+        U = _columns(U, self.dim)
+        entries = self.matrix.entries
+        return np.array([(entries * np.outer(u, u)).sum() for u in U.T]).reshape(shape)
+
+    def restrict(self, idx) -> "Dense":
+        return Dense(submatrix(self.matrix, idx))
+
+    def spectrum(self) -> WeightSpectrum:
+        eig = eigendecompose(self.matrix)
+        values = eig.eigenvalues
+        if values[0] <= 0.0 or values[-1] <= PSD_TOLERANCE * values[0]:
+            raise NotPositiveDefinite("covariance matrix is not positive definite")
+        column_sums = eig.eigenvectors.sum(axis=0)
+        weights = column_sums * column_sums / self.dim
+        return WeightSpectrum(sigmasq=values.copy(), weights=weights)
 
 
 @pytest.fixture

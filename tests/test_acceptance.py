@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from estlab.cli import main as cli_main
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build
+from estlab.covmodel import CovSpec
 from estlab.experiments import fig7_sweep, table1
 from estlab.fisher import (
     TwoOutcomeSpec,
@@ -24,7 +23,7 @@ from estlab.fisher import (
 from estlab.montecarlo import run_trials
 from estlab.partition import direct_design, make_design, spin_model
 
-from conftest import random_spd, solvable_inverse
+from conftest import Dense, build, random_spd, solvable_inverse
 
 
 def _report(name: str, ok: bool) -> None:

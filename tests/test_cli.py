@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
 
-from estlab import __version__, matkernel
+from estlab import __version__
 from estlab.cli import main
+from estlab.covariance import Chain
 
 
 def read_csv(path):
@@ -89,6 +90,15 @@ class TestValidation:
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_all_empty_bernoulli_stream_is_invalid_configuration(self, tmp_path, capsys):
+        # gamma * n = 0.001: every pattern the stream draws retains no slot.
+        out = tmp_path / "x.csv"
+        code = main(["figure", "fig7", "--scheme", "bernoulli", "--gamma", "0.0001",
+                     "--n", "10", "--reps", "2", "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_exponential_without_white_noise_is_valid(self, tmp_path, capsys):
         code = main(
             ["fisher", "--model", "exponential", "--a", "0", "--c", "0.05",
@@ -150,18 +160,15 @@ class TestFactorsOnce:
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        """Dimensions of every matrix factored, wherever factor_spd is bound."""
+        """Dimensions of every covariance factored: a Chain factors once, when built."""
         dims = []
-        original = matkernel.factor_spd
+        original = Chain.__init__
 
-        def counting(matrix):
-            dims.append(matrix.dim)
-            return original(matrix)
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            dims.append(self.dim)
 
-        for name, module in list(sys.modules.items()):
-            if (name == "estlab" or name.startswith("estlab.")) and \
-                    getattr(module, "factor_spd", None) is original:
-                monkeypatch.setattr(module, "factor_spd", counting)
+        monkeypatch.setattr(Chain, "__init__", counting)
         return dims
 
     @pytest.mark.parametrize("argv,dims", [
@@ -174,6 +181,23 @@ class TestFactorsOnce:
     def test_factor_count(self, argv, dims, factored, tmp_path, capsys):
         assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 0
         assert sorted(factored) == dims
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("points", [1, 12, 200])
+    def test_fig6_contracts_every_phi_in_one_pass(self, points, monkeypatch, tmp_path,
+                                                  capsys):
+        passes = []
+        for name in ("quad", "solve"):
+            original = getattr(Chain, name)
+
+            def counting(self, U, _original=original, _name=name):
+                passes.append(_name)
+                return _original(self, U)
+
+            monkeypatch.setattr(Chain, name, counting)
+        argv = ["figure", "fig6", "--phi-points", str(points), "-o", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        assert passes == ["quad"]
         capsys.readouterr()
 
 

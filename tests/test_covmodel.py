@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covariance import Dense
 from estlab.covmodel import (
     CovSpec,
     WeightSpectrum,
-    build,
     solvable_spectrum,
 )
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
 from estlab.matkernel import SymMatrix, eigendecompose
 
-from conftest import random_spd, solvable_inverse
+from conftest import Dense, build, random_spd, solvable_inverse
 
 
 class TestCovSpec:

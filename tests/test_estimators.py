@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build
+from estlab.covmodel import CovSpec
 from estlab.errors import (
     DimensionMismatch,
     EmptyRetainedSet,
@@ -27,6 +26,8 @@ from estlab.partition import (
     make_design,
     mean_vector,
 )
+
+from conftest import Dense, build
 
 
 def _dataset(samples, design):

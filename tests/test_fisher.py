@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build, solvable_spectrum
+from estlab.covmodel import CovSpec, solvable_spectrum
 from estlab.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -29,7 +28,7 @@ from estlab.fisher import (
 from estlab.matkernel import SymMatrix
 from estlab.partition import make_design, spin_model
 
-from conftest import random_spd
+from conftest import Dense, build, random_spd
 
 
 class TestFisherReport:

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build
+from estlab.covmodel import CovSpec
 from estlab.errors import DimensionMismatch, NotPositiveDefinite
 from estlab.matkernel import (
     SymMatrix,
@@ -12,7 +11,7 @@ from estlab.matkernel import (
     factor_spd,
 )
 
-from conftest import random_spd
+from conftest import Dense, build, random_spd
 
 
 def inverse(matrix: SymMatrix) -> SymMatrix:

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2
 
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build
+from estlab.covmodel import CovSpec
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite, WrongDesign
 from estlab.estimators import (
     ESTIMATOR_NAMES,
@@ -29,6 +28,8 @@ from estlab.montecarlo import (
     run_trials,
 )
 from estlab.partition import direct_design, make_design, mean_vector
+
+from conftest import Dense, build
 
 
 def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:

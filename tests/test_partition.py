@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covariance import Dense
-from estlab.covmodel import CovSpec, build
+from estlab.covmodel import CovSpec
 from estlab.errors import IndexOutOfRange, InvalidGamma, OutOfDomain
 from estlab.fisher import fi_partitioned
 from estlab.matkernel import SymMatrix
@@ -14,10 +13,9 @@ from estlab.partition import (
     mean_vector,
     spin_coefficients,
     spin_model,
-    submatrix,
 )
 
-from conftest import solvable_inverse
+from conftest import Dense, build, solvable_inverse, submatrix
 
 # Retained slots for make_design(1000, "bernoulli", gamma=0.005, seed=12345),
 # frozen from a recorded run of this build's generator.
