@@ -11,9 +11,13 @@ delta-i    Information gap between full partitioning and weak-value
            amplification.
 
 Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 I/O failure,
-5 numeric failure during the run.  Output CSVs are written atomically
-(temp file then rename); all randomness is traceable to --seed, with the
-ESTLAB_SEED environment variable as fallback.
+5 numeric failure.  The class of the error decides, not where it was raised:
+a NumericFailure (valid inputs, failed computation) or FloatingPointError is
+5, any other EstlabError 3 and an OSError 4.  The library checks what its
+inputs mean; this module checks only what lives in argv: finite float flags,
+the seeds, grid ranges and covariances singular by construction.  Output
+CSVs are written atomically (temp file then rename); all randomness is
+traceable to --seed, with the ESTLAB_SEED environment variable as fallback.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .covmodel import (
     CovSpec,
     solvable_spectrum,
 )
-from .errors import EstlabError
-from .estimators import ESTIMATOR_NAMES, check_fits
+from .errors import EstlabError, NumericFailure
+from .estimators import ESTIMATOR_NAMES
 from .experiments import (
     SweepResult,
     _metadata,
@@ -45,12 +49,11 @@ from .experiments import (
     fig345_curves,
     fig6_decomposition,
     fig7_sweep,
-    retention_designs,
     table1,
     write_csv,
 )
 from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
-from .montecarlo import MAX_TRIALS, run_trials
+from .montecarlo import run_trials
 from .partition import (
     SCHEME_ALTERNATING,
     SCHEME_BERNOULLI,
@@ -78,7 +81,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ValueError(f"ESTLAB_SEED must be an integer, got {raw!r}") from exc
+        raise EstlabError(f"ESTLAB_SEED must be an integer, got {raw!r}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -290,13 +293,30 @@ def _load_config_tokens(argv: list[str]) -> list[str]:
     return cleaned[:head] + tokens + cleaned[head:]
 
 
-def _make_cov_spec(args: argparse.Namespace) -> CovSpec:
-    eta = args.eta if args.model == KIND_EXPONENTIAL else None
-    if args.model != KIND_EXPONENTIAL and args.eta is not None:
-        raise EstlabError("--eta applies to the exponential model only")
-    if args.model == KIND_EXPONENTIAL and eta is None:
-        raise EstlabError("the exponential model requires --eta")
-    return _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=eta))
+def _check_argv(args: argparse.Namespace) -> None:
+    """The rules on the flags themselves: finite floats, seeds >= 0."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise EstlabError(f"{flag} must be finite, got {value!r}")
+    if hasattr(args, "seed"):
+        if args.seed is None:
+            args.seed = _default_seed()
+        if args.seed < 0:
+            raise EstlabError(f"seed must be >= 0, got {args.seed}")
+
+
+def _grid(name: str, lo: float, hi: float, points: int, log: bool = False) -> np.ndarray:
+    """The --NAME-* grid: ``points`` values from lo to hi, log-spaced if ``log``."""
+    if points < 1:
+        raise EstlabError(f"--{name}-points must be at least 1, got {points}")
+    if not lo <= hi:
+        raise EstlabError(f"the {name} grid needs min <= max, got {lo!r} > {hi!r}")
+    if not log:
+        return np.linspace(lo, hi, points)
+    if lo <= 0.0:
+        raise EstlabError(f"the log-spaced {name} grid needs min > 0, got {lo!r}")
+    return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
 def _nonsingular(spec: CovSpec) -> CovSpec:
@@ -313,9 +333,12 @@ def _nonsingular(spec: CovSpec) -> CovSpec:
     return spec
 
 
-def _fisher_result(args: argparse.Namespace, spec: CovSpec) -> SweepResult:
+def _fisher_result(args: argparse.Namespace) -> SweepResult:
+    spec = _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=args.eta))
     shift = args.mean_shift
     cov = make_covariance(spec)
+    # First, as it rejects a zero shift, which the closed forms divide by.
+    numeric = fi_direct_numeric(cov, shift)
     rows = []
     # Full retention with Aw = shift is the direct strategy.
     if spec.kind == KIND_SOLVABLE:
@@ -329,7 +352,6 @@ def _fisher_result(args: argparse.Namespace, spec: CovSpec) -> SweepResult:
         spectrum = solvable_spectrum(spec.a + spec.c, 0.0, spec.n)
     else:
         spectrum = cov.spectrum()
-    numeric = fi_direct_numeric(cov, shift)
     rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
     eigen = fi_eigen(spectrum, spec.n, shift)
     rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))
@@ -360,7 +382,9 @@ def _simulate_design(args: argparse.Namespace):
     )
 
 
-def _simulate_results(args: argparse.Namespace, spec: CovSpec, design):
+def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
+    spec = _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=args.eta))
+    design = _simulate_design(args)
     ensemble = run_trials(
         spec, design, args.estimator,
         d_true=args.d, trials=args.trials, seed=args.seed,
@@ -400,28 +424,43 @@ def _simulate_results(args: argparse.Namespace, spec: CovSpec, design):
 def _figure_result(args: argparse.Namespace) -> SweepResult:
     if args.which == "fig2":
         return fig2_surface(
-            x_grid=np.logspace(
-                math.log10(args.x_min), math.log10(args.x_max), args.x_points
-            ),
-            r_grid=np.linspace(args.r_min, args.r_max, args.r_points),
+            x_grid=_grid("x", args.x_min, args.x_max, args.x_points, log=True),
+            r_grid=_grid("r", args.r_min, args.r_max, args.r_points),
         )
     if args.which == "fig345":
         return fig345_curves(
-            alpha_grid=np.linspace(args.alpha_min, args.alpha_max, args.alpha_points)
+            alpha_grid=_grid("alpha", args.alpha_min, args.alpha_max, args.alpha_points)
         )
     if args.which == "fig6":
         return fig6_decomposition(
             n=args.n,
             c_over_a=args.c_over_a,
-            phi_grid=np.linspace(0.01, math.pi - 0.01, args.phi_points),
+            phi_grid=_grid("phi", 0.01, math.pi - 0.01, args.phi_points),
         )
+    _nonsingular(CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0))
     return fig7_sweep(
         n=args.n, a=args.a, c=args.c, gamma=args.gamma,
-        eta_grid=np.logspace(
-            math.log10(args.eta_min), math.log10(args.eta_max), args.eta_points
-        ),
+        eta_grid=_grid("eta", args.eta_min, args.eta_max, args.eta_points, log=True),
         scheme=args.scheme, reps=args.reps, seed=args.seed,
     )
+
+
+def _outputs(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
+    """Run the parsed command: each result with the path it is written to."""
+    _check_argv(args)
+    if args.command == "simulate":
+        return _simulate_results(args)
+    if args.command == "fisher":
+        result = _fisher_result(args)
+    elif args.command == "figure":
+        result = _figure_result(args)
+    elif args.command == "table1":
+        # The white model is singular only where the solvable one is too.
+        _nonsingular(CovSpec(KIND_SOLVABLE, args.a, args.c, args.n))
+        result = table1(args.a, args.c, args.n, args.gamma)
+    else:
+        result = delta_i_summary(args.a, args.c, args.n)
+    return [(result, Path(args.output))]
 
 
 def _write_atomic(result: SweepResult, path: Path) -> None:
@@ -440,121 +479,30 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _load_config_tokens(list(argv))
+        args = build_parser().parse_args(_load_config_tokens(list(argv)))
     except OSError as exc:
         print(f"estlab: cannot read config file: {exc}", file=sys.stderr)
         return 4
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if hasattr(args, "seed"):
-        if args.seed is None:
-            try:
-                args.seed = _default_seed()
-            except ValueError as exc:
-                print(f"estlab: {exc}", file=sys.stderr)
-                return 3
-        if args.seed < 0:
-            print(f"estlab: invalid configuration: seed must be >= 0, got {args.seed}",
-                  file=sys.stderr)
-            return 3
-
-    # Validation phase: every parameter checked against module preconditions
-    # before any work is dispatched.
     try:
-        outputs: list[tuple[SweepResult, Path]] = []
-        if args.command == "fisher":
-            spec = _make_cov_spec(args)
-            if args.mean_shift == 0.0:
-                raise EstlabError("--mean-shift must be nonzero")
-            runner = lambda: [(_fisher_result(args, spec), Path(args.output))]
-        elif args.command == "simulate":
-            spec = _make_cov_spec(args)
-            design = _simulate_design(args)
-            check_fits(args.estimator, spec, design)
-            if args.trials < 2:
-                raise EstlabError("--trials must be at least 2")
-            if args.trials > MAX_TRIALS:
-                raise EstlabError("--trials must be at most 2**32")
-            runner = lambda: _simulate_results(args, spec, design)
-        elif args.command == "figure":
-            _figure_validate(args)
-            runner = lambda: [(_figure_result(args), Path(args.output))]
-        elif args.command == "table1":
-            if not 0.0 < args.gamma < 1.0:
-                raise EstlabError("--gamma must lie strictly inside (0, 1)")
-            _nonsingular(CovSpec(KIND_SOLVABLE, args.a, args.c, args.n))
-            _nonsingular(CovSpec(KIND_WHITE, args.a, args.c, args.n))
-            make_design(args.n, SCHEME_BLOCKS, gamma=args.gamma)
-            runner = lambda: [
-                (table1(args.a, args.c, args.n, args.gamma), Path(args.output))
-            ]
-        else:
-            if args.a <= 0.0 or args.c < 0.0 or args.n < 1:
-                raise EstlabError("delta-i requires a > 0, c >= 0, n >= 1")
-            runner = lambda: [
-                (delta_i_summary(args.a, args.c, args.n), Path(args.output))
-            ]
-    except (EstlabError, ValueError) as exc:
-        print(f"estlab: invalid configuration: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        outputs = runner()
-    except (EstlabError, FloatingPointError) as exc:
-        print(f"estlab: numeric failure: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"estlab: I/O failure: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        for result, path in outputs:
+        for result, path in _outputs(args):
             _write_atomic(result, path)
             print(
                 f"estlab: wrote {path} "
                 f"({len(result.rows)} rows; {_describe(result.metadata)})",
                 file=sys.stderr,
             )
+    except (NumericFailure, FloatingPointError) as exc:
+        print(f"estlab: numeric failure: {exc}", file=sys.stderr)
+        return 5
+    except EstlabError as exc:
+        print(f"estlab: invalid configuration: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"estlab: I/O failure: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-def _figure_validate(args: argparse.Namespace) -> None:
-    """Precondition checks run before any figure work is dispatched."""
-    if args.which == "fig2":
-        if args.x_points < 1 or args.r_points < 1:
-            raise EstlabError("grid sizes must be positive")
-        if args.x_min <= 0.0 or args.x_max < args.x_min:
-            raise EstlabError("fig2 needs 0 < x-min <= x-max")
-        if abs(args.r_min) > 0.999 or abs(args.r_max) > 0.999 or args.r_max < args.r_min:
-            raise EstlabError("fig2 needs -0.999 <= r-min <= r-max <= 0.999")
-    elif args.which == "fig345":
-        if args.alpha_points < 1:
-            raise EstlabError("grid sizes must be positive")
-    elif args.which == "fig6":
-        if args.phi_points < 1:
-            raise EstlabError("grid sizes must be positive")
-        if args.n < 2 or args.c_over_a < 0.0:
-            raise EstlabError("fig6 needs n >= 2 and c-over-a >= 0")
-    else:
-        if args.eta_points < 1 or args.eta_min <= 0.0 or args.eta_max < args.eta_min:
-            raise EstlabError(
-                "fig7 needs 0 < eta-min <= eta-max and a positive grid size"
-            )
-        if args.reps < 1:
-            raise EstlabError("--reps must be at least 1")
-        if not 0.0 < args.gamma < 1.0:
-            raise EstlabError("--gamma must lie strictly inside (0, 1)")
-        _nonsingular(CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0))
-        # Only drawing the retention stream tells whether it is usable; the
-        # run draws it again, at a small fraction of the sweep's cost.
-        retention_designs(args.n, args.gamma, args.scheme, args.reps, args.seed)
 
 
 def _describe(metadata: dict[str, str]) -> str:

@@ -58,7 +58,9 @@ class CovSpec:
             if self.c < 0.0:
                 raise InvalidSpec("exponential model requires c >= 0")
             if self.eta is None or not np.isfinite(self.eta) or self.eta < 0.0:
-                raise InvalidSpec("exponential model requires eta >= 0")
+                raise InvalidSpec(
+                    f"exponential model requires a finite eta >= 0, got {self.eta}"
+                )
         else:
             if self.c < 0.0:
                 raise InvalidSpec("white model requires c >= 0")

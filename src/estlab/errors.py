@@ -2,18 +2,25 @@
 
 
 class EstlabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An EstlabError that is not a NumericFailure means the inputs are invalid.
+    """
+
+
+class NumericFailure(EstlabError):
+    """The inputs are valid, but computing with them failed."""
 
 
 class DimensionMismatch(EstlabError):
     """Operands have incompatible shapes or lengths."""
 
 
-class NotPositiveDefinite(EstlabError):
+class NotPositiveDefinite(NumericFailure):
     """A covariance matrix has a zero or negative variance direction."""
 
 
-class ConvergenceFailure(EstlabError):
+class ConvergenceFailure(NumericFailure):
     """An eigenvalue routine exhausted its iteration budget."""
 
 
@@ -21,7 +28,7 @@ class InvalidSpec(EstlabError):
     """A model specification violates its parameter constraints."""
 
 
-class InvalidSpectrum(EstlabError):
+class InvalidSpectrum(NumericFailure):
     """An eigenvalue/weight spectrum is inconsistent or non-positive."""
 
 

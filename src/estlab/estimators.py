@@ -2,8 +2,9 @@
 
 Every estimator is linear in the samples, d_hat = w @ s.  ``estimator_weights``
 returns w once for a whole Monte Carlo run; the ``estimate_*`` functions apply
-one estimator to one Dataset and are the per-sample reference.  Both go
-through the same design-fit rules, which ``check_fits`` applies by name.
+one estimator to one Dataset and are the per-sample reference.  Both rest
+on the same design-fit rules, which ``check_fits`` applies by name before
+any weights are built.
 
 All estimators are exactly unbiased on noise-free data by construction,
 with one caveat: the corrected weak-value estimator inherits an O(gamma)
@@ -87,12 +88,11 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
 def estimator_weights(
     name: str, spec: CovSpec, design: PartitionDesign, cov: Covariance
 ) -> np.ndarray:
-    """Weights w of the named estimator, d_hat = w @ samples, after check_fits.
+    """Weights w of the named estimator, d_hat = w @ samples, once check_fits passed.
 
     ``cov`` is the model covariance; only ml reads it, for
     w = C^-1 mu' / (mu' C^-1 mu').
     """
-    check_fits(name, spec, design)
     n = design.n
     mu = design.mu_prime
     if name == "equal":

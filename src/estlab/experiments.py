@@ -120,9 +120,6 @@ def table1(
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    white = make_covariance(CovSpec(KIND_WHITE, a, c, n))
-    solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
-
     m = int(round(gamma * n))
     if not 1 <= m <= n - 1:
         raise InvalidSpec(f"gamma={gamma} retains no usable block for n={n}")
@@ -131,6 +128,9 @@ def table1(
 
     blocks = make_design(n, "blocks", gamma=gamma)
     mu_blocks = blocks.mu_prime
+    # Factored last, so invalid inputs are reported before a numeric failure.
+    white = make_covariance(CovSpec(KIND_WHITE, a, c, n))
+    solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
 
     # Full retention with Aw = 1 is the direct strategy; white noise is the
     # solvable model with variance a + c and no common offset.
@@ -271,6 +271,8 @@ def fig6_decomposition(
     numeric mu'C^-1 mu' of the contiguous-blocks design at the realized
     retained fraction round(gamma*n)/n, whose own closed form is also N/a.
     """
+    if n < 2 or c_over_a < 0.0:
+        raise InvalidSpec(f"fig6 needs n >= 2 and c_over_a >= 0, got {n}, {c_over_a}")
     if phi_grid is None:
         phi_grid = np.linspace(0.01, math.pi - 0.01, 100)
     phi_grid = np.asarray(phi_grid, dtype=float)
@@ -325,6 +327,8 @@ def retention_designs(
     reps), so one without ``reps`` non-empty patterns in its first
     100 * reps + 1 draws is a configuration error, not a numeric failure.
     """
+    if reps < 1:
+        raise InvalidSpec(f"reps must be at least 1, got {reps}")
     if scheme == SCHEME_PERIODIC:
         return [make_design(n, SCHEME_PERIODIC, gamma=gamma)]
     if scheme != SCHEME_BERNOULLI:

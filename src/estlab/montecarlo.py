@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .covariance import make_covariance
 from .covmodel import CovSpec
 from .errors import InvalidSpec
-from .estimators import estimator_weights
+from .estimators import check_fits, estimator_weights
 from .partition import PartitionDesign, mean_vector
 
 GENERATOR_NAME = "pcg64"
@@ -140,6 +140,8 @@ def run_trials(
         raise InvalidSpec("at least 2 trials are required for a variance")
     if trials > MAX_TRIALS:
         raise InvalidSpec(f"at most 2**32 trials are supported, got {trials}")
+    # Invalid inputs are reported before factoring can fail numerically.
+    check_fits(estimator, spec, design)
     cov = make_covariance(spec)
     weights = estimator_weights(estimator, spec, design, cov)
     offset = float(weights @ mean_vector(design, d_true))

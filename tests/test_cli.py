@@ -140,6 +140,82 @@ class TestValidation:
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig7", "--eta-points", "0"],
+        ["figure", "fig7", "--eta-min", "10", "--eta-max", "1"],
+        ["figure", "fig7", "--reps", "0"],
+        ["figure", "fig7", "--reps", "0", "--scheme", "bernoulli"],
+        ["figure", "fig7", "--gamma", "1.2"],
+        ["figure", "fig7", "--n", "1"],
+        ["figure", "fig2", "--x-points", "0"],
+        ["figure", "fig2", "--x-min", "0"],
+        ["figure", "fig2", "--x-min", "5", "--x-max", "1"],
+        ["figure", "fig2", "--r-max", "0.9995"],
+        ["figure", "fig2", "--r-min", ".5", "--r-max", ".1"],
+        ["figure", "fig345", "--alpha-points", "0"],
+        ["figure", "fig345", "--alpha-min", "3", "--alpha-max", "1"],
+        ["figure", "fig6", "--phi-points", "0"],
+        ["figure", "fig6", "--n", "1"],
+        ["figure", "fig6", "--c-over-a", "-0.001"],
+        ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "0"],
+        ["table1", "--gamma", "1.5"],
+        ["table1", "--n", "1"],
+        ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+         "--trials", "1"],
+        ["delta-i", "--a", "0", "--c", "1", "--n", "10"],
+        ["delta-i", "--a", "1", "--c", "-0.5", "--n", "10"],
+        ["delta-i", "--a", "1", "--c", "1", "--n", "0"],
+    ], ids=["fig7-eta-points", "fig7-eta-reversed", "fig7-reps-periodic",
+            "fig7-reps-bernoulli", "fig7-gamma", "fig7-n", "fig2-x-points",
+            "fig2-x-min", "fig2-x-reversed", "fig2-r-max", "fig2-r-reversed",
+            "fig345-alpha-points", "fig345-alpha-reversed", "fig6-phi-points",
+            "fig6-n", "fig6-c-over-a", "fisher-mean-shift", "table1-gamma",
+            "table1-n", "simulate-trials", "delta-i-a", "delta-i-c", "delta-i-n"])
+    def test_rejected_configuration_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig6", "--c-over-a", "nan"],
+        ["figure", "fig6", "--c-over-a", "inf"],
+        ["figure", "fig7", "--eta-max", "inf"],
+        ["figure", "fig7", "--eta-max", "nan"],
+        ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "nan"],
+        ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "inf"],
+        ["delta-i", "--a", "nan", "--c", "1", "--n", "10"],
+        ["delta-i", "--a", "1", "--c", "inf", "--n", "10"],
+        ["figure", "fig2", "--x-min", "nan"],
+        ["figure", "fig345", "--alpha-min", "nan"],
+        ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+         "--trials", "10", "--d", "nan"],
+    ], ids=["fig6-c-over-a-nan", "fig6-c-over-a-inf", "fig7-eta-max-inf",
+            "fig7-eta-max-nan", "fisher-mean-shift-nan", "fisher-mean-shift-inf",
+            "delta-i-a-nan", "delta-i-c-inf", "fig2-x-min-nan",
+            "fig345-alpha-min-nan", "simulate-d-nan"])
+    def test_non_finite_float_flag_is_invalid_configuration(self, argv, tmp_path,
+                                                           capsys):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher"],
+        ["simulate", "--estimator", "ml", "--scheme", "alternating", "--trials", "10"],
+    ], ids=["fisher", "simulate"])
+    def test_numerically_singular_covariance_is_numeric_failure(self, argv, tmp_path,
+                                                                capsys):
+        # No white noise and eta >> n: singular in floating point, though not
+        # by construction, so only factoring it can tell.
+        model = ["--model", "exponential", "--a", "0", "--c", "1", "--eta", "1e12",
+                 "--n", "2000"]
+        out = tmp_path / "x.csv"
+        assert main(argv + model + ["-o", str(out)]) == 5
+        assert not out.exists()
+        assert "numeric failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", [2**32 + 1, 100_000_000_000])
     def test_trials_beyond_spawn_keys_is_invalid_configuration(
         self, trials, tmp_path, capsys
@@ -349,6 +425,27 @@ class TestFigureCommands:
             ["figure", "fig7", "--eta-min", "-1", "-o", str(tmp_path / "x.csv")]
         )
         assert code == 3
+        capsys.readouterr()
+
+    def test_fig7_bernoulli_draws_retention_stream_once(self, monkeypatch, tmp_path,
+                                                        capsys):
+        import estlab.experiments as experiments
+
+        drawn = []
+        original = experiments.make_design
+
+        def counting(n, scheme, *args, **kwargs):
+            if scheme == "bernoulli":
+                drawn.append(kwargs["seed"])
+            return original(n, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_design", counting)
+        # gamma * n = 20: no pattern of the stream comes out empty.
+        argv = ["figure", "fig7", "--scheme", "bernoulli", "--n", "200",
+                "--gamma", "0.1", "--reps", "4", "--seed", "9", "--eta-points", "3",
+                "-o", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        assert drawn == [9, 10, 11, 12]
         capsys.readouterr()
 
     def test_fig7_defaults_periodic(self, tmp_path, capsys):

@@ -196,6 +196,8 @@ class TestFig7:
             fig7_sweep(eta_grid=[-1.0])
         with pytest.raises(InvalidSpec):
             fig7_sweep(scheme="chop")
+        with pytest.raises(InvalidSpec):
+            fig7_sweep(scheme="bernoulli", reps=0)
 
     @settings(deadline=None, max_examples=50)
     @given(
