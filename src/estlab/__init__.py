@@ -10,14 +10,6 @@ __version__ = "0.1.0"
 from .covariance import Chain, make_covariance
 from .covmodel import CovSpec, WeightSpectrum, solvable_spectrum
 from .errors import EstlabError
-from .estimators import (
-    Dataset,
-    estimate_background_subtraction,
-    estimate_equal_weight,
-    estimate_ml,
-    estimate_wva,
-    estimate_wva_corrected,
-)
 from .fisher import (
     FisherReport,
     TwoOutcomeSpec,
@@ -36,7 +28,6 @@ from .partition import (
     SpinModel,
     direct_design,
     make_design,
-    mean_vector,
     spin_model,
 )
 
@@ -44,7 +35,6 @@ __all__ = [
     "__version__",
     "Chain",
     "CovSpec",
-    "Dataset",
     "EstlabError",
     "FisherReport",
     "PartitionDesign",
@@ -53,11 +43,6 @@ __all__ = [
     "TwoOutcomeSpec",
     "WeightSpectrum",
     "direct_design",
-    "estimate_background_subtraction",
-    "estimate_equal_weight",
-    "estimate_ml",
-    "estimate_wva",
-    "estimate_wva_corrected",
     "fi_direct_numeric",
     "fi_eigen",
     "fi_opm_solvable",
@@ -66,7 +51,6 @@ __all__ = [
     "fi_wva_solvable",
     "make_covariance",
     "make_design",
-    "mean_vector",
     "optimal_alpha",
     "run_trials",
     "solvable_spectrum",

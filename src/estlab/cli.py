@@ -437,7 +437,6 @@ def _figure_result(args: argparse.Namespace) -> SweepResult:
             c_over_a=args.c_over_a,
             phi_grid=_grid("phi", 0.01, math.pi - 0.01, args.phi_points),
         )
-    _nonsingular(CovSpec(KIND_EXPONENTIAL, args.a, args.c, args.n, eta=1.0))
     return fig7_sweep(
         n=args.n, a=args.a, c=args.c, gamma=args.gamma,
         eta_grid=_grid("eta", args.eta_min, args.eta_max, args.eta_points, log=True),

@@ -22,8 +22,8 @@ per-gap correlations phi_k = exp(-dt_k/eta).  C is diagonal plus
 semiseparable, so its Cholesky factor costs O(n) to build and to apply (the
 one-term celerite factorization, Foreman-Mackey et al. 2017), and no
 operation builds an n x n array.  ``make_covariance`` maps a CovSpec to its
-chain.  The dense kernel in ``matkernel`` is the reference the tests hold
-this operator to; no module here uses it.
+chain.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
+materialized matrix) is the reference the tests hold this operator to.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ class Chain:
 
     Both terms of E_i are non-negative while the D_i stay positive, so
     nothing cancels as phi -> 1, and 1 - phi^2 is taken as -expm1(-2 dt/eta).
-    The D_i are the squared Cholesky pivots of C, so C is rejected as
-    factor_spd would reject it: when a D_i falls to PSD_TOLERANCE (a + c).
+    The D_i are the squared Cholesky pivots of C, so C is rejected as a
+    dense Cholesky with the same test would: when a D_i falls to
+    PSD_TOLERANCE (a + c).
 
     L^-1 = B^-1 A with A and B unit lower bidiagonal, subdiagonals -phi_i
     and -gain_i = -phi_i a / D_{i-1} (since 1 - c W = a / D), so every

@@ -20,10 +20,6 @@ class NotPositiveDefinite(NumericFailure):
     """A covariance matrix has a zero or negative variance direction."""
 
 
-class ConvergenceFailure(NumericFailure):
-    """An eigenvalue routine exhausted its iteration budget."""
-
-
 class InvalidSpec(EstlabError):
     """A model specification violates its parameter constraints."""
 

@@ -1,14 +1,10 @@
 """Estimators mapping a sampled dataset to an estimate of d.
 
-Every estimator is linear in the samples, d_hat = w @ s.  ``estimator_weights``
-returns w once for a whole Monte Carlo run; the ``estimate_*`` functions apply
-one estimator to one Dataset and are the per-sample reference.  Both rest
-on the same design-fit rules, which ``check_fits`` applies by name before
-any weights are built.
-
-All estimators are exactly unbiased on noise-free data by construction,
-with one caveat: the corrected weak-value estimator inherits an O(gamma)
-approximation from its derivation unless the default unbiased base is used.
+Every estimator is linear in the samples, d_hat = w @ s.  ``check_fits``
+applies the named estimator's design-fit rules, and ``estimator_weights``
+then returns w once for a whole Monte Carlo run.  On noise-free data every
+estimator returns d exactly, wva-corrected only where the mean coefficients
+sum to zero, as the overlap-model pair of a blocks design does.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from .partition import CHANNEL_RETAINED, PartitionDesign
 ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
 
 
+# No estlab module builds one; perfbench/tracing.py imports it by name.
 @dataclass(frozen=True)
 class Dataset:
     """Samples s_i = mu_prime[i]*d + x_i together with their design."""
@@ -42,8 +39,17 @@ class Dataset:
         object.__setattr__(self, "samples", s)
 
 
-def _check_design(name: str, design: PartitionDesign) -> None:
-    """The design-fit rules of the named estimator."""
+def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
+    """Raise unless the named estimator applies to this model and design."""
+    if name not in ESTIMATOR_NAMES:
+        raise WrongDesign(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    if design.n != spec.n:
+        raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
+    if name == "wva-corrected":
+        if spec.kind != KIND_SOLVABLE:
+            raise InvalidSpec("wva-corrected applies to the solvable model only")
+        if spec.a <= 0.0 or spec.a + spec.n * spec.c <= 0.0:
+            raise InvalidSpec("correction requires solvable parameters with a + n*c > 0")
     if name == "equal":
         if len(design.channels) != 1 or design.coefficients[0] != 1.0:
             raise WrongDesign("the equal estimator needs a single channel with "
@@ -65,24 +71,6 @@ def _check_design(name: str, design: PartitionDesign) -> None:
             raise EmptyRetainedSet("this retention pattern kept no slots")
         if design.coefficient(CHANNEL_RETAINED) == 0.0:
             raise WrongDesign("the retained channel has zero coefficient")
-
-
-def _check_correction(n: int, a: float, c: float) -> None:
-    if a <= 0.0 or a + n * c <= 0.0:
-        raise InvalidSpec("correction requires solvable parameters with a + n*c > 0")
-
-
-def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
-    """Raise unless the named estimator applies to this model and design."""
-    if name not in ESTIMATOR_NAMES:
-        raise WrongDesign(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-    if design.n != spec.n:
-        raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
-    if name == "wva-corrected":
-        if spec.kind != KIND_SOLVABLE:
-            raise InvalidSpec("wva-corrected applies to the solvable model only")
-        _check_correction(spec.n, spec.a, spec.c)
-    _check_design(name, design)
 
 
 def estimator_weights(
@@ -109,74 +97,3 @@ def estimator_weights(
     if name == "wva-corrected":
         weights -= aw * spec.c * (retained.size / n) / (spec.a + n * spec.c)
     return weights
-
-
-def estimate_equal_weight(data: Dataset) -> float:
-    """Arithmetic mean; requires a single-channel design with unit coefficient."""
-    _check_design("equal", data.design)
-    return float(np.mean(data.samples))
-
-
-def estimate_ml(data: Dataset, cov: Covariance) -> float:
-    """Maximum-likelihood (minimum-variance) estimator.
-
-    d_hat = (mu'.T @ inv(C) @ s) / (mu'.T @ inv(C) @ mu'); the denominator is
-    the partitioned Fisher information of the same design.
-    """
-    if cov.dim != data.design.n:
-        raise DimensionMismatch(
-            f"covariance dimension {cov.dim} does not match {data.design.n} slots"
-        )
-    _check_design("ml", data.design)
-    mu = data.design.mu_prime
-    weights = cov.solve(mu)
-    return float(weights @ data.samples) / float(weights @ mu)
-
-
-def estimate_wva(data: Dataset, literal_prefactor: bool = False) -> float:
-    """Weak-value estimator built from the retained channel only.
-
-    Default normalization sum(s_retained) / (Aw * m) with m the realized
-    retained count, which is exactly unbiased for every design.  With
-    ``literal_prefactor`` the small-overlap form (Aw / n) * sum(s_retained)
-    is used instead; the two coincide when Aw^2 * gamma = 1.
-    """
-    design = data.design
-    _check_design("wva", design)
-    retained = design.channel_slots(CHANNEL_RETAINED)
-    aw = design.coefficient(CHANNEL_RETAINED)
-    total = float(data.samples[retained].sum())
-    if literal_prefactor:
-        return aw * total / design.n
-    return total / (aw * retained.size)
-
-
-def estimate_background_subtraction(data: Dataset) -> float:
-    """Channel difference (sum of +1 slots minus sum of -1 slots) over n.
-
-    Requires a two-channel design whose coefficients are +1 and -1; common-
-    mode offsets then cancel exactly.
-    """
-    design = data.design
-    _check_design("bgsub", design)
-    return float(design.mu_prime @ data.samples) / design.n
-
-
-def estimate_wva_corrected(
-    data: Dataset, a: float, c: float, literal_prefactor: bool = False
-) -> float:
-    """Weak-value estimate plus an all-data correction for the common offset.
-
-    On the solvable model with parameters (a, c) the minimum-variance
-    estimator in the strongly post-selected regime is the weak-value
-    estimate minus (Aw * c * gamma / (a + n*c)) times the sum of all
-    samples.  The correction prefactor vanishes as c -> 0.
-    """
-    design = data.design
-    _check_correction(design.n, a, c)
-    _check_design("wva-corrected", design)
-    base = estimate_wva(data, literal_prefactor=literal_prefactor)
-    aw = design.coefficient(CHANNEL_RETAINED)
-    gamma = design.channel_slots(CHANNEL_RETAINED).size / design.n
-    prefactor = aw * c * gamma / (a + design.n * c)
-    return base - prefactor * float(data.samples.sum())

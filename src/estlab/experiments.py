@@ -375,6 +375,9 @@ def fig7_sweep(
     eta_grid = np.asarray(eta_grid, dtype=float).ravel()
     if (eta_grid < 0.0).any():
         raise InvalidSpec("eta grid must be non-negative")
+    # Comparisons with nan are false, so a nan a or c fails the range test.
+    if not (0.0 <= a < math.inf and 0.0 <= c < math.inf) or a == c == 0.0:
+        raise InvalidSpec(f"fig7 needs finite a, c >= 0, not both zero; got a={a!r}, c={c!r}")
 
     designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]

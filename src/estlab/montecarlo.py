@@ -20,6 +20,7 @@ inverse CDF, and memory stays O(BLOCK_TRIALS * n).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .covariance import make_covariance
 from .covmodel import CovSpec
 from .errors import InvalidSpec
 from .estimators import check_fits, estimator_weights
-from .partition import PartitionDesign, mean_vector
+from .partition import PartitionDesign
 
 GENERATOR_NAME = "pcg64"
 NORMAL_METHOD = "inverse-cdf"
@@ -132,7 +133,7 @@ def run_trials(
 ) -> TrialEnsemble:
     """Run ``trials`` independent seeded datasets through one estimator.
 
-    Trial t's estimate is that of samples = mean_vector(design, d_true) +
+    Trial t's estimate is that of samples = design.mu_prime * d_true +
     L @ z_t with z_t drawn from its own substream; the empirical variance
     uses the unbiased (T - 1) normalization.
     """
@@ -140,16 +141,22 @@ def run_trials(
         raise InvalidSpec("at least 2 trials are required for a variance")
     if trials > MAX_TRIALS:
         raise InvalidSpec(f"at most 2**32 trials are supported, got {trials}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidSpec(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     # Invalid inputs are reported before factoring can fail numerically.
     check_fits(estimator, spec, design)
     cov = make_covariance(spec)
     weights = estimator_weights(estimator, spec, design, cov)
-    offset = float(weights @ mean_vector(design, d_true))
+    offset = float(weights @ (design.mu_prime * d_true))
     loading = cov.loading(weights)
     estimates = np.empty(trials)
     for first in range(0, trials, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trials - first)
-        z = _trial_normals(int(seed), first, count, spec.n)
+        z = _trial_normals(seed, first, count, spec.n)
         # A row-wise einsum keeps each trial's sum independent of the block's
         # row count, so a longer run reproduces a shorter one's estimates.
         estimates[first:first + count] = offset + np.einsum("ij,j->i", z, loading)

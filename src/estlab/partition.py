@@ -219,7 +219,3 @@ def subset_index(retained, dim: int) -> np.ndarray:
         raise IndexOutOfRange(f"retained indices must lie in [0, {dim - 1}]")
     return idx
 
-
-def mean_vector(design: PartitionDesign, d: float) -> np.ndarray:
-    """Expected samples under the design: slot i carries coefficient(i) * d."""
-    return design.mu_prime * d

@@ -1,10 +1,15 @@
-"""Shared test helpers, and the dense oracle the O(n) covariance is held to.
+"""Shared test helpers, and the dense and per-sample oracles estlab is held to.
 
 ``build``, ``submatrix`` and ``Dense`` materialize a covariance as an n x n
 SymMatrix and evaluate every ``estlab.covariance.Covariance`` operation on
-it with the dense kernel (Cholesky and eigh): O(n^2) memory and O(n^3) work,
-but no structure to get wrong.
+it with the dense kernel (``factor_spd``: Cholesky, ``eigendecompose``:
+eigh): O(n^2) memory and O(n^3) work, but no structure to get wrong.  The
+``estimate_*`` functions apply one estimator to one Dataset from its textbook
+formula, the reference for the weights ``estlab.estimators`` builds once per
+run.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,9 +17,51 @@ from scipy.linalg import cho_solve
 
 from estlab.covariance import PSD_TOLERANCE
 from estlab.covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec, WeightSpectrum
-from estlab.errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite
-from estlab.matkernel import SymMatrix, eigendecompose, factor_spd
-from estlab.partition import subset_index
+from estlab.errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite, NumericFailure
+from estlab.estimators import Dataset
+from estlab.matkernel import SymMatrix
+from estlab.partition import CHANNEL_RETAINED, subset_index
+
+
+class ConvergenceFailure(NumericFailure):
+    """An eigenvalue routine exhausted its iteration budget."""
+
+
+@dataclass(frozen=True)
+class EigenSystem:
+    """Eigenvalues in descending order with orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def factor_spd(matrix: SymMatrix) -> np.ndarray:
+    """Cholesky factor L (lower triangular) with L @ L.T == matrix.
+
+    Raises NotPositiveDefinite when a pivot is non-positive or its square
+    falls at or below PSD_TOLERANCE relative to the largest diagonal entry,
+    the same test covariance.Chain applies to its pivots.
+    """
+    a = matrix.entries
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            "matrix is not positive definite (non-positive Cholesky pivot)"
+        ) from exc
+    pivots = np.diagonal(lower)
+    if (pivots * pivots <= PSD_TOLERANCE * np.diagonal(a).max()).any():
+        raise NotPositiveDefinite("matrix has an effectively zero variance direction")
+    return lower
+
+
+def eigendecompose(matrix: SymMatrix) -> EigenSystem:
+    """Full symmetric eigendecomposition, eigenvalues sorted descending."""
+    try:
+        values, vectors = np.linalg.eigh(matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure("symmetric eigensolver failed to converge") from exc
+    return EigenSystem(eigenvalues=values[::-1].copy(), eigenvectors=vectors[:, ::-1].copy())
 
 
 def random_spd(dim: int, seed: int, cond_lo: float = 0.1, cond_hi: float = 10.0) -> SymMatrix:
@@ -123,6 +170,40 @@ class Dense:
         column_sums = eig.eigenvectors.sum(axis=0)
         weights = column_sums * column_sums / self.dim
         return WeightSpectrum(sigmasq=values.copy(), weights=weights)
+
+
+def estimate_equal_weight(data: Dataset) -> float:
+    """Arithmetic mean of the samples."""
+    return float(np.mean(data.samples))
+
+
+def estimate_ml(data: Dataset, cov) -> float:
+    """(mu' C^-1 s) / (mu' C^-1 mu'), the minimum-variance unbiased estimate."""
+    mu = data.design.mu_prime
+    weights = cov.solve(mu)
+    return float(weights @ data.samples) / float(weights @ mu)
+
+
+def estimate_wva(data: Dataset) -> float:
+    """sum(s_retained) / (Aw * m), m the realized retained count."""
+    design = data.design
+    retained = design.channel_slots(CHANNEL_RETAINED)
+    aw = design.coefficient(CHANNEL_RETAINED)
+    return float(data.samples[retained].sum()) / (aw * retained.size)
+
+
+def estimate_background_subtraction(data: Dataset) -> float:
+    """Sum of the +1 slots minus sum of the -1 slots, over n."""
+    return float(data.design.mu_prime @ data.samples) / data.design.n
+
+
+def estimate_wva_corrected(data: Dataset, a: float, c: float) -> float:
+    """The weak-value estimate minus Aw*c*gamma/(a + n*c) times the sum of all samples."""
+    design = data.design
+    aw = design.coefficient(CHANNEL_RETAINED)
+    gamma = design.channel_slots(CHANNEL_RETAINED).size / design.n
+    prefactor = aw * c * gamma / (a + design.n * c)
+    return estimate_wva(data) - prefactor * float(data.samples.sum())
 
 
 @pytest.fixture

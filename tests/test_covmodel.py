@@ -9,9 +9,9 @@ from estlab.covmodel import (
     solvable_spectrum,
 )
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
-from estlab.matkernel import SymMatrix, eigendecompose
+from estlab.matkernel import SymMatrix
 
-from conftest import Dense, build, random_spd, solvable_inverse
+from conftest import Dense, build, eigendecompose, random_spd, solvable_inverse
 
 
 class TestCovSpec:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from estlab.covariance import make_covariance
 from estlab.covmodel import CovSpec
 from estlab.errors import (
     DimensionMismatch,
@@ -10,28 +11,27 @@ from estlab.errors import (
     InvalidSpec,
     WrongDesign,
 )
-from estlab.estimators import (
-    Dataset,
-    estimate_background_subtraction,
-    estimate_equal_weight,
-    estimate_ml,
-    estimate_wva,
-    estimate_wva_corrected,
-)
-from estlab.matkernel import SymMatrix
+from estlab.estimators import Dataset, check_fits, estimator_weights
 from estlab.montecarlo import run_trials
-from estlab.partition import (
-    PartitionDesign,
-    direct_design,
-    make_design,
-    mean_vector,
-)
+from estlab.partition import PartitionDesign, direct_design, make_design
 
 from conftest import Dense, build
 
-
 def _dataset(samples, design):
     return Dataset(np.asarray(samples, dtype=float), design)
+
+
+def _spec(design):
+    """Unit white noise: the identity covariance."""
+    return CovSpec("white", 1.0, 0.0, design.n)
+
+
+def _estimate(name, samples, design, spec=None):
+    """check_fits, then estimator_weights applied to the samples: d_hat = w @ s."""
+    spec = _spec(design) if spec is None else spec
+    check_fits(name, spec, design)
+    weights = estimator_weights(name, spec, design, make_covariance(spec))
+    return float(weights @ np.asarray(samples, dtype=float))
 
 
 class TestDataset:
@@ -47,41 +47,39 @@ class TestDataset:
 
 class TestEqualWeight:
     def test_simple_mean(self):
-        assert estimate_equal_weight(_dataset([1.0, 2.0, 3.0], direct_design(3))) == 2.0
+        assert _estimate("equal", [1.0, 2.0, 3.0], direct_design(3)) == pytest.approx(2.0)
 
     def test_noise_free_recovery(self):
         d0 = 0.37
-        assert estimate_equal_weight(
-            _dataset(np.full(9, d0), direct_design(9))
-        ) == pytest.approx(d0)
+        assert _estimate("equal", np.full(9, d0), direct_design(9)) == pytest.approx(d0)
 
     def test_rejects_partitioned_design(self):
         design = make_design(4, "alternating")
         with pytest.raises(WrongDesign):
-            estimate_equal_weight(_dataset(np.zeros(4), design))
+            check_fits("equal", _spec(design), design)
 
 
 class TestMaximumLikelihood:
     def test_identity_covariance_is_mean(self):
-        data = _dataset([1.0, 2.0, 3.0, 6.0], direct_design(4))
-        assert estimate_ml(data, Dense(SymMatrix.identity(4))) == pytest.approx(3.0)
+        assert _estimate("ml", [1.0, 2.0, 3.0, 6.0], direct_design(4)) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("scheme,gamma", [("blocks", 0.25), ("alternating", None)])
     def test_noise_free_recovery_any_design(self, scheme, gamma):
         design = make_design(8, scheme, gamma=gamma)
         d0 = -2.5
-        data = _dataset(mean_vector(design, d0), design)
-        C = build(CovSpec("solvable", 1.0, 0.4, 8))
-        assert estimate_ml(data, Dense(C)) == pytest.approx(d0, rel=1e-12)
+        spec = CovSpec("solvable", 1.0, 0.4, 8)
+        assert _estimate("ml", design.mu_prime * d0, design, spec) == pytest.approx(
+            d0, rel=1e-12
+        )
 
     def test_equals_background_subtraction_on_balanced_solvable(self):
         design = make_design(10, "blocks", gamma=0.5)
-        C = build(CovSpec("solvable", 1.0, 0.7, 10))
+        spec = CovSpec("solvable", 1.0, 0.7, 10)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            data = _dataset(mean_vector(design, 1.0) + rng.normal(size=10), design)
-            assert estimate_ml(data, Dense(C)) == pytest.approx(
-                estimate_background_subtraction(data), rel=1e-12
+            samples = design.mu_prime + rng.normal(size=10)
+            assert _estimate("ml", samples, design, spec) == pytest.approx(
+                _estimate("bgsub", samples, design, spec), rel=1e-12
             )
 
     def test_rejects_design_without_signal(self):
@@ -93,19 +91,18 @@ class TestMaximumLikelihood:
             coefficients=np.array([2.0, 0.0]),
         )
         with pytest.raises(WrongDesign):
-            estimate_ml(_dataset(np.zeros(3), design), Dense(SymMatrix.identity(3)))
+            check_fits("ml", _spec(design), design)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            estimate_ml(_dataset(np.zeros(4), direct_design(4)), Dense(SymMatrix.identity(3)))
+        with pytest.raises(InvalidSpec):
+            check_fits("ml", CovSpec("white", 1.0, 0.0, 3), direct_design(4))
 
 
 class TestWeakValue:
     def test_noise_free_recovery(self):
         design = make_design(10, "periodic", gamma=0.2, coefficients=(5.0, 0.0))
         d0 = 0.9
-        data = _dataset(mean_vector(design, d0), design)
-        assert estimate_wva(data) == pytest.approx(d0, rel=1e-12)
+        assert _estimate("wva", design.mu_prime * d0, design) == pytest.approx(d0, rel=1e-12)
 
     def test_full_retention_unit_weak_value_is_mean(self):
         design = PartitionDesign(
@@ -115,19 +112,7 @@ class TestWeakValue:
             assignment=np.zeros(4, dtype=np.intp),
             coefficients=np.array([1.0]),
         )
-        data = _dataset([1.0, 2.0, 3.0, 6.0], design)
-        assert estimate_wva(data) == pytest.approx(3.0)
-
-    def test_literal_prefactor_convention(self):
-        # (Aw/n)*sum versus sum/(Aw*m): equal exactly when Aw^2 * m/n == 1.
-        n, m = 100, 4
-        aw = math.sqrt(n / m)
-        design = make_design(n, "periodic", gamma=m / n, coefficients=(aw, 0.0))
-        rng = np.random.default_rng(11)
-        data = _dataset(rng.normal(size=n), design)
-        assert estimate_wva(data, literal_prefactor=True) == pytest.approx(
-            estimate_wva(data), rel=1e-12
-        )
+        assert _estimate("wva", [1.0, 2.0, 3.0, 6.0], design) == pytest.approx(3.0)
 
     def test_empty_retained_set(self):
         design = PartitionDesign(
@@ -138,11 +123,12 @@ class TestWeakValue:
             coefficients=np.array([2.0, 0.0]),
         )
         with pytest.raises(EmptyRetainedSet):
-            estimate_wva(_dataset(np.zeros(3), design))
+            check_fits("wva", _spec(design), design)
 
     def test_rejects_design_without_retained_channel(self):
+        design = make_design(4, "alternating")
         with pytest.raises(WrongDesign):
-            estimate_wva(_dataset(np.zeros(4), make_design(4, "alternating")))
+            check_fits("wva", _spec(design), design)
 
 
 class TestBackgroundSubtraction:
@@ -151,65 +137,57 @@ class TestBackgroundSubtraction:
         # Binary-exact values: the +/- channel sums cancel the offset with no
         # rounding at all, so the estimate is bitwise unchanged.
         design = make_design(4, "alternating")
-        clean = mean_vector(design, 0.5)
-        assert estimate_background_subtraction(
-            _dataset(clean + offset, design)
-        ) == estimate_background_subtraction(_dataset(clean, design))
+        clean = design.mu_prime * 0.5
+        assert _estimate("bgsub", clean + offset, design) == _estimate("bgsub", clean, design)
 
     def test_common_mode_rejection_generic_offset(self):
         design = make_design(8, "alternating")
-        clean = mean_vector(design, 0.8)
-        shifted = estimate_background_subtraction(_dataset(clean + 123.456, design))
+        clean = design.mu_prime * 0.8
+        shifted = _estimate("bgsub", clean + 123.456, design)
         assert shifted == pytest.approx(0.8, abs=1e-12)
 
     def test_plus_minus_channel_difference(self):
         design = make_design(4, "alternating")
         d, b = 0.5, 2.0
         samples = [d + b, -d + b, d + b, -d + b]
-        assert estimate_background_subtraction(_dataset(samples, design)) == pytest.approx(d)
+        assert _estimate("bgsub", samples, design) == pytest.approx(d)
 
     def test_rejects_non_unit_coefficients(self):
         design = make_design(6, "blocks", gamma=1.0 / 3)
         with pytest.raises(WrongDesign):
-            estimate_background_subtraction(_dataset(np.zeros(6), design))
+            check_fits("bgsub", _spec(design), design)
 
     def test_balanced_blocks_accepted(self):
         design = make_design(6, "blocks", gamma=0.5)
-        data = _dataset(mean_vector(design, 1.25), design)
-        assert estimate_background_subtraction(data) == pytest.approx(1.25)
+        assert _estimate("bgsub", design.mu_prime * 1.25, design) == pytest.approx(1.25)
 
 
 class TestWeakValueCorrected:
     def test_zero_c_equals_plain_wva(self):
         design = make_design(100, "blocks", gamma=0.05)
-        rng = np.random.default_rng(3)
-        data = _dataset(rng.normal(size=100), design)
-        assert estimate_wva_corrected(data, 1.0, 0.0) == pytest.approx(
-            estimate_wva(data), rel=1e-12
+        spec = CovSpec("solvable", 1.0, 0.0, 100)
+        samples = np.random.default_rng(3).normal(size=100)
+        assert _estimate("wva-corrected", samples, design, spec) == pytest.approx(
+            _estimate("wva", samples, design, spec), rel=1e-12
         )
 
     def test_noise_free_default_base_exact(self):
         design = make_design(200, "blocks", gamma=0.02)
         d0 = 1.4
-        data = _dataset(mean_vector(design, d0), design)
-        assert estimate_wva_corrected(data, 1.0, 0.05) == pytest.approx(d0, rel=1e-12)
-
-    def test_noise_free_literal_base_within_documented_tolerance(self):
-        design = make_design(200, "blocks", gamma=0.02)
-        d0 = 1.4
-        gamma = design.channel_slots("retained").size / 200
-        data = _dataset(mean_vector(design, d0), design)
-        value = estimate_wva_corrected(data, 1.0, 0.05, literal_prefactor=True)
-        assert abs(value - d0) <= 2 * gamma * abs(d0)
+        spec = CovSpec("solvable", 1.0, 0.05, 200)
+        assert _estimate("wva-corrected", design.mu_prime * d0, design, spec) == pytest.approx(
+            d0, rel=1e-12
+        )
 
     def test_requires_two_channels(self):
+        design = direct_design(4)
         with pytest.raises(WrongDesign):
-            estimate_wva_corrected(_dataset(np.zeros(4), direct_design(4)), 1.0, 0.1)
+            check_fits("wva-corrected", CovSpec("solvable", 1.0, 0.1, 4), design)
 
     def test_invalid_model_parameters(self):
         design = make_design(10, "blocks", gamma=0.2)
         with pytest.raises(InvalidSpec):
-            estimate_wva_corrected(_dataset(np.zeros(10), design), 0.0, 0.1)
+            check_fits("wva-corrected", CovSpec("solvable", 0.0, 0.1, 10), design)
 
     def test_paired_variance_no_worse_than_wva(self):
         # Same seeds, same datasets: using the rejected data cannot hurt.

@@ -198,6 +198,10 @@ class TestFig7:
             fig7_sweep(scheme="chop")
         with pytest.raises(InvalidSpec):
             fig7_sweep(scheme="bernoulli", reps=0)
+        # Rejected as invalid before any chain is factored.
+        for a, c in [(1.0, -0.1), (-1.0, 0.5), (0.0, 0.0), (math.nan, 0.05)]:
+            with pytest.raises(InvalidSpec):
+                fig7_sweep(n=50, a=a, c=c, gamma=0.1, eta_grid=[0.1, 10.0])
 
     @settings(deadline=None, max_examples=50)
     @given(

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from estlab.covmodel import CovSpec
 from estlab.errors import DimensionMismatch, NotPositiveDefinite
-from estlab.matkernel import (
-    SymMatrix,
-    eigendecompose,
-    factor_spd,
-)
+from estlab.matkernel import SymMatrix
 
-from conftest import Dense, build, random_spd
+from conftest import Dense, build, eigendecompose, factor_spd, random_spd
 
 
 def inverse(matrix: SymMatrix) -> SymMatrix:

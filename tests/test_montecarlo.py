@@ -7,18 +7,8 @@ from scipy.stats import chi2
 
 from estlab.covmodel import CovSpec
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite, WrongDesign
-from estlab.estimators import (
-    ESTIMATOR_NAMES,
-    Dataset,
-    check_fits,
-    estimate_background_subtraction,
-    estimate_equal_weight,
-    estimate_ml,
-    estimate_wva,
-    estimate_wva_corrected,
-    estimator_weights,
-)
-from estlab.matkernel import SymMatrix, factor_spd
+from estlab.estimators import ESTIMATOR_NAMES, Dataset, check_fits, estimator_weights
+from estlab.matkernel import SymMatrix
 from estlab.montecarlo import (
     BLOCK_TRIALS,
     GENERATOR_NAME,
@@ -27,9 +17,18 @@ from estlab.montecarlo import (
     _trial_normals,
     run_trials,
 )
-from estlab.partition import direct_design, make_design, mean_vector
+from estlab.partition import direct_design, make_design
 
-from conftest import Dense, build
+from conftest import (
+    Dense,
+    build,
+    estimate_background_subtraction,
+    estimate_equal_weight,
+    estimate_ml,
+    estimate_wva,
+    estimate_wva_corrected,
+    factor_spd,
+)
 
 
 def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -171,6 +170,12 @@ class TestRunTrials:
         with pytest.raises(InvalidSpec, match="2\\*\\*32"):
             run_trials(spec, direct_design(10), "equal", trials=100_000_000_000, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "non-integral"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        spec = CovSpec("solvable", 1.0, 0.05, 10)
+        with pytest.raises(InvalidSpec, match="seed"):
+            run_trials(spec, direct_design(10), "equal", trials=10, seed=seed)
+
     def test_design_size_must_match(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
@@ -188,10 +193,6 @@ class TestRunTrials:
             run_trials(spec, design, "wva-corrected", trials=10, seed=0)
 
     def test_ml_matches_public_estimator_sample_for_sample(self):
-        from estlab.estimators import Dataset, estimate_ml
-        from estlab.matkernel import factor_spd
-        from estlab.partition import mean_vector
-
         spec = CovSpec("solvable", 1.0, 0.3, 12)
         design = make_design(12, "blocks", gamma=0.25)
         ens = run_trials(spec, design, "ml", trials=5, seed=77)
@@ -199,7 +200,7 @@ class TestRunTrials:
         lower = factor_spd(matrix)
         for t in range(5):
             z = standard_normal(_rng_for(77, t), 12)
-            data = Dataset(mean_vector(design, 1.0) + lower @ z, design)
+            data = Dataset(design.mu_prime + lower @ z, design)
             assert ens.estimates[t] == pytest.approx(
                 estimate_ml(data, Dense(matrix)), rel=1e-12
             )
@@ -209,7 +210,7 @@ def _reference_estimates(spec, design, estimator, d_true, trials, seed):
     """The per-trial loop: standard_normal -> Dataset -> estimate_* for each trial."""
     matrix = build(spec)
     lower = factor_spd(matrix)
-    mean = mean_vector(design, d_true)
+    mean = design.mu_prime * d_true
     apply = {
         "equal": estimate_equal_weight,
         "ml": lambda data: estimate_ml(data, Dense(matrix)),

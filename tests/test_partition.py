@@ -10,7 +10,6 @@ from estlab.matkernel import SymMatrix
 from estlab.partition import (
     direct_design,
     make_design,
-    mean_vector,
     spin_coefficients,
     spin_model,
 )
@@ -174,17 +173,19 @@ class TestSubmatrix:
 
 
 class TestMeanVector:
+    """The expected samples mu_prime * d of each layout."""
+
     def test_alternating(self):
         design = make_design(6, "alternating")
-        assert np.array_equal(mean_vector(design, 2.0), [2, -2, 2, -2, 2, -2])
+        assert np.array_equal(design.mu_prime * 2.0, [2, -2, 2, -2, 2, -2])
 
     def test_balanced_blocks_spin_values(self):
         design = make_design(4, "blocks", gamma=0.5)
-        assert mean_vector(design, 1.0).tolist() == pytest.approx([-1.0, -1.0, 1.0, 1.0])
+        assert design.mu_prime.tolist() == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_retained_only_amplification(self):
         design = make_design(10, "periodic", gamma=0.2, coefficients=(4.0, 0.0))
-        vec = mean_vector(design, 0.5)
+        vec = design.mu_prime * 0.5
         retained = design.channel_slots("retained")
         assert np.array_equal(vec[retained], np.full(retained.size, 2.0))
         assert not vec[np.setdiff1d(np.arange(10), retained)].any()
