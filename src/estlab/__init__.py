@@ -8,7 +8,7 @@ Fisher information (closed form and numeric) and seeded Monte Carlo trials.
 __version__ = "0.1.0"
 
 from .covariance import Chain, make_covariance
-from .covmodel import CovSpec, WeightSpectrum, solvable_spectrum
+from .covmodel import CovSpec, WeightSpectrum
 from .errors import EstlabError
 from .fisher import (
     FisherReport,
@@ -53,7 +53,6 @@ __all__ = [
     "make_design",
     "optimal_alpha",
     "run_trials",
-    "solvable_spectrum",
     "spin_model",
     "two_outcome_variance",
 ]

@@ -14,10 +14,11 @@ Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 I/O failure,
 5 numeric failure.  The class of the error decides, not where it was raised:
 a NumericFailure (valid inputs, failed computation) or FloatingPointError is
 5, any other EstlabError 3 and an OSError 4.  The library checks what its
-inputs mean; this module checks only what lives in argv: finite float flags,
-the seeds, grid ranges and covariances singular by construction.  Output
-CSVs are written atomically (temp file then rename); all randomness is
-traceable to --seed, with the ESTLAB_SEED environment variable as fallback.
+inputs mean, such as a covariance singular by construction
+(covmodel.check_model); this module checks only what lives in argv: finite
+float flags, the seeds and the grid ranges.  Output CSVs are written
+atomically (temp file then rename); all randomness is traceable to --seed,
+with the ESTLAB_SEED environment variable as fallback.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import make_covariance
-from .covmodel import (
-    KIND_EXPONENTIAL,
-    KIND_SOLVABLE,
-    KIND_WHITE,
-    CovSpec,
-    solvable_spectrum,
-)
+from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec
 from .errors import EstlabError, NumericFailure
 from .estimators import ESTIMATOR_NAMES
 from .experiments import (
@@ -319,22 +314,8 @@ def _grid(name: str, lo: float, hi: float, points: int, log: bool = False) -> np
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
-def _nonsingular(spec: CovSpec) -> CovSpec:
-    """``spec``, unless its covariance is singular by construction.
-
-    CovSpec keeps these boundaries representable, but each covariance has a
-    zero-variance direction that no command can use.
-    """
-    solvable = spec.kind == KIND_SOLVABLE
-    if (spec.a == 0.0 and (spec.c == 0.0 or solvable)) or (
-            solvable and spec.c <= -spec.a / spec.n):
-        raise EstlabError(
-            f"the {spec.kind} covariance with a={spec.a!r}, c={spec.c!r} is singular")
-    return spec
-
-
 def _fisher_result(args: argparse.Namespace) -> SweepResult:
-    spec = _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=args.eta))
+    spec = CovSpec(args.model, args.a, args.c, args.n, eta=args.eta)
     shift = args.mean_shift
     cov = make_covariance(spec)
     # First, as it rejects a zero shift, which the closed forms divide by.
@@ -345,15 +326,11 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
         closed = fi_wva_solvable(spec.a, spec.c, spec.n, 1.0, shift)
         closed_ew = (spec.a / spec.n + spec.c) / (shift * shift)
         rows.append((spec.kind, "closed_form", closed, closed_ew))
-        spectrum = solvable_spectrum(spec.a, spec.c, spec.n)
     elif spec.kind == KIND_WHITE:
         closed = fi_wva_solvable(spec.a + spec.c, 0.0, spec.n, 1.0, shift)
         rows.append((spec.kind, "closed_form", closed, 1.0 / closed))
-        spectrum = solvable_spectrum(spec.a + spec.c, 0.0, spec.n)
-    else:
-        spectrum = cov.spectrum()
     rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
-    eigen = fi_eigen(spectrum, spec.n, shift)
+    eigen = fi_eigen(cov.spectrum(), spec.n, shift)
     rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))
     return SweepResult(
         name="fisher",
@@ -383,7 +360,7 @@ def _simulate_design(args: argparse.Namespace):
 
 
 def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
-    spec = _nonsingular(CovSpec(args.model, args.a, args.c, args.n, eta=args.eta))
+    spec = CovSpec(args.model, args.a, args.c, args.n, eta=args.eta)
     design = _simulate_design(args)
     ensemble = run_trials(
         spec, design, args.estimator,
@@ -454,8 +431,6 @@ def _outputs(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
     elif args.command == "figure":
         result = _figure_result(args)
     elif args.command == "table1":
-        # The white model is singular only where the solvable one is too.
-        _nonsingular(CovSpec(KIND_SOLVABLE, args.a, args.c, args.n))
         result = table1(args.a, args.c, args.n, args.gamma)
     else:
         result = delta_i_summary(args.a, args.c, args.n)

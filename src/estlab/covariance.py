@@ -8,7 +8,8 @@ Carlo loading in estlab is one of
 * ``form(U)``      u'C u for each column,
 * ``loading(U)``   G'U for the Cholesky factor G of C (C = G G'),
 * ``restrict(idx)``  the covariance of a retained subset of the slots,
-* ``spectrum()``   eigenvalues of C with the flat-vector weights.
+* ``spectrum()``   eigenvalues of C with the flat-vector weights, for every
+                   model: closed form at eta = 0 and eta = inf.
 
 All three noise models are white noise plus an Ornstein-Uhlenbeck (AR(1))
 chain on increasing sample times t,
@@ -255,19 +256,26 @@ class Chain:
         return Chain(self.a, self.c, self.eta, self.times[subset_index(idx, self.dim)])
 
     def spectrum(self) -> WeightSpectrum:
-        """Eigenpairs of C from the tridiagonal K^-1, O(n^2) for the vectors.
+        """Eigenvalues of C with the weights of the flat vector in each mode.
 
-        Eigenvectors come from eigh_tridiagonal; each eigenvalue of K^-1 is
-        then recomputed as the Rayleigh quotient in bidiagonal form,
+        At eta = 0 (K = I) every eigenvalue is a + c, and at eta = inf (K
+        all ones) the flat mode has n*c + a and carries all the weight, the
+        others a.  A finite eta takes the eigenvectors of the tridiagonal
+        K^-1 from eigh_tridiagonal, O(n^2); each eigenvalue of K^-1 is then
+        recomputed as the Rayleigh quotient in bidiagonal form,
         v_0^2 + sum_j ((v_j - v_{j-1}) + (1 - rho_j) v_{j-1})^2 / (1 - rho_j^2),
         which is free of cancellation and second order in the vector error,
         where the eigenvalues eigh_tridiagonal returns lose digits as rho -> 1.
-        K is singular at eta = inf, which has no such K^-1.
         """
         if self.eta.ndim:
             raise InvalidSpec("spectrum needs a single eta, not a grid")
-        if np.isinf(self.eta):
-            raise InvalidSpec("spectrum needs a finite eta")
+        if self.eta == 0.0 or np.isinf(self.eta):
+            sigmasq = np.full(self.dim, self.a + self.c if self.eta == 0.0 else self.a)
+            if np.isinf(self.eta):
+                sigmasq[0] = self.dim * self.c + self.a
+            weights = np.zeros(self.dim)
+            weights[0] = 1.0
+            return WeightSpectrum(sigmasq=sigmasq, weights=weights)
         with np.errstate(divide="ignore"):
             lag = np.diff(self.times) / self.eta
         rho = np.exp(-lag)

@@ -8,13 +8,16 @@ and correlated variance ``c``:
 * ``white``        C_ij = (a + c)*delta_ij
 
 ``eta = tau/dt`` is the correlation time in units of the sampling interval;
-only the ratio matters, so tau and dt are never stored separately.  The
-solvable model has eigenvalues (N*c + a, a, ..., a) with the flat vector as
-leading eigenvector, which makes every estimator comparison exact.
+only the ratio matters, so tau and dt are never stored separately.
+``check_model`` is the model's domain rule, the one place that decides which
+(kind, a, c, n) give a covariance that is nonsingular by construction;
+CovSpec and every closed form apply it.  The spectra live with the operator,
+in ``covariance.Chain.spectrum``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,30 @@ KIND_WHITE = "white"
 _KINDS = (KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE)
 
 
+def check_model(kind: str, a: float, c: float, n: int) -> None:
+    """Raise InvalidSpec unless a*I + c*K of this kind is nonsingular by construction.
+
+    n is a positive integer, a finite and >= 0 and c finite.  The solvable
+    model, with eigenvalues a + n*c and a, needs a > 0 and c > -a/n; the
+    white and exponential models need c >= 0 and not a = c = 0.
+    """
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown covariance kind {kind!r}")
+    # Comparisons with nan are false, so a nan n, a or c fails these tests.
+    if not (n >= 1 and n % 1 == 0):
+        raise InvalidSpec(f"n must be a positive integer, got {n!r}")
+    if not (0.0 <= a < math.inf and -math.inf < c < math.inf):
+        raise InvalidSpec(f"a must be finite and >= 0 and c finite, got a={a!r}, c={c!r}")
+    if kind == KIND_SOLVABLE:
+        if not (a > 0.0 and c > -a / n):
+            raise InvalidSpec(
+                f"the solvable model needs a > 0 and c > -a/n, got a={a!r}, c={c!r}, n={n}"
+            )
+    elif c < 0.0 or a == c == 0.0:
+        raise InvalidSpec(f"the {kind} model needs c >= 0 and not a = c = 0, "
+                          f"got a={a!r}, c={c!r}")
+
+
 @dataclass(frozen=True)
 class CovSpec:
     """Declarative covariance model: kind plus parameters (a, c, eta, n)."""
@@ -39,33 +66,14 @@ class CovSpec:
     eta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidSpec(f"unknown covariance kind {self.kind!r}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise InvalidSpec("n must be a positive integer")
-        if not np.isfinite(self.a) or self.a < 0.0:
-            raise InvalidSpec("white-noise variance a must be finite and >= 0")
-        if not np.isfinite(self.c):
-            raise InvalidSpec("correlated variance c must be finite")
-        if self.kind == KIND_SOLVABLE:
-            if self.c < -self.a / self.n:
-                raise InvalidSpec(
-                    f"solvable model requires c >= -a/n, got c={self.c}"
-                )
+        check_model(self.kind, self.a, self.c, self.n)
+        if self.kind != KIND_EXPONENTIAL:
             if self.eta is not None:
                 raise InvalidSpec("eta applies to the exponential kind only")
-        elif self.kind == KIND_EXPONENTIAL:
-            if self.c < 0.0:
-                raise InvalidSpec("exponential model requires c >= 0")
-            if self.eta is None or not np.isfinite(self.eta) or self.eta < 0.0:
-                raise InvalidSpec(
-                    f"exponential model requires a finite eta >= 0, got {self.eta}"
-                )
-        else:
-            if self.c < 0.0:
-                raise InvalidSpec("white model requires c >= 0")
-            if self.eta is not None:
-                raise InvalidSpec("eta applies to the exponential kind only")
+        elif self.eta is None or not np.isfinite(self.eta) or self.eta < 0.0:
+            raise InvalidSpec(
+                f"exponential model requires a finite eta >= 0, got {self.eta}"
+            )
 
     def digest(self) -> str:
         """Compact textual record used in run metadata."""
@@ -102,25 +110,3 @@ class WeightSpectrum:
         w.setflags(write=False)
         object.__setattr__(self, "sigmasq", sig)
         object.__setattr__(self, "weights", w)
-
-
-def solvable_spectrum(a: float, c: float, n: int) -> WeightSpectrum:
-    """Closed-form spectrum of the solvable model.
-
-    Eigenvalues are (n*c + a, a, ..., a); the flat vector carries all of the
-    weight, so w = (1, 0, ..., 0).  The boundary c = -a/n has a zero leading
-    eigenvalue (a deterministic direction) and is rejected.
-    """
-    if a <= 0.0:
-        raise InvalidSpec("solvable spectrum requires a > 0")
-    if c < -a / n:
-        raise InvalidSpec("solvable model requires c >= -a/n")
-    leading = n * c + a
-    if leading <= 0.0:
-        raise InvalidSpec("leading eigenvalue n*c + a must be positive")
-    sigmasq = np.full(n, a)
-    sigmasq[0] = leading
-    weights = np.zeros(n)
-    weights[0] = 1.0
-    return WeightSpectrum(sigmasq=sigmasq, weights=weights)
-

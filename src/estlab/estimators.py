@@ -48,8 +48,6 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
     if name == "wva-corrected":
         if spec.kind != KIND_SOLVABLE:
             raise InvalidSpec("wva-corrected applies to the solvable model only")
-        if spec.a <= 0.0 or spec.a + spec.n * spec.c <= 0.0:
-            raise InvalidSpec("correction requires solvable parameters with a + n*c > 0")
     if name == "equal":
         if len(design.channels) != 1 or design.coefficients[0] != 1.0:
             raise WrongDesign("the equal estimator needs a single channel with "

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import Chain, make_covariance
-from .covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec
+from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec, check_model
 from .errors import DegenerateDenominator, EmptyRetainedSet, InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
@@ -375,9 +375,7 @@ def fig7_sweep(
     eta_grid = np.asarray(eta_grid, dtype=float).ravel()
     if (eta_grid < 0.0).any():
         raise InvalidSpec("eta grid must be non-negative")
-    # Comparisons with nan are false, so a nan a or c fails the range test.
-    if not (0.0 <= a < math.inf and 0.0 <= c < math.inf) or a == c == 0.0:
-        raise InvalidSpec(f"fig7 needs finite a, c >= 0, not both zero; got a={a!r}, c={c!r}")
+    check_model(KIND_EXPONENTIAL, a, c, n)
 
     designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]
@@ -435,12 +433,9 @@ def fig7_sweep(
 
 def delta_i(a: float, c: float, n: int) -> float:
     """Information gap N/a - N/(a+c) between full partitioning and WVA."""
-    if a <= 0.0:
-        raise InvalidSpec("delta_i requires a > 0")
     if c < 0.0:
         raise InvalidSpec("delta_i requires c >= 0")
-    if n < 1:
-        raise InvalidSpec("delta_i requires n >= 1")
+    check_model(KIND_SOLVABLE, a, c, n)
     return n / a - n / (a + c)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Covariance
-from .covmodel import WeightSpectrum
+from .covmodel import KIND_SOLVABLE, WeightSpectrum, check_model
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -212,15 +212,6 @@ def fi_partitioned(
     )
 
 
-def _check_solvable(a: float, c: float, n: int) -> None:
-    if a <= 0.0:
-        raise InvalidSpec("solvable closed forms require a > 0")
-    if n < 1:
-        raise InvalidSpec("n must be at least 1")
-    if c <= -a / n:
-        raise InvalidSpec("solvable closed forms require c > -a/n")
-
-
 def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> float:
     """Post-selected information on the solvable model: Aw^2 * gN / (a + gNc).
 
@@ -229,11 +220,12 @@ def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> floa
     Aw^2 = 1/gamma this equals N / (a + gamma*N*c): post-selection shrinks
     the correlated variance by the retention probability.
     """
-    _check_solvable(a, c, n)
+    check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma <= 1.0:
         raise InvalidSpec(f"gamma must lie in (0, 1], got {gamma}")
     retained = gamma * n
     denom = a + retained * c
+    # For c one ulp above -a/n, n*c can round to -a.
     if denom <= 0.0:
         raise InvalidSpec("retained covariance a + gamma*n*c must be positive")
     return aw * aw * retained / denom
@@ -251,7 +243,7 @@ def fi_opm_solvable(
     using both channels and their cross-correlation removes the correlated
     noise entirely.
     """
-    _check_solvable(a, c, n)
+    check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma < 1.0:
         raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
     n1 = gamma * n

@@ -20,6 +20,7 @@ inverse CDF, and memory stays O(BLOCK_TRIALS * n).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -137,16 +138,17 @@ def run_trials(
     L @ z_t with z_t drawn from its own substream; the empirical variance
     uses the unbiased (T - 1) normalization.
     """
-    if trials < 2:
-        raise InvalidSpec("at least 2 trials are required for a variance")
-    if trials > MAX_TRIALS:
-        raise InvalidSpec(f"at most 2**32 trials are supported, got {trials}")
     try:
-        seed = operator.index(seed)
+        trials, seed = operator.index(trials), operator.index(seed)
     except TypeError:
-        raise InvalidSpec(f"seed must be an integer, got {seed!r}") from None
+        raise InvalidSpec(f"trials and seed must be integers, got {trials!r}, {seed!r}") from None
+    # At least 2 for a variance, at most 2**32 for one-word spawn keys.
+    if not 2 <= trials <= MAX_TRIALS:
+        raise InvalidSpec(f"trials must lie in [2, 2**32], got {trials}")
     if seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(d_true):
+        raise InvalidSpec(f"d_true must be finite, got {d_true!r}")
     # Invalid inputs are reported before factoring can fail numerically.
     check_fits(estimator, spec, design)
     cov = make_covariance(spec)

@@ -89,22 +89,23 @@ def solvable_inverse(a: float, c: float, n: int) -> SymMatrix:
 
 
 def build(spec: CovSpec) -> SymMatrix:
-    """Materialize the covariance matrix described by ``spec``.
+    """Materialize the covariance matrix described by ``spec``."""
+    eta = {KIND_SOLVABLE: np.inf, KIND_WHITE: 0.0}.get(spec.kind, spec.eta)
+    return chain_matrix(spec.a, spec.c, eta, spec.n)
+
+
+def chain_matrix(a: float, c: float, eta: float, n: int) -> SymMatrix:
+    """a*I + c*K with K_ij = exp(-|i-j|/eta) on the slots 0 .. n-1, any (a, c).
 
     eta = 0 is mapped to the white limit exactly (diagonal a + c) instead of
-    evaluating exp(-inf), which would be 0/0 on the diagonal.
+    evaluating exp(-inf), which would be 0/0 on the diagonal; eta = inf
+    gives K all ones, the solvable model.
     """
-    n = spec.n
-    if spec.kind == KIND_SOLVABLE:
-        m = np.full((n, n), spec.c)
-        m[np.diag_indices(n)] += spec.a
-        return SymMatrix(m)
-    if spec.kind == KIND_WHITE or spec.eta == 0.0:
-        return SymMatrix((spec.a + spec.c) * np.eye(n))
+    if eta == 0.0:
+        return SymMatrix((a + c) * np.eye(n))
     idx = np.arange(n)
-    lags = np.abs(idx[:, None] - idx[None, :])
-    m = spec.c * np.exp(-lags / spec.eta)
-    m[np.diag_indices(n)] += spec.a
+    m = c * np.exp(-np.abs(idx[:, None] - idx[None, :]) / eta)
+    m[np.diag_indices(n)] += a
     return SymMatrix(m)
 
 

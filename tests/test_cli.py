@@ -322,6 +322,18 @@ class TestFisherCommand:
         assert methods == {"numeric_inverse", "eigen_weighted"}
         capsys.readouterr()
 
+    def test_exponential_at_eta_zero_has_the_white_spectrum(self, tmp_path, capsys):
+        # eta = 0 is the white model: the same closed-form spectrum, same bytes.
+        rows = {}
+        for model in (["white"], ["exponential", "--eta", "0"]):
+            out = tmp_path / f"{model[0]}.csv"
+            assert main(["fisher", "--model", *model, "--a", "1.3", "--c", "0.4",
+                         "--n", "777", "-o", str(out)]) == 0
+            rows[model[0]] = {r[1]: r[2:] for r in read_csv(out)[2]}
+        assert rows["exponential"]["eigen_weighted"] == rows["white"]["eigen_weighted"]
+        assert rows["exponential"]["numeric_inverse"] == rows["white"]["numeric_inverse"]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("eta", [1e-2, 0.37, 10.0, 123.4, 1e3, 1e4, 1e5, 1e6])
     def test_exponential_rows_match_levinson(self, tmp_path, capsys, eta):
         n, a, c = 2000, 1.3, 0.07

@@ -15,7 +15,7 @@ from estlab.errors import (
 )
 from estlab.fisher import fi_eigen
 
-from conftest import Dense, build
+from conftest import Dense, build, chain_matrix
 
 # The spectrum keeps its tridiagonal K^-1 eigensolver; the factor is held tighter.
 RTOL = 1e-10
@@ -91,9 +91,8 @@ def test_chain_matches_dense(spec, seed, data):
     else:
         kept = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="kept"))
     _assert_factor_matches_dense(chain.restrict(kept), dense.restrict(kept), seed)
-    if spec.kind != "solvable":
-        _assert_spectrum_matches_dense(chain, dense)
-        _assert_spectrum_matches_dense(chain.restrict(kept), dense.restrict(kept))
+    _assert_spectrum_matches_dense(chain, dense)
+    _assert_spectrum_matches_dense(chain.restrict(kept), dense.restrict(kept))
 
 
 @settings(deadline=None, max_examples=60)
@@ -173,18 +172,19 @@ def test_make_covariance_picks_by_kind():
     assert make_covariance(CovSpec("exponential", 1.0, 0.1, 5, eta=2.0)).eta == 2.0
 
 
-@pytest.mark.parametrize("spec,accepted", [
+# (a, c, eta) of chains on three slots, singular cases included: CovSpec
+# rejects the ones singular by construction, so the chain is built directly.
+@pytest.mark.parametrize("a,c,eta,accepted", [
     # The exponential cases keep their eta as id.
-    pytest.param(CovSpec("exponential", 0.0, 1.0, 3, eta=1.0), True, id="1.0"),
-    pytest.param(CovSpec("exponential", 0.0, 1.0, 3, eta=1e12), False,
-                 id="1000000000000.0"),
-    pytest.param(CovSpec("solvable", 0.0, 1.0, 3), False, id="solvable-a0"),
-    pytest.param(CovSpec("solvable", 1.0, -0.3, 3), True, id="solvable-c-negative"),
-    pytest.param(CovSpec("solvable", 1.0, -1.0 / 3.0, 3), False, id="solvable-c-boundary"),
-    pytest.param(CovSpec("white", 0.0, 0.0, 3), False, id="white-zero"),
-    pytest.param(CovSpec("white", 0.0, 1e-3, 3), True, id="white-a0"),
+    pytest.param(0.0, 1.0, 1.0, True, id="1.0"),
+    pytest.param(0.0, 1.0, 1e12, False, id="1000000000000.0"),
+    pytest.param(0.0, 1.0, np.inf, False, id="solvable-a0"),
+    pytest.param(1.0, -0.3, np.inf, True, id="solvable-c-negative"),
+    pytest.param(1.0, -1.0 / 3.0, np.inf, False, id="solvable-c-boundary"),
+    pytest.param(0.0, 0.0, 0.0, False, id="white-zero"),
+    pytest.param(0.0, 1e-3, 0.0, True, id="white-a0"),
 ])
-def test_zero_white_noise_accepted_exactly_when_dense_is(spec, accepted):
+def test_zero_white_noise_accepted_exactly_when_dense_is(a, c, eta, accepted):
     def accepts(make):
         try:
             make().quad(np.ones(3))
@@ -192,8 +192,11 @@ def test_zero_white_noise_accepted_exactly_when_dense_is(spec, accepted):
             return False
         return True
 
-    assert accepts(lambda: make_covariance(spec)) == accepts(lambda: Dense(build(spec)))
-    assert accepts(lambda: make_covariance(spec)) == accepted
+    def chain():
+        return Chain(a, c, eta, np.arange(3))
+
+    assert accepts(chain) == accepts(lambda: Dense(chain_matrix(a, c, eta, 3)))
+    assert accepts(chain) == accepted
 
 
 def test_validation():
@@ -214,5 +217,7 @@ def test_validation():
         cov.restrict([0, 4])
     with pytest.raises(InvalidSpec):
         cov.spectrum()
-    with pytest.raises(InvalidSpec):
-        Chain(1.0, 0.1, np.inf, np.arange(4)).spectrum()
+    # eta = inf has no tridiagonal K^-1: its spectrum is the closed form.
+    spectrum = Chain(1.0, 0.1, np.inf, np.arange(4)).spectrum()
+    assert np.array_equal(spectrum.sigmasq, [4 * 0.1 + 1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(spectrum.weights, [1.0, 0.0, 0.0, 0.0])

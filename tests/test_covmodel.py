@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covmodel import (
-    CovSpec,
-    WeightSpectrum,
-    solvable_spectrum,
-)
+from estlab.covariance import make_covariance
+from estlab.covmodel import CovSpec, WeightSpectrum
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
+from estlab.experiments import delta_i, fig7_sweep
+from estlab.fisher import fi_opm_solvable, fi_wva_solvable
 from estlab.matkernel import SymMatrix
 
 from conftest import Dense, build, eigendecompose, random_spd, solvable_inverse
@@ -20,9 +19,11 @@ class TestCovSpec:
             CovSpec("gaussian", 1.0, 0.0, 4)
 
     def test_solvable_c_bound(self):
-        CovSpec("solvable", 1.0, -1.0 / 4, 4)  # boundary itself is representable
-        with pytest.raises(InvalidSpec):
-            CovSpec("solvable", 1.0, -0.3, 4)
+        CovSpec("solvable", 1.0, -0.24, 4)
+        # The boundary c = -a/n has a zero eigenvalue a + n*c.
+        for c in (-1.0 / 4, -0.3):
+            with pytest.raises(InvalidSpec):
+                CovSpec("solvable", 1.0, c, 4)
 
     def test_solvable_rejects_eta(self):
         with pytest.raises(InvalidSpec):
@@ -47,6 +48,43 @@ class TestCovSpec:
     def test_bad_n(self):
         with pytest.raises(InvalidSpec):
             CovSpec("solvable", 1.0, 0.1, 0)
+
+
+# Every entry point that takes a model's (a, c, n) applies covmodel.check_model.
+MODEL_ENTRY_POINTS = {
+    "CovSpec-solvable": lambda a, c, n: CovSpec("solvable", a, c, n),
+    "CovSpec-white": lambda a, c, n: CovSpec("white", a, c, n),
+    "CovSpec-exponential": lambda a, c, n: CovSpec("exponential", a, c, n, eta=1.0),
+    "fi_wva_solvable": lambda a, c, n: fi_wva_solvable(a, c, n, 0.5, 1.0),
+    "fi_opm_solvable": lambda a, c, n: fi_opm_solvable(a, c, n, 0.5, 1.0, -1.0),
+    "fig7_sweep": lambda a, c, n: fig7_sweep(n=n, a=a, c=c, gamma=0.5, eta_grid=[1.0]),
+    "delta_i": delta_i,
+}
+
+
+# Each triple is outside every model's domain: non-finite, a fractional or
+# zero n, or singular by construction (c = -a/n for the solvable model, a
+# negative c for the others, a = c = 0 for all).
+@pytest.mark.parametrize("a,c,n", [
+    (math.nan, 0.05, 10), (math.inf, 0.05, 10), (-1.0, 0.05, 10),
+    (1.0, math.nan, 10), (1.0, math.inf, 10), (1.0, -math.inf, 10),
+    (1.0, 0.05, 10.5), (1.0, 0.05, 0), (0.0, 0.0, 10), (1.0, -0.1, 10),
+])
+@pytest.mark.parametrize("entry", list(MODEL_ENTRY_POINTS))
+def test_one_domain_rule_everywhere(entry, a, c, n):
+    with pytest.raises(InvalidSpec):
+        MODEL_ENTRY_POINTS[entry](a, c, n)
+
+
+@pytest.mark.parametrize("entry", list(MODEL_ENTRY_POINTS))
+def test_only_the_solvable_model_needs_white_noise(entry):
+    # K all ones has rank 1, so the solvable model with a = 0 is singular; an
+    # exponential K at finite eta is positive definite on its own.
+    if entry in ("CovSpec-white", "CovSpec-exponential", "fig7_sweep"):
+        MODEL_ENTRY_POINTS[entry](0.0, 0.05, 10)
+    else:
+        with pytest.raises(InvalidSpec):
+            MODEL_ENTRY_POINTS[entry](0.0, 0.05, 10)
 
 
 class TestBuild:
@@ -76,21 +114,21 @@ class TestBuild:
 
 class TestSolvableSpectrum:
     def test_example(self):
-        ws = solvable_spectrum(1.0, 2.0, 3)
+        ws = make_covariance(CovSpec("solvable", 1.0, 2.0, 3)).spectrum()
         assert np.array_equal(ws.sigmasq, [7.0, 1.0, 1.0])
         assert np.array_equal(ws.weights, [1.0, 0.0, 0.0])
 
     def test_white_case(self):
-        ws = solvable_spectrum(2.0, 0.0, 5)
+        ws = make_covariance(CovSpec("solvable", 2.0, 0.0, 5)).spectrum()
         assert np.array_equal(ws.sigmasq, np.full(5, 2.0))
         assert ws.weights[0] == 1.0
 
     def test_boundary_rejected(self):
         with pytest.raises(InvalidSpec):
-            solvable_spectrum(1.0, -1.0 / 8, 8)
+            CovSpec("solvable", 1.0, -1.0 / 8, 8)
 
     def test_weights_sum_exactly(self):
-        ws = solvable_spectrum(1.0, 0.3, 64)
+        ws = make_covariance(CovSpec("solvable", 1.0, 0.3, 64)).spectrum()
         assert abs(ws.weights.sum() - 1.0) <= 1e-12
 
 
@@ -105,7 +143,7 @@ class TestSpectrumFromMatrix:
     def test_matches_solvable_closed_form(self):
         m = build(CovSpec("solvable", 1.0, 2.0, 3))
         ws = Dense(m).spectrum()
-        closed = solvable_spectrum(1.0, 2.0, 3)
+        closed = make_covariance(CovSpec("solvable", 1.0, 2.0, 3)).spectrum()
         assert np.allclose(np.sort(ws.sigmasq), np.sort(closed.sigmasq), rtol=1e-9)
         assert ws.weights[0] == pytest.approx(1.0, abs=1e-10)
 

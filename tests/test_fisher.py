@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from estlab.covmodel import CovSpec, solvable_spectrum
+from estlab.covariance import Chain, make_covariance
+from estlab.covmodel import CovSpec
 from estlab.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -26,7 +27,7 @@ from estlab.fisher import (
     two_outcome_variance,
 )
 from estlab.matkernel import SymMatrix
-from estlab.partition import make_design, spin_model
+from estlab.partition import CHANNEL_RETAINED, make_design, spin_model
 
 from conftest import Dense, build, random_spd
 
@@ -75,11 +76,11 @@ class TestDirectNumeric:
 
 class TestEigenWeighted:
     def test_solvable_example(self):
-        ws = solvable_spectrum(1.0, 2.0, 3)
+        ws = make_covariance(CovSpec("solvable", 1.0, 2.0, 3)).spectrum()
         assert fi_eigen(ws, 3).value == pytest.approx(3.0 / 7.0, rel=1e-12)
 
     def test_white(self):
-        ws = solvable_spectrum(2.0, 0.0, 8)
+        ws = make_covariance(CovSpec("solvable", 2.0, 0.0, 8)).spectrum()
         assert fi_eigen(ws, 8).value == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_direct_on_random_spd(self):
@@ -89,8 +90,9 @@ class TestEigenWeighted:
         assert eigen == pytest.approx(direct, rel=1e-8)
 
     def test_size_mismatch(self):
+        spectrum = make_covariance(CovSpec("solvable", 1.0, 0.0, 4)).spectrum()
         with pytest.raises(InvalidSpectrum):
-            fi_eigen(solvable_spectrum(1.0, 0.0, 4), 5)
+            fi_eigen(spectrum, 5)
 
 
 class TestTwoOutcome:
@@ -303,6 +305,35 @@ class TestInformationInequalities:
         rep = fi_direct_numeric(Dense(m))
         assert rep.equal_weight_variance * rep.value >= 1.0 - 1e-12
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        scheme=st.sampled_from(["periodic", "bernoulli"]),
+        n=st.floats(math.log(2.0), math.log(2000.0)).map(lambda x: int(math.exp(x))),
+        a=st.floats(-2.0, 2.0).map(lambda x: 10.0**x),
+        c=st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda x: 10.0**x)),
+        gamma=st.floats(1e-3, 0.9),
+        eta=st.one_of(st.just(0.0), st.floats(-2.0, 6.0).map(lambda x: 10.0**x),
+                      st.just(math.inf)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_all_slots_inform_at_least_the_retained_ones(
+        self, scheme, n, a, c, gamma, eta, seed
+    ):
+        # Schur complement: (C^-1)_RR >= (C_RR)^-1, so the optimal analysis of
+        # a WVA design (its mu' on all slots) never loses to the retained block
+        # alone, and the two agree for white noise, where no slot informs
+        # another.  Both are computed only to rounding, hence the 1e-12 slack.
+        design = make_design(n, scheme, gamma=gamma, seed=seed)
+        retained = design.channel_slots(CHANNEL_RETAINED)
+        assume(retained.size > 0)
+        cov = Chain(a, c, eta, np.arange(n))
+        full = fi_partitioned(cov, design.mu_prime).value
+        aw = design.coefficient(CHANNEL_RETAINED)
+        wva = aw * aw * float(cov.restrict(retained).quad(np.ones(retained.size)))
+        assert full >= wva * (1.0 - 1e-12)
+        if eta == 0.0:
+            assert full == pytest.approx(wva, rel=1e-12)
+
     @pytest.mark.parametrize(
         "a,c,n", [(1.0, 0.05, 10), (2.0, 1.5, 100), (1.0, -0.004, 200), (0.3, 0.0, 7)]
     )
@@ -316,6 +347,7 @@ class TestInformationInequalities:
         a, c = 1.0, 0.05
         closed = fi_wva_solvable(a, c, n, 1.0, 1.0)  # gamma = 1: direct closed form
         numeric = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n)))).value
-        eigen = fi_eigen(solvable_spectrum(a, c, n), n).value
+        spectrum = make_covariance(CovSpec("solvable", a, c, n)).spectrum()
+        eigen = fi_eigen(spectrum, n).value
         assert numeric == pytest.approx(closed, rel=1e-8)
         assert eigen == pytest.approx(closed, rel=1e-8)

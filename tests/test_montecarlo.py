@@ -176,6 +176,13 @@ class TestRunTrials:
         with pytest.raises(InvalidSpec, match="seed"):
             run_trials(spec, direct_design(10), "equal", trials=10, seed=seed)
 
+    @pytest.mark.parametrize("trials,d_true", [(10.5, 1.0), (10, np.nan), (10, np.inf)],
+                             ids=["fractional-trials", "nan-d", "inf-d"])
+    def test_trials_and_d_true_are_checked(self, trials, d_true):
+        spec = CovSpec("solvable", 1.0, 0.05, 10)
+        with pytest.raises(InvalidSpec):
+            run_trials(spec, direct_design(10), "equal", trials=trials, seed=0, d_true=d_true)
+
     def test_design_size_must_match(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
