@@ -321,14 +321,12 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
     # First, as it rejects a zero shift, which the closed forms divide by.
     numeric = fi_direct_numeric(cov, shift)
     rows = []
-    # Full retention with Aw = shift is the direct strategy.
-    if spec.kind == KIND_SOLVABLE:
-        closed = fi_wva_solvable(spec.a, spec.c, spec.n, 1.0, shift)
-        closed_ew = (spec.a / spec.n + spec.c) / (shift * shift)
-        rows.append((spec.kind, "closed_form", closed, closed_ew))
-    elif spec.kind == KIND_WHITE:
-        closed = fi_wva_solvable(spec.a + spec.c, 0.0, spec.n, 1.0, shift)
-        rows.append((spec.kind, "closed_form", closed, 1.0 / closed))
+    # Full retention with Aw = shift is the direct strategy; white noise is
+    # the solvable model with variance a + c and no common offset.
+    if spec.kind != KIND_EXPONENTIAL:
+        a, c = (spec.a, spec.c) if spec.kind == KIND_SOLVABLE else (spec.a + spec.c, 0.0)
+        closed = fi_wva_solvable(a, c, spec.n, 1.0, shift)
+        rows.append((spec.kind, closed.method, closed.value, closed.equal_weight_variance))
     rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
     eigen = fi_eigen(cov.spectrum(), spec.n, shift)
     rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))

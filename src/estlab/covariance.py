@@ -36,7 +36,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
 from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, CovSpec, WeightSpectrum
-from .errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite
+from .errors import InvalidSpec, NotPositiveDefinite
 from .partition import subset_index
 
 # Eigenvalues (and squared Cholesky pivots) at or below this fraction of the
@@ -68,7 +68,7 @@ def _columns(U, dim: int) -> np.ndarray:
     """U as a (dim, k) array; a vector is one column."""
     U = np.asarray(U, dtype=float)
     if U.ndim not in (1, 2) or U.shape[0] != dim:
-        raise DimensionMismatch(
+        raise InvalidSpec(
             f"expected a vector or columns of length {dim}, got shape {U.shape}"
         )
     return U.reshape(dim, -1)
@@ -137,7 +137,7 @@ class Chain:
         if self.eta.ndim > 1 or not (self.eta >= 0.0).all():
             raise InvalidSpec("eta must be a scalar or grid, all >= 0 (inf allowed)")
         if self.times.ndim != 1 or self.times.size == 0:
-            raise DimensionMismatch("sample times must be a non-empty vector")
+            raise InvalidSpec("sample times must be a non-empty vector")
         gaps = np.diff(self.times)
         if not (gaps > 0.0).all():
             raise InvalidSpec("sample times must be strictly increasing")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .covariance import Covariance
 from .covmodel import KIND_SOLVABLE, CovSpec
-from .errors import DimensionMismatch, EmptyRetainedSet, InvalidSpec, WrongDesign
+from .errors import InvalidSpec
 from .partition import CHANNEL_RETAINED, PartitionDesign
 
 ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
@@ -32,9 +32,7 @@ class Dataset:
     def __post_init__(self) -> None:
         s = np.array(self.samples, dtype=float)
         if s.shape != (self.design.n,):
-            raise DimensionMismatch(
-                f"{s.size} samples for a design with {self.design.n} slots"
-            )
+            raise InvalidSpec(f"{s.size} samples for a design with {self.design.n} slots")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -42,7 +40,7 @@ class Dataset:
 def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
     """Raise unless the named estimator applies to this model and design."""
     if name not in ESTIMATOR_NAMES:
-        raise WrongDesign(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+        raise InvalidSpec(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if design.n != spec.n:
         raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
     if name == "wva-corrected":
@@ -50,25 +48,25 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
             raise InvalidSpec("wva-corrected applies to the solvable model only")
     if name == "equal":
         if len(design.channels) != 1 or design.coefficients[0] != 1.0:
-            raise WrongDesign("the equal estimator needs a single channel with "
+            raise InvalidSpec("the equal estimator needs a single channel with "
                               "coefficient 1 (--scheme direct)")
     elif name == "ml":
         if not design.mu_prime.any():
-            raise WrongDesign("ml needs a design with a nonzero mean coefficient")
+            raise InvalidSpec("ml needs a design with a nonzero mean coefficient")
     elif name == "bgsub":
         coeffs = np.sort(design.coefficients)
         if len(design.channels) != 2 or coeffs[0] != -1.0 or coeffs[1] != 1.0:
-            raise WrongDesign("bgsub needs a two-channel design with coefficients "
+            raise InvalidSpec("bgsub needs a two-channel design with coefficients "
                               "+1 and -1 (alternating, or blocks with --gamma 0.5)")
     else:
         if CHANNEL_RETAINED not in design.channels:
-            raise WrongDesign(f"{name} needs a retained channel")
+            raise InvalidSpec(f"{name} needs a retained channel")
         if name == "wva-corrected" and len(design.channels) != 2:
-            raise WrongDesign("wva-corrected needs a retained/rejected design")
+            raise InvalidSpec("wva-corrected needs a retained/rejected design")
         if design.channel_slots(CHANNEL_RETAINED).size == 0:
-            raise EmptyRetainedSet("this retention pattern kept no slots")
+            raise InvalidSpec("this retention pattern kept no slots")
         if design.coefficient(CHANNEL_RETAINED) == 0.0:
-            raise WrongDesign("the retained channel has zero coefficient")
+            raise InvalidSpec("the retained channel has zero coefficient")
 
 
 def estimator_weights(

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .covariance import Chain, make_covariance
 from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec, check_model
-from .errors import DegenerateDenominator, EmptyRetainedSet, InvalidSpec
+from .errors import DegenerateDenominator, InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
     fi_direct_numeric,
@@ -61,11 +61,6 @@ class SweepResult:
     headers: tuple[str, ...]
     rows: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
-
-    def column(self, header: str) -> np.ndarray:
-        """Values of one column as a float array (convenience for checks)."""
-        k = self.headers.index(header)
-        return np.array([row[k] for row in self.rows], dtype=float)
 
 
 def _metadata(name: str, seed: int | None = None, **params) -> dict[str, str]:
@@ -114,7 +109,8 @@ def table1(
 
     The numeric twin of each closed-form cell inverts the actual matrix and
     contracts it with the strategy's mean-coefficient vector; the WVA cells
-    use the idealized amplification Aw^2 = 1/gamma.  Closed and numeric
+    use the idealized amplification Aw^2 = 1/gamma, under which the closed
+    WVA cell on white noise is the direct one.  Closed and numeric
     agree to 1e-8 whenever gamma*n is an integer (the retained block is then
     realizable slot for slot).
     """
@@ -133,14 +129,16 @@ def table1(
     solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
 
     # Full retention with Aw = 1 is the direct strategy; white noise is the
-    # solvable model with variance a + c and no common offset.
-    direct_white = fi_wva_solvable(a + c, 0.0, n, 1.0, 1.0)
+    # solvable model with variance a + c and no common offset.  With
+    # Aw^2 = 1/gamma, post-selection on white noise is the direct strategy:
+    # the gamma*n retained slots, amplified by 1/gamma, carry n/(a + c).
+    direct_white = fi_wva_solvable(a + c, 0.0, n, 1.0, 1.0).value
     closed = {
         ("direct", "uncorrelated"): direct_white,
-        ("wva", "uncorrelated"): aw2 * gamma * n / (a + c),
+        ("wva", "uncorrelated"): direct_white,
         ("opm", "uncorrelated"): direct_white,
-        ("direct", "correlated"): fi_wva_solvable(a, c, n, 1.0, 1.0),
-        ("wva", "correlated"): fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)),
+        ("direct", "correlated"): fi_wva_solvable(a, c, n, 1.0, 1.0).value,
+        ("wva", "correlated"): fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
         ("opm", "correlated"): fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
     }
     numeric = {
@@ -341,7 +339,7 @@ def retention_designs(
         if design.channel_slots("retained").size > 0:
             designs.append(design)
         if draw > 100 * reps:
-            raise EmptyRetainedSet(
+            raise InvalidSpec(
                 f"bernoulli retention (n={n}, gamma={gamma!r}) kept no slot in "
                 f"{draw - len(designs)} of {draw} patterns from seed {seed}; "
                 f"{reps} non-empty patterns are needed")
@@ -432,11 +430,14 @@ def fig7_sweep(
 # ---------------------------------------------------------------------------
 
 def delta_i(a: float, c: float, n: int) -> float:
-    """Information gap N/a - N/(a+c) between full partitioning and WVA."""
+    """Information gap N/a - N/(a+c) between full partitioning and WVA.
+
+    Computed as N*c/(a*(a+c)), since the difference cancels when c << a.
+    """
     if c < 0.0:
         raise InvalidSpec("delta_i requires c >= 0")
     check_model(KIND_SOLVABLE, a, c, n)
-    return n / a - n / (a + c)
+    return n * c / (a * (a + c))
 
 
 def delta_i_summary(a: float, c: float, n: int) -> SweepResult:

@@ -10,8 +10,8 @@ and 1/I is the smallest variance any unbiased estimator of d can reach.
 The direct strategy has mu_prime = <A> * ones; a two-channel partition has
 mu_prime = (Aw on channel 1, Awp on channel 2), and I splits into three
 block terms I1 (channel 1 alone), I2 (channel 2 alone) and I3 (their
-cross-correlations).  Closed forms are provided for the solvable model
-C = a*I + c*J, where every contraction is exact.
+cross-correlations).  The closed forms for the solvable model C = a*I + c*J,
+where every contraction is exact, return a FisherReport like the others.
 
 The mean-shift magnitude <A> defaults to 1 throughout; amplification in the
 partitioned strategies is carried entirely by (Aw, Awp, gamma).
@@ -26,13 +26,7 @@ import numpy as np
 
 from .covariance import Covariance
 from .covmodel import KIND_SOLVABLE, WeightSpectrum, check_model
-from .errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    InvalidSpec,
-    InvalidSpectrum,
-    SingularCovariance,
-)
+from .errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
 from .partition import PartitionDesign
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -70,8 +64,8 @@ class FisherReport:
 class TwoOutcomeSpec:
     """Variances and covariance of a two-sample data set.
 
-    Derived quantities: asymmetry x = var1/var2 and relative correlation
-    r = cov/sqrt(var1*var2), with r in [-1, 1].
+    The asymmetry x = var1/var2 and relative correlation
+    r = cov/sqrt(var1*var2), with r in [-1, 1], enter only through from_xr.
     """
 
     var1: float
@@ -84,14 +78,6 @@ class TwoOutcomeSpec:
         # Tiny slack tolerates r = +/-1 specs built as r*sqrt(var1*var2).
         if self.cov * self.cov > self.var1 * self.var2 * (1.0 + 1e-12):
             raise InvalidSpec("covariance violates the Cauchy-Schwarz bound")
-
-    @property
-    def x(self) -> float:
-        return self.var1 / self.var2
-
-    @property
-    def r(self) -> float:
-        return self.cov / math.sqrt(self.var1 * self.var2)
 
     @classmethod
     def from_xr(cls, x: float, r: float, scale: float = 1.0) -> "TwoOutcomeSpec":
@@ -139,9 +125,7 @@ def fi_two_outcome(spec: TwoOutcomeSpec) -> float:
     """Two-sample information (var1 + var2 - 2cov) / (var1*var2 - cov^2)."""
     det = spec.var1 * spec.var2 - spec.cov * spec.cov
     if det <= 0.0:
-        raise SingularCovariance(
-            "|r| = 1: degenerate covariance carries infinite information"
-        )
+        raise InvalidSpec("|r| = 1: degenerate covariance carries infinite information")
     return (spec.var1 + spec.var2 - 2.0 * spec.cov) / det
 
 
@@ -179,16 +163,14 @@ def fi_partitioned(
     """
     mu = np.asarray(mu_prime, dtype=float)
     if mu.shape != (cov.dim,):
-        raise DimensionMismatch(
-            f"mu_prime length {mu.size} does not match dimension {cov.dim}"
-        )
+        raise InvalidSpec(f"mu_prime length {mu.size} does not match dimension {cov.dim}")
     norm = float(mu @ mu)
     if norm == 0.0:
         raise InvalidSpec("mu_prime must not be the zero vector")
     terms: tuple[float, float, float] | None = None
     if design is not None and len(design.channels) == 2:
         if design.n != cov.dim:
-            raise DimensionMismatch(
+            raise InvalidSpec(
                 f"design covers {design.n} slots, matrix dimension is {cov.dim}"
             )
         masked = np.zeros((cov.dim, 2))
@@ -212,23 +194,30 @@ def fi_partitioned(
     )
 
 
-def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> float:
+def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> FisherReport:
     """Post-selected information on the solvable model: Aw^2 * gN / (a + gNc).
 
     Any retained subset of the solvable model keeps the same structure, so
     only the retained count gamma*n enters.  With the idealized convention
     Aw^2 = 1/gamma this equals N / (a + gamma*N*c): post-selection shrinks
-    the correlated variance by the retention probability.
+    the correlated variance by the retention probability.  The equal-weight
+    variance is that of the retained-slot average over Aw, (a/(gN) + c)/Aw^2.
     """
     check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma <= 1.0:
         raise InvalidSpec(f"gamma must lie in (0, 1], got {gamma}")
+    if not (math.isfinite(aw) and aw != 0.0):
+        raise InvalidSpec(f"Aw must be finite and nonzero, got {aw}")
     retained = gamma * n
     denom = a + retained * c
     # For c one ulp above -a/n, n*c can round to -a.
     if denom <= 0.0:
         raise InvalidSpec("retained covariance a + gamma*n*c must be positive")
-    return aw * aw * retained / denom
+    return FisherReport(
+        value=aw * aw * retained / denom,
+        method=METHOD_CLOSED_FORM,
+        equal_weight_variance=(a / retained + c) / (aw * aw),
+    )
 
 
 def fi_opm_solvable(

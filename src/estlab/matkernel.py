@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidSpec
 
 
 # No estlab module builds one; perfbench/tracing.py imports it by name.
@@ -25,9 +25,9 @@ class SymMatrix:
     def __init__(self, entries) -> None:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+            raise InvalidSpec(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
-            raise DimensionMismatch("matrix dimension must be at least 1")
+            raise InvalidSpec("matrix dimension must be at least 1")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         scale = np.abs(a).max()
@@ -45,10 +45,6 @@ class SymMatrix:
     def entries(self) -> np.ndarray:
         """Read-only (dim, dim) array of matrix entries."""
         return self._entries
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"

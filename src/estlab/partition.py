@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidGamma, OutOfDomain
+from .errors import InvalidSpec
 
 SCHEME_BERNOULLI = "bernoulli"
 SCHEME_PERIODIC = "periodic"
@@ -57,7 +57,7 @@ class SpinModel:
 def spin_model(phi: float) -> SpinModel:
     """Overlap-model weak values; Aw * Awp == -1 identically."""
     if not 0.0 < phi < math.pi:
-        raise OutOfDomain(f"phi must lie strictly inside (0, pi), got {phi}")
+        raise InvalidSpec(f"phi must lie strictly inside (0, pi), got {phi}")
     half = 0.5 * phi
     sin_h = math.sin(half)
     cos_h = math.cos(half)
@@ -72,7 +72,7 @@ def spin_model(phi: float) -> SpinModel:
 def spin_coefficients(gamma: float) -> tuple[float, float]:
     """(Aw, Awp) of the overlap model with retention probability gamma."""
     if not 0.0 < gamma < 1.0:
-        raise InvalidGamma(f"gamma must lie strictly inside (0, 1), got {gamma}")
+        raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
     return -math.sqrt((1.0 - gamma) / gamma), math.sqrt(gamma / (1.0 - gamma))
 
 
@@ -90,13 +90,13 @@ class PartitionDesign:
         assignment = np.asarray(self.assignment, dtype=np.intp)
         coefficients = np.asarray(self.coefficients, dtype=float)
         if assignment.shape != (self.n,):
-            raise IndexOutOfRange("assignment must have one entry per slot")
+            raise InvalidSpec("assignment must have one entry per slot")
         if coefficients.shape != (len(self.channels),):
-            raise IndexOutOfRange("one coefficient per channel required")
+            raise InvalidSpec("one coefficient per channel required")
         if assignment.size and (
             assignment.min() < 0 or assignment.max() >= len(self.channels)
         ):
-            raise IndexOutOfRange("slot assigned to a nonexistent channel")
+            raise InvalidSpec("slot assigned to a nonexistent channel")
         assignment.setflags(write=False)
         coefficients.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
@@ -125,7 +125,7 @@ class PartitionDesign:
 def direct_design(n: int) -> PartitionDesign:
     """No partitioning: every slot retained with unit coefficient."""
     if n < 1:
-        raise InvalidGamma("direct design requires n >= 1")
+        raise InvalidSpec("direct design requires n >= 1")
     return PartitionDesign(
         n=n,
         scheme=SCHEME_DIRECT,
@@ -149,7 +149,7 @@ def make_design(
     identical designs.
     """
     if n < 2:
-        raise InvalidGamma("partition designs require n >= 2")
+        raise InvalidSpec("partition designs require n >= 2")
 
     if scheme == SCHEME_ALTERNATING:
         assignment = (np.arange(n) % 2).astype(np.intp)
@@ -163,9 +163,9 @@ def make_design(
         )
 
     if scheme not in (SCHEME_BERNOULLI, SCHEME_PERIODIC, SCHEME_BLOCKS):
-        raise InvalidGamma(f"unknown partition scheme {scheme!r}")
+        raise InvalidSpec(f"unknown partition scheme {scheme!r}")
     if gamma is None or not 0.0 < gamma < 1.0:
-        raise InvalidGamma(
+        raise InvalidSpec(
             f"{scheme} scheme requires gamma strictly inside (0, 1), got {gamma}"
         )
 
@@ -178,12 +178,12 @@ def make_design(
         # (1/gamma = inf) from overflowing int().
         period = int(round(min(1.0 / gamma, n)))
         if period < 1:
-            raise InvalidGamma(f"gamma={gamma} gives an empty retention period")
+            raise InvalidSpec(f"gamma={gamma} gives an empty retention period")
         assignment = np.where(np.arange(n) % period == 0, 0, 1).astype(np.intp)
     else:
         n1 = int(round(gamma * n))
         if not 1 <= n1 <= n - 1:
-            raise InvalidGamma(
+            raise InvalidSpec(
                 f"gamma={gamma} leaves an empty channel for n={n} contiguous blocks"
             )
         assignment = np.where(np.arange(n) < n1, 0, 1).astype(np.intp)
@@ -212,10 +212,10 @@ def subset_index(retained, dim: int) -> np.ndarray:
     """Validated retained slots: a non-empty, strictly increasing index vector."""
     idx = np.asarray(retained, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
-        raise IndexOutOfRange("retained index set must be a non-empty vector")
+        raise InvalidSpec("retained index set must be a non-empty vector")
     if (np.diff(idx) <= 0).any():
-        raise IndexOutOfRange("retained indices must be strictly increasing")
+        raise InvalidSpec("retained indices must be strictly increasing")
     if idx[0] < 0 or idx[-1] >= dim:
-        raise IndexOutOfRange(f"retained indices must lie in [0, {dim - 1}]")
+        raise InvalidSpec(f"retained indices must lie in [0, {dim - 1}]")
     return idx
 

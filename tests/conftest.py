@@ -6,7 +6,7 @@ it with the dense kernel (``factor_spd``: Cholesky, ``eigendecompose``:
 eigh): O(n^2) memory and O(n^3) work, but no structure to get wrong.  The
 ``estimate_*`` functions apply one estimator to one Dataset from its textbook
 formula, the reference for the weights ``estlab.estimators`` builds once per
-run.
+run.  ``column`` reads one column of a SweepResult as a float array.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,9 @@ from scipy.linalg import cho_solve
 
 from estlab.covariance import PSD_TOLERANCE
 from estlab.covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec, WeightSpectrum
-from estlab.errors import DimensionMismatch, InvalidSpec, NotPositiveDefinite, NumericFailure
+from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
+from estlab.experiments import SweepResult
 from estlab.matkernel import SymMatrix
 from estlab.partition import CHANNEL_RETAINED, subset_index
 
@@ -62,6 +63,12 @@ def eigendecompose(matrix: SymMatrix) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("symmetric eigensolver failed to converge") from exc
     return EigenSystem(eigenvalues=values[::-1].copy(), eigenvectors=vectors[:, ::-1].copy())
+
+
+def column(result: SweepResult, header: str) -> np.ndarray:
+    """Values of one column of ``result`` as a float array."""
+    k = result.headers.index(header)
+    return np.array([row[k] for row in result.rows], dtype=float)
 
 
 def random_spd(dim: int, seed: int, cond_lo: float = 0.1, cond_hi: float = 10.0) -> SymMatrix:
@@ -118,7 +125,7 @@ def submatrix(matrix: SymMatrix, retained) -> SymMatrix:
 def _columns(U, dim: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.ndim not in (1, 2) or U.shape[0] != dim:
-        raise DimensionMismatch(
+        raise InvalidSpec(
             f"expected a vector or columns of length {dim}, got shape {U.shape}"
         )
     return U.reshape(dim, -1)

@@ -23,7 +23,7 @@ from estlab.fisher import (
 from estlab.montecarlo import run_trials
 from estlab.partition import direct_design, make_design, spin_model
 
-from conftest import Dense, build, random_spd, solvable_inverse
+from conftest import Dense, build, column, random_spd, solvable_inverse
 
 
 def _report(name: str, ok: bool) -> None:
@@ -64,10 +64,10 @@ def test_criterion_2_fig7_shape():
     sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma)  # default 40-point log grid
     elapsed = time.monotonic() - started
 
-    eta = sweep.column("eta")
-    direct = sweep.column("fi_direct")
-    wva = sweep.column("fi_wva")
-    bgsub = sweep.column("fi_bgsub")
+    eta = column(sweep, "eta")
+    direct = column(sweep, "fi_direct")
+    wva = column(sweep, "fi_wva")
+    bgsub = column(sweep, "fi_bgsub")
     plateau = n / (a + c)
     floor = n / (a + n * c)
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
 
 from estlab import __version__
@@ -356,6 +358,25 @@ class TestFisherCommand:
                 ew_var, rel=1e-10
             )
         capsys.readouterr()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(1e-3, 1e3),
+        c=st.floats(0.0, 1e3),
+        n=st.integers(1, 5000),
+        shift=st.floats(0.1, 10.0),
+    )
+    def test_white_closed_row_moves_by_rounding_only(self, tmp_path_factory, a, c, n, shift):
+        # The closed row's equal-weight variance is ((a + c)/n)/shift^2 from the
+        # report; it was 1/value.  Both are exact to a few ulps.
+        out = tmp_path_factory.mktemp("white") / "f.csv"
+        assert main(["fisher", "--model", "white", "--a", repr(a), "--c", repr(c),
+                     "--n", str(n), "--mean-shift", repr(shift), "-o", str(out)]) == 0
+        _, headers, rows = read_csv(out)
+        closed = next(r for r in rows if r[headers.index("method")] == "closed_form")
+        value = float(closed[headers.index("value")])
+        ew_var = float(closed[headers.index("equal_weight_variance")])
+        assert abs(ew_var - 1.0 / value) <= 1e-15 * (1.0 / value)
 
 
 class TestSimulateCommand:

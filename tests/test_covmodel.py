@@ -134,7 +134,7 @@ class TestSolvableSpectrum:
 
 class TestSpectrumFromMatrix:
     def test_identity(self):
-        ws = Dense(SymMatrix.identity(4)).spectrum()
+        ws = Dense(SymMatrix(np.eye(4))).spectrum()
         assert abs(ws.weights.sum() - 1.0) <= 1e-10
         assert np.allclose(ws.sigmasq, 1.0)
         # Fisher check: N * sum(w / sigma^2) = N.

@@ -5,12 +5,7 @@ import pytest
 
 from estlab.covariance import make_covariance
 from estlab.covmodel import CovSpec
-from estlab.errors import (
-    DimensionMismatch,
-    EmptyRetainedSet,
-    InvalidSpec,
-    WrongDesign,
-)
+from estlab.errors import InvalidSpec
 from estlab.estimators import Dataset, check_fits, estimator_weights
 from estlab.montecarlo import run_trials
 from estlab.partition import PartitionDesign, direct_design, make_design
@@ -36,7 +31,7 @@ def _estimate(name, samples, design, spec=None):
 
 class TestDataset:
     def test_length_checked(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSpec, match="2 samples for a design with 3 slots"):
             _dataset([1.0, 2.0], direct_design(3))
 
     def test_samples_read_only(self):
@@ -55,7 +50,7 @@ class TestEqualWeight:
 
     def test_rejects_partitioned_design(self):
         design = make_design(4, "alternating")
-        with pytest.raises(WrongDesign):
+        with pytest.raises(InvalidSpec, match="the equal estimator needs a single channel"):
             check_fits("equal", _spec(design), design)
 
 
@@ -90,7 +85,7 @@ class TestMaximumLikelihood:
             assignment=np.ones(3, dtype=np.intp),
             coefficients=np.array([2.0, 0.0]),
         )
-        with pytest.raises(WrongDesign):
+        with pytest.raises(InvalidSpec, match="ml needs a design with a nonzero mean"):
             check_fits("ml", _spec(design), design)
 
     def test_dimension_mismatch(self):
@@ -122,12 +117,12 @@ class TestWeakValue:
             assignment=np.ones(3, dtype=np.intp),
             coefficients=np.array([2.0, 0.0]),
         )
-        with pytest.raises(EmptyRetainedSet):
+        with pytest.raises(InvalidSpec, match="this retention pattern kept no slots"):
             check_fits("wva", _spec(design), design)
 
     def test_rejects_design_without_retained_channel(self):
         design = make_design(4, "alternating")
-        with pytest.raises(WrongDesign):
+        with pytest.raises(InvalidSpec, match="wva needs a retained channel"):
             check_fits("wva", _spec(design), design)
 
 
@@ -154,7 +149,7 @@ class TestBackgroundSubtraction:
 
     def test_rejects_non_unit_coefficients(self):
         design = make_design(6, "blocks", gamma=1.0 / 3)
-        with pytest.raises(WrongDesign):
+        with pytest.raises(InvalidSpec, match="bgsub needs a two-channel design"):
             check_fits("bgsub", _spec(design), design)
 
     def test_balanced_blocks_accepted(self):
@@ -181,7 +176,7 @@ class TestWeakValueCorrected:
 
     def test_requires_two_channels(self):
         design = direct_design(4)
-        with pytest.raises(WrongDesign):
+        with pytest.raises(InvalidSpec, match="wva-corrected needs a retained/rejected design"):
             check_fits("wva-corrected", CovSpec("solvable", 1.0, 0.1, 4), design)
 
     def test_invalid_model_parameters(self):

@@ -1,10 +1,11 @@
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from estlab.errors import InvalidSpec
@@ -18,6 +19,8 @@ from estlab.experiments import (
     table1,
     write_csv,
 )
+
+from conftest import column
 
 
 class TestTable1:
@@ -45,6 +48,21 @@ class TestTable1:
         for row in result.rows:
             assert row[2] == pytest.approx(50.0, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @example(a=3.902, c=0.498, n=46, gamma=0.813)
+    @given(
+        a=st.floats(1e-3, 1e3),
+        c=st.floats(0.0, 1e3),
+        n=st.integers(2, 400),
+        gamma=st.floats(1e-3, 0.999),
+    )
+    def test_uncorrelated_wva_cell_is_the_direct_cell(self, a, c, n, gamma):
+        # With Aw^2 = 1/gamma, post-selection on white noise is the direct
+        # strategy; the closed-form cells are one number, bit for bit.
+        assume(1 <= round(gamma * n) <= n - 1)
+        cells = {(r[0], r[1]): r[2] for r in table1(a, c, n, gamma).rows}
+        assert cells[("wva", "uncorrelated")] == cells[("direct", "uncorrelated")]
+
     def test_gamma_validated(self):
         with pytest.raises(InvalidSpec):
             table1(gamma=1.5)
@@ -59,7 +77,7 @@ class TestFig2:
 
     def test_vanishes_toward_perfect_anticorrelation(self):
         result = fig2_surface(x_grid=[1.0], r_grid=[-0.9, -0.99, -0.999])
-        values = result.column("inverse_fi_scaled")
+        values = column(result, "inverse_fi_scaled")
         assert (np.diff(values) < 0.0).all()
         assert values[-1] < 5e-4
 
@@ -91,7 +109,7 @@ class TestFig345:
 
     def test_degenerate_curve_is_constant_one(self):
         result = fig345_curves(var_specs=[(1.0, 1.0)], alpha_grid=np.linspace(0, 1, 11))
-        values = result.column("variance")
+        values = column(result, "variance")
         assert np.allclose(values, 1.0, rtol=1e-12)
         assert result.rows[0][4] == 0.5
 
@@ -116,9 +134,9 @@ class TestFig6:
     def test_sum_is_unity_everywhere(self):
         result = fig6_decomposition()
         assert len(result.rows) == 100
-        total = result.column("total")
+        total = column(result, "total")
         assert np.abs(total - 1.0).max() <= 1e-9
-        numeric = result.column("total_numeric")
+        numeric = column(result, "total_numeric")
         assert np.abs(numeric - 1.0).max() <= 1e-7
 
     def test_small_angle_limit(self):
@@ -132,7 +150,7 @@ class TestFig6:
     def test_terms_positive_shares(self):
         result = fig6_decomposition(phi_grid=np.linspace(0.3, math.pi - 0.3, 7))
         for name in ("i1", "i2", "i3"):
-            assert (result.column(name) > 0.0).all()
+            assert (column(result, name) > 0.0).all()
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +165,17 @@ class TestFig7:
     def test_white_limit(self, sweep):
         plateau = 400 / 1.05
         for name in ("fi_direct", "fi_wva", "fi_bgsub"):
-            assert sweep.column(name)[0] == pytest.approx(plateau, rel=1e-9)
+            assert column(sweep, name)[0] == pytest.approx(plateau, rel=1e-9)
 
     def test_slow_noise_limit(self, sweep):
-        assert sweep.column("fi_direct")[-1] == pytest.approx(400 / 21, rel=5e-3)
-        assert sweep.column("fi_wva")[-1] == pytest.approx(400 / 1.2, rel=5e-3)
-        assert sweep.column("fi_bgsub")[-1] == pytest.approx(400.0, rel=5e-3)
+        assert column(sweep, "fi_direct")[-1] == pytest.approx(400 / 21, rel=5e-3)
+        assert column(sweep, "fi_wva")[-1] == pytest.approx(400 / 1.2, rel=5e-3)
+        assert column(sweep, "fi_bgsub")[-1] == pytest.approx(400.0, rel=5e-3)
 
     def test_monotone_directions(self, sweep):
-        direct = sweep.column("fi_direct")
-        wva = sweep.column("fi_wva")
-        bgsub = sweep.column("fi_bgsub")
+        direct = column(sweep, "fi_direct")
+        wva = column(sweep, "fi_wva")
+        bgsub = column(sweep, "fi_bgsub")
         assert (np.diff(direct) <= 1e-12 * direct[:-1]).all()
         assert (np.diff(wva) <= 1e-12 * wva[:-1]).all()
         # Alternating signs turn slow correlations into an asset, so the
@@ -166,7 +184,7 @@ class TestFig7:
         assert bgsub.min() >= 400 / 1.1 - 1e-9  # floor n/(a+2c)
 
     def test_bgsub_dominates_wva(self, sweep):
-        assert (sweep.column("fi_bgsub") >= sweep.column("fi_wva")).all()
+        assert (column(sweep, "fi_bgsub") >= column(sweep, "fi_wva")).all()
 
     def test_equal_weight_matches_information_in_both_limits(self, sweep):
         for fi_name, iv_name in (
@@ -174,8 +192,8 @@ class TestFig7:
             ("fi_wva", "inv_var_equal_wva"),
             ("fi_bgsub", "inv_var_equal_bgsub"),
         ):
-            fi = sweep.column(fi_name)
-            iv = sweep.column(iv_name)
+            fi = column(sweep, fi_name)
+            iv = column(sweep, iv_name)
             assert iv[0] == pytest.approx(fi[0], rel=1e-6)
             assert iv[-1] == pytest.approx(fi[-1], rel=5e-3)
             # The plain average can never beat the optimum.
@@ -189,7 +207,7 @@ class TestFig7:
         a = fig7_sweep(**kwargs)
         b = fig7_sweep(**kwargs)
         assert a.rows == b.rows
-        assert np.isfinite(a.column("fi_wva")).all()
+        assert np.isfinite(column(a, "fi_wva")).all()
 
     def test_eta_grid_validation(self):
         with pytest.raises(InvalidSpec):
@@ -214,8 +232,8 @@ class TestFig7:
         # The periodic design retains m = ceil(n/round(1/gamma)) slots, so
         # its amplification is the realized n/m, not 1/gamma.
         sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[0.0, 1e-2])
-        direct = sweep.column("fi_direct")
-        assert (sweep.column("fi_wva") <= direct * (1 + 1e-9)).all()
+        direct = column(sweep, "fi_direct")
+        assert (column(sweep, "fi_wva") <= direct * (1 + 1e-9)).all()
         assert direct == pytest.approx(n / (a + c), rel=1e-12)
 
     @settings(deadline=None, max_examples=60)
@@ -228,10 +246,10 @@ class TestFig7:
     )
     def test_periodic_invariants(self, n, a, c, eta, gamma):
         sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[eta])
-        assert (sweep.column("fi_bgsub") >= sweep.column("fi_wva") * (1 - 1e-9)).all()
+        assert (column(sweep, "fi_bgsub") >= column(sweep, "fi_wva") * (1 - 1e-9)).all()
         for strategy in ("direct", "wva", "bgsub"):
-            fi = sweep.column(f"fi_{strategy}")
-            assert (sweep.column(f"inv_var_equal_{strategy}") <= fi * (1 + 1e-9)).all()
+            fi = column(sweep, f"fi_{strategy}")
+            assert (column(sweep, f"inv_var_equal_{strategy}") <= fi * (1 + 1e-9)).all()
 
     def test_memory_is_linear_in_n(self):
         n = 20_000
@@ -260,6 +278,21 @@ class TestDeltaI:
 
     def test_benchmark_gap(self):
         assert delta_i(1.0, 0.05, 1000) == pytest.approx(47.61904761904762, rel=1e-12)
+
+    def test_product_form_moves_the_benchmark_gap_by_rounding_only(self):
+        a, c, n = 1.0, 0.05, 1000
+        difference = n / a - n / (a + c)
+        assert abs(delta_i(a, c, n) - difference) <= 2e-15 * difference
+
+    @pytest.mark.parametrize("a,c,n", [
+        (1.0, 1e-12, 1000), (1.0, 1e-8, 10), (1.0, 0.05, 1000), (2.5, 3e-10, 7),
+        (0.3, 1e-15, 100000), (7.0, 4.0, 3),
+    ])
+    def test_matches_the_exact_rational(self, a, c, n):
+        # N/a - N/(a+c) cancels when c << a: at (1, 1e-12, 1000) it is 1e-4 off.
+        fa, fc = Fraction(a), Fraction(c)
+        exact = n * fc / (fa * (fa + fc))
+        assert abs(Fraction(delta_i(a, c, n)) - exact) <= Fraction(1, 10**15) * exact
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):
@@ -296,6 +329,6 @@ class TestCsvSerialization:
 
     def test_column_helper(self):
         result = delta_i_summary(1.0, 0.05, 100)
-        assert result.column("delta_i_exact")[0] == pytest.approx(
+        assert column(result, "delta_i_exact")[0] == pytest.approx(
             100 - 100 / 1.05, rel=1e-12
         )

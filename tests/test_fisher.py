@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from estlab.covariance import Chain, make_covariance
 from estlab.covmodel import CovSpec
-from estlab.errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    InvalidSpec,
-    InvalidSpectrum,
-    SingularCovariance,
-)
+from estlab.errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
 from estlab.fisher import (
     FisherReport,
     TwoOutcomeSpec,
@@ -71,7 +65,7 @@ class TestDirectNumeric:
 
     def test_zero_mean_shift_rejected(self):
         with pytest.raises(InvalidSpec):
-            fi_direct_numeric(Dense(SymMatrix.identity(2)), mean_shift=0.0)
+            fi_direct_numeric(Dense(SymMatrix(np.eye(2))), mean_shift=0.0)
 
 
 class TestEigenWeighted:
@@ -103,7 +97,7 @@ class TestTwoOutcome:
         assert fi_two_outcome(TwoOutcomeSpec(1.0, 1.0, -0.5)) == pytest.approx(4.0)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularCovariance):
+        with pytest.raises(InvalidSpec, match=r"\|r\| = 1: degenerate covariance"):
             fi_two_outcome(TwoOutcomeSpec(1.0, 4.0, 2.0))
 
     def test_spec_validation(self):
@@ -113,9 +107,10 @@ class TestTwoOutcome:
             TwoOutcomeSpec(-1.0, 1.0, 0.0)
 
     def test_derived_parameters(self):
+        # x = var1/var2 and r = cov/sqrt(var1*var2).
         spec = TwoOutcomeSpec(4.0, 1.0, 1.0)
-        assert spec.x == pytest.approx(4.0)
-        assert spec.r == pytest.approx(0.5)
+        assert spec.var1 / spec.var2 == pytest.approx(4.0)
+        assert spec.cov / math.sqrt(spec.var1 * spec.var2) == pytest.approx(0.5)
 
     def test_variance_endpoints(self):
         spec = TwoOutcomeSpec(3.0, 2.0, 0.5)
@@ -193,19 +188,34 @@ class TestPartitioned:
         assert sum(rep.terms) == pytest.approx(rep.value, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            fi_partitioned(Dense(SymMatrix.identity(3)), np.ones(4))
+        with pytest.raises(InvalidSpec, match="mu_prime length 4 does not match dimension 3"):
+            fi_partitioned(Dense(SymMatrix(np.eye(3))), np.ones(4))
 
 
 class TestWvaSolvable:
     def test_no_postselection_is_direct(self):
-        assert fi_wva_solvable(1.0, 0.3, 50, 1.0, 1.0) == pytest.approx(
-            50 / (1 + 50 * 0.3), rel=1e-12
-        )
+        rep = fi_wva_solvable(1.0, 0.3, 50, 1.0, 1.0)
+        assert rep.method == "closed_form"
+        assert rep.value == pytest.approx(50 / (1 + 50 * 0.3), rel=1e-12)
+        assert rep.equal_weight_variance == pytest.approx((1 / 50 + 0.3), rel=1e-12)
 
     def test_benchmark_point(self):
-        value = fi_wva_solvable(1.0, 0.05, 1000, 0.005, math.sqrt(1 / 0.005))
-        assert value == pytest.approx(800.0, rel=1e-12)
+        rep = fi_wva_solvable(1.0, 0.05, 1000, 0.005, math.sqrt(1 / 0.005))
+        assert rep.value == pytest.approx(800.0, rel=1e-12)
+        # The retained-slot average over Aw: (a/(gamma*N) + c) * gamma.
+        assert rep.equal_weight_variance == pytest.approx(0.25 * 0.005, rel=1e-12)
+
+    def test_equal_weight_variance_matches_dense_contraction(self):
+        # Aw * (1/m) * sum of the m retained samples has variance 1'C'1 / (m Aw)^2.
+        a, c, n, gamma = 1.3, 0.07, 300, 0.02
+        aw = math.sqrt(1.0 / gamma)
+        m = round(gamma * n)
+        oracle = fi_direct_numeric(make_covariance(CovSpec("solvable", a, c, m)), aw)
+        rep = fi_wva_solvable(a, c, n, gamma, aw)
+        assert rep.value == pytest.approx(oracle.value, rel=1e-12)
+        assert rep.equal_weight_variance == pytest.approx(
+            oracle.equal_weight_variance, rel=1e-12
+        )
 
     def test_bound_by_uncorrelated_information(self):
         # With Aw^2 = 1/gamma and at least one retained sample on average,
@@ -213,20 +223,26 @@ class TestWvaSolvable:
         a, c, n = 1.0, 0.05, 1000
         bound = n / (a + c)
         for gamma in np.linspace(1.0 / n, 1.0, 57):
-            value = fi_wva_solvable(a, c, n, float(gamma), math.sqrt(1.0 / gamma))
+            value = fi_wva_solvable(a, c, n, float(gamma), math.sqrt(1.0 / gamma)).value
             assert value <= bound * (1 + 1e-12)
 
     def test_direction_of_effect(self):
         # c > 0: smaller gamma raises the information; c < 0: lowers it.
         gammas = np.linspace(0.01, 1.0, 25)
-        up = [fi_wva_solvable(1.0, 0.2, 100, g, math.sqrt(1 / g)) for g in gammas]
+        up = [fi_wva_solvable(1.0, 0.2, 100, g, math.sqrt(1 / g)).value for g in gammas]
         assert (np.diff(up) < 0).all()
-        down = [fi_wva_solvable(1.0, -0.005, 100, g, math.sqrt(1 / g)) for g in gammas]
+        down = [fi_wva_solvable(1.0, -0.005, 100, g, math.sqrt(1 / g)).value for g in gammas]
         assert (np.diff(down) > 0).all()
 
     def test_invalid_gamma(self):
         with pytest.raises(InvalidSpec):
             fi_wva_solvable(1.0, 0.1, 10, 0.0, 1.0)
+
+    @pytest.mark.parametrize("aw", [0.0, math.inf, math.nan])
+    def test_amplification_must_be_finite_and_nonzero(self, aw):
+        # A zero or NaN Aw would otherwise surface as InvalidSpectrum (exit 5).
+        with pytest.raises(InvalidSpec, match="Aw must be finite and nonzero"):
+            fi_wva_solvable(1.0, 0.05, 10, 0.5, aw)
 
 
 class TestOpmSolvable:
@@ -293,8 +309,8 @@ class TestEqualWeightVariance:
         assert value == pytest.approx(a / n, rel=1e-12)
 
     def test_mu_prime_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            fi_partitioned(Dense(SymMatrix.identity(3)), np.ones(2))
+        with pytest.raises(InvalidSpec, match="mu_prime length 2 does not match dimension 3"):
+            fi_partitioned(Dense(SymMatrix(np.eye(3))), np.ones(2))
 
 
 class TestInformationInequalities:
@@ -345,7 +361,7 @@ class TestInformationInequalities:
     @pytest.mark.parametrize("n", [2, 16, 100, 512])
     def test_cross_method_agreement(self, n):
         a, c = 1.0, 0.05
-        closed = fi_wva_solvable(a, c, n, 1.0, 1.0)  # gamma = 1: direct closed form
+        closed = fi_wva_solvable(a, c, n, 1.0, 1.0).value  # gamma = 1: direct closed form
         numeric = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n)))).value
         spectrum = make_covariance(CovSpec("solvable", a, c, n)).spectrum()
         eigen = fi_eigen(spectrum, n).value

@@ -3,8 +3,10 @@
 A public module-level name (a function, class or constant not starting with
 an underscore) must be referenced by some module under src/estlab, or else
 by the benchmark harness in perfbench/.  The package ``__init__`` does not
-count: re-exporting a name is not using it.  A name that only its own tests
-call belongs in the tests.
+count: re-exporting a name is not using it.  Likewise every public method or
+property of a public class must be read as an attribute (``obj.name``) in
+one of those modules.  A name that only its own tests call belongs in the
+tests.
 """
 
 import ast
@@ -41,6 +43,39 @@ def _referenced(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _members(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, member) for each public method or property of a public class."""
+    return {
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    trees = {path: _tree(path) for path in SRC}
+    read = set()
+    for tree in [*trees.values(), *map(_tree, PERFBENCH)]:
+        read |= _attributes_read(tree)
+    unread = sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in trees.items()
+        for cls, name in _members(tree)
+        if name not in read
+    )
+    assert not unread, f"public members read by nothing outside the tests: {unread}"
 
 
 def test_every_public_src_name_is_used_outside_its_definition():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from estlab.covmodel import CovSpec
-from estlab.errors import DimensionMismatch, NotPositiveDefinite
+from estlab.errors import InvalidSpec, NotPositiveDefinite
 from estlab.matkernel import SymMatrix
 
 from conftest import Dense, build, eigendecompose, factor_spd, random_spd
@@ -21,9 +21,9 @@ def quadratic_form(matrix: SymMatrix, u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim != 1 or v.ndim != 1:
-        raise DimensionMismatch("quadratic_form expects one-dimensional vectors")
+        raise InvalidSpec("quadratic_form expects one-dimensional vectors")
     if u.size != matrix.dim or v.size != matrix.dim:
-        raise DimensionMismatch(
+        raise InvalidSpec(
             f"vector lengths {u.size}, {v.size} do not match dimension {matrix.dim}"
         )
     return float(u @ Dense(matrix).solve(v))
@@ -31,11 +31,11 @@ def quadratic_form(matrix: SymMatrix, u: np.ndarray, v: np.ndarray) -> float:
 
 class TestSymMatrix:
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSpec, match=r"expected a square matrix, got shape \(2, 3\)"):
             SymMatrix(np.ones((2, 3)))
 
     def test_rejects_empty(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSpec, match="matrix dimension must be at least 1"):
             SymMatrix(np.zeros((0, 0)))
 
     def test_rejects_asymmetric(self):
@@ -47,7 +47,7 @@ class TestSymMatrix:
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_entries_are_read_only(self):
-        m = SymMatrix.identity(3)
+        m = SymMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 2.0
 
@@ -59,7 +59,7 @@ class TestSymMatrix:
 
 class TestFactorSpd:
     def test_identity(self):
-        lower = factor_spd(SymMatrix.identity(3))
+        lower = factor_spd(SymMatrix(np.eye(3)))
         assert np.allclose(lower, np.eye(3), atol=0.0)
 
     def test_hand_factorization(self):
@@ -85,7 +85,7 @@ class TestFactorSpd:
 
 class TestInverse:
     def test_identity(self):
-        assert np.array_equal(inverse(SymMatrix.identity(5)).entries, np.eye(5))
+        assert np.array_equal(inverse(SymMatrix(np.eye(5))).entries, np.eye(5))
 
     def test_solvable_closed_form(self):
         # a=1, c=0.5, n=4: inverse entries are (3*delta_ij - 0.5) / 3.
@@ -131,7 +131,7 @@ class TestEigendecompose:
 class TestQuadraticForm:
     def test_identity_ones(self):
         n = 7
-        assert quadratic_form(SymMatrix.identity(n), np.ones(n), np.ones(n)) == pytest.approx(n)
+        assert quadratic_form(SymMatrix(np.eye(n)), np.ones(n), np.ones(n)) == pytest.approx(n)
 
     def test_solvable_closed_form_large(self):
         # ones' C^-1 ones on the solvable model is n / (a + n*c) = 1000/51.
@@ -147,8 +147,8 @@ class TestQuadraticForm:
         assert quadratic_form(m, e1, e2) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            quadratic_form(SymMatrix.identity(3), np.ones(2), np.ones(3))
+        with pytest.raises(InvalidSpec, match="vector lengths 2, 3 do not match dimension 3"):
+            quadratic_form(SymMatrix(np.eye(3)), np.ones(2), np.ones(3))
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):

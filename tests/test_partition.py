@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from estlab.covmodel import CovSpec
-from estlab.errors import IndexOutOfRange, InvalidGamma, OutOfDomain
+from estlab.errors import InvalidSpec
 from estlab.fisher import fi_partitioned
 from estlab.matkernel import SymMatrix
 from estlab.partition import (
@@ -54,7 +54,7 @@ class TestSpinModel:
 
     @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5, 4.0])
     def test_domain(self, phi):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InvalidSpec, match=r"phi must lie strictly inside \(0, pi\)"):
             spin_model(phi)
 
     def test_spin_coefficients_match_model(self):
@@ -115,19 +115,19 @@ class TestMakeDesign:
 
     @pytest.mark.parametrize("gamma", [None, 0.0, 1.0, -0.2])
     def test_gamma_required_for_postselect(self, gamma):
-        with pytest.raises(InvalidGamma):
+        with pytest.raises(InvalidSpec, match="periodic scheme requires gamma strictly inside"):
             make_design(100, "periodic", gamma=gamma)
 
     def test_blocks_rejects_empty_channel(self):
-        with pytest.raises(InvalidGamma):
+        with pytest.raises(InvalidSpec, match="gamma=0.01 leaves an empty channel for n=10"):
             make_design(10, "blocks", gamma=0.01)
 
     def test_unknown_scheme(self):
-        with pytest.raises(InvalidGamma):
+        with pytest.raises(InvalidSpec, match="unknown partition scheme 'chop'"):
             make_design(10, "chop", gamma=0.5)
 
     def test_small_n_rejected(self):
-        with pytest.raises(InvalidGamma):
+        with pytest.raises(InvalidSpec, match=r"partition designs require n >= 2"):
             make_design(1, "alternating")
 
     def test_direct_design(self):
@@ -161,14 +161,14 @@ class TestSubmatrix:
         assert np.abs(off).max() <= 0.05 * math.exp(-200.0) + 1e-300
 
     def test_errors(self):
-        m = SymMatrix.identity(5)
-        with pytest.raises(IndexOutOfRange):
+        m = SymMatrix(np.eye(5))
+        with pytest.raises(InvalidSpec, match="retained indices must be strictly increasing"):
             submatrix(m, [3, 1])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidSpec, match=r"retained indices must lie in \[0, 4\]"):
             submatrix(m, [0, 5])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidSpec, match="retained index set must be a non-empty vector"):
             submatrix(m, [])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidSpec, match=r"retained indices must lie in \[0, 4\]"):
             submatrix(m, [-1, 2])
 
 
