@@ -7,8 +7,7 @@ Fisher information (closed form and numeric) and seeded Monte Carlo trials.
 
 __version__ = "0.1.0"
 
-from .covariance import Chain, make_covariance
-from .covmodel import CovSpec, WeightSpectrum
+from .covariance import Chain, CovSpec, WeightSpectrum, make_covariance
 from .errors import EstlabError
 from .fisher import (
     FisherReport,

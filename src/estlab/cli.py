@@ -12,13 +12,14 @@ delta-i    Information gap between full partitioning and weak-value
 
 Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 I/O failure,
 5 numeric failure.  The class of the error decides, not where it was raised:
-a NumericFailure (valid inputs, failed computation) or FloatingPointError is
-5, any other EstlabError 3 and an OSError 4.  The library checks what its
-inputs mean, such as a covariance singular by construction
-(covmodel.check_model); this module checks only what lives in argv: finite
-float flags, the seeds and the grid ranges.  Output CSVs are written
-atomically (temp file then rename); all randomness is traceable to --seed,
-with the ESTLAB_SEED environment variable as fallback.
+a NumericFailure (valid inputs, failed computation), FloatingPointError or
+MemoryError is 5, any other EstlabError 3 and an OSError 4.  The library
+checks what its inputs mean, such as a covariance singular by construction
+(covariance.check_model) or a negative seed (partition.check_seed); this
+module checks only what lives in argv: finite float flags, an integer
+ESTLAB_SEED, the grid ranges and --config written in full.  Output CSVs are
+written atomically (temp file then rename); all randomness is traceable to
+--seed, with the ESTLAB_SEED environment variable as fallback.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import make_covariance
-from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec
+from .covariance import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
 from .errors import EstlabError, NumericFailure
 from .estimators import ESTIMATOR_NAMES
 from .experiments import (
@@ -50,22 +50,13 @@ from .experiments import (
 from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
 from .montecarlo import run_trials
 from .partition import (
-    SCHEME_ALTERNATING,
     SCHEME_BERNOULLI,
-    SCHEME_BLOCKS,
     SCHEME_DIRECT,
     SCHEME_PERIODIC,
+    SCHEMES,
     direct_design,
     make_design,
     spin_model,
-)
-
-_SCHEMES = (
-    SCHEME_DIRECT,
-    SCHEME_BERNOULLI,
-    SCHEME_PERIODIC,
-    SCHEME_ALTERNATING,
-    SCHEME_BLOCKS,
 )
 
 
@@ -91,23 +82,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model(parser: argparse.ArgumentParser, require_model: bool = True) -> None:
+def _add_acn(parser: argparse.ArgumentParser, required: bool = False) -> None:
+    """--a, --c and --n; the defaults are the paper's benchmark point."""
+    for flag, kind, default, metavar, text in (
+        ("--a", float, 1.0, "VAR", "white-noise variance per sample"),
+        ("--c", float, 0.05, "VAR", "correlated-noise variance"),
+        ("--n", int, 1000, "COUNT", "number of measurements"),
+    ):
+        parser.add_argument(
+            flag, type=kind, required=required, default=default, metavar=metavar,
+            help=text if required else f"{text} (default {default})",
+        )
+
+
+def _add_model(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", choices=(KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE),
-        required=require_model, help="covariance model kind",
+        required=True, help="covariance model kind",
     )
-    parser.add_argument(
-        "--a", type=float, default=1.0, metavar="VAR",
-        help="white-noise variance per sample (default 1.0)",
-    )
-    parser.add_argument(
-        "--c", type=float, default=0.05, metavar="VAR",
-        help="correlated-noise variance (default 0.05)",
-    )
-    parser.add_argument(
-        "--n", type=int, default=1000, metavar="COUNT",
-        help="number of measurements (default 1000)",
-    )
+    _add_acn(parser)
     parser.add_argument(
         "--eta", type=float, default=None, metavar="RATIO",
         help="correlation time over sampling interval (exponential model only)",
@@ -138,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model(p)
     p.add_argument(
-        "--scheme", choices=_SCHEMES, default=SCHEME_DIRECT,
+        "--scheme", choices=SCHEMES, default=SCHEME_DIRECT,
         help="partition design (default direct: no partitioning)",
     )
     p.add_argument(
@@ -202,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     f7 = fig.add_parser(
         "fig7", help="strategies versus correlation time (exponential model)"
     )
-    f7.add_argument("--n", type=int, default=1000, help="measurement count (benchmark default 1000)")
-    f7.add_argument("--a", type=float, default=1.0, help="white-noise variance (benchmark default 1.0)")
-    f7.add_argument("--c", type=float, default=0.05, help="correlated variance (benchmark default 0.05)")
+    _add_acn(f7)
     f7.add_argument(
         "--gamma", type=float, default=0.005,
         help="retention probability (benchmark default 0.005)",
@@ -230,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "table1", help="six-cell strategy/regime comparison (solvable model)"
     )
-    p.add_argument("--a", type=float, default=1.0, help="white-noise variance (default 1.0)")
-    p.add_argument("--c", type=float, default=0.05, help="correlated variance (default 0.05)")
-    p.add_argument("--n", type=int, default=1000, help="measurement count (default 1000)")
+    _add_acn(p)
     p.add_argument(
         "--gamma", type=float, default=0.005,
         help="retention probability (default 0.005)",
@@ -242,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "delta-i", help="information gap between full partitioning and WVA"
     )
-    p.add_argument("--a", type=float, required=True, help="white-noise variance (> 0)")
-    p.add_argument("--c", type=float, required=True, help="correlated variance (>= 0)")
-    p.add_argument("--n", type=int, required=True, help="measurement count (>= 1)")
+    _add_acn(p, required=True)
     _add_common(p)
 
     return parser
@@ -289,16 +276,13 @@ def _load_config_tokens(argv: list[str]) -> list[str]:
 
 
 def _check_argv(args: argparse.Namespace) -> None:
-    """The rules on the flags themselves: finite floats, seeds >= 0."""
+    """The rules on the flags themselves: finite floats; an unset --seed takes ESTLAB_SEED."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise EstlabError(f"{flag} must be finite, got {value!r}")
-    if hasattr(args, "seed"):
-        if args.seed is None:
-            args.seed = _default_seed()
-        if args.seed < 0:
-            raise EstlabError(f"seed must be >= 0, got {args.seed}")
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = _default_seed()
 
 
 def _grid(name: str, lo: float, hi: float, points: int, log: bool = False) -> np.ndarray:
@@ -328,7 +312,7 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
         closed = fi_wva_solvable(a, c, spec.n, 1.0, shift)
         rows.append((spec.kind, closed.method, closed.value, closed.equal_weight_variance))
     rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
-    eigen = fi_eigen(cov.spectrum(), spec.n, shift)
+    eigen = fi_eigen(cov.spectrum(), mean_shift=shift)
     rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))
     return SweepResult(
         name="fisher",
@@ -450,8 +434,13 @@ def _write_atomic(result: SweepResult, path: Path) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(_load_config_tokens(list(argv)))
+        args = parser.parse_args(_load_config_tokens(list(argv)))
+        # Only --config spelled in full is read; argparse would take any
+        # prefix of it (--conf, or --c where no --c flag exists) and ignore it.
+        if args.config is not None:
+            parser.error("write --config in full: an abbreviation of it is not read")
     except OSError as exc:
         print(f"estlab: cannot read config file: {exc}", file=sys.stderr)
         return 4
@@ -465,7 +454,7 @@ def main(argv=None) -> int:
                 f"({len(result.rows)} rows; {_describe(result.metadata)})",
                 file=sys.stderr,
             )
-    except (NumericFailure, FloatingPointError) as exc:
+    except (NumericFailure, FloatingPointError, MemoryError) as exc:
         print(f"estlab: numeric failure: {exc}", file=sys.stderr)
         return 5
     except EstlabError as exc:

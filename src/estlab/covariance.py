@@ -1,7 +1,20 @@
-"""Covariance operators: the contractions the strategy code needs.
+"""Covariance models and the operator that contracts them.
 
-Every Fisher information, plain-average variance, estimator weight and Monte
-Carlo loading in estlab is one of
+The three noise models are white noise of variance ``a`` plus an
+Ornstein-Uhlenbeck (AR(1)) chain of variance ``c`` on increasing times t,
+C = a*I + c*K with K_ij = exp(-|t_i - t_j| / eta):
+
+* ``solvable``     eta = inf, C_ij = a*delta_ij + c   (a common random offset)
+* ``exponential``  a finite eta, C_ij = a*delta_ij + c*exp(-|i-j|/eta)
+* ``white``        eta = 0, C_ij = (a + c)*delta_ij
+
+``eta = tau/dt`` is the correlation time in units of the sampling interval;
+only the ratio matters.  ``check_model`` is the model's domain rule, the one
+place that decides which (kind, a, c, n) give a covariance that is
+nonsingular by construction; CovSpec and every closed form apply it.
+``make_covariance`` maps a CovSpec to its ``Chain``, the one operator for
+all three models.  Every Fisher information, plain-average variance,
+estimator weight and Monte Carlo loading in estlab is one of its
 
 * ``quad(U)``      u'C^-1 u for each column u of U,
 * ``solve(U)``     C^-1 U,
@@ -11,33 +24,114 @@ Carlo loading in estlab is one of
 * ``spectrum()``   eigenvalues of C with the flat-vector weights, for every
                    model: closed form at eta = 0 and eta = inf.
 
-All three noise models are white noise plus an Ornstein-Uhlenbeck (AR(1))
-chain on increasing sample times t,
-
-    C = a*I + c*K,   K_ij = exp(-|t_i - t_j| / eta),
-
-so one operator, ``Chain``, serves them all: eta = inf is the solvable model
-(K is all ones), eta = 0 is white noise (K = I) and a finite eta is the
-exponential model.  A retained subset of a chain is again a chain, with
-per-gap correlations phi_k = exp(-dt_k/eta).  C is diagonal plus
-semiseparable, so its Cholesky factor costs O(n) to build and to apply (the
-one-term celerite factorization, Foreman-Mackey et al. 2017), and no
-operation builds an n x n array.  ``make_covariance`` maps a CovSpec to its
-chain.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
+A retained subset of a chain is again a chain, with per-gap correlations
+phi_k = exp(-dt_k/eta).  C is diagonal plus semiseparable, so its Cholesky
+factor costs O(n) to build and to apply (the one-term celerite
+factorization, Foreman-Mackey et al. 2017), and no operation builds an
+n x n array.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
 materialized matrix) is the reference the tests hold this operator to.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
-from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, CovSpec, WeightSpectrum
-from .errors import InvalidSpec, NotPositiveDefinite
+from .errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
 from .partition import subset_index
+
+KIND_SOLVABLE = "solvable"
+KIND_EXPONENTIAL = "exponential"
+KIND_WHITE = "white"
+
+_KINDS = (KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE)
+
+
+def check_model(kind: str, a: float, c: float, n: int) -> None:
+    """Raise InvalidSpec unless a*I + c*K of this kind is nonsingular by construction.
+
+    n is a positive integer, a finite and >= 0 and c finite.  The solvable
+    model, with eigenvalues a + n*c and a, needs a > 0 and c > -a/n; the
+    white and exponential models need c >= 0 and not a = c = 0.
+    """
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown covariance kind {kind!r}")
+    # Comparisons with nan are false, so a nan n, a or c fails these tests.
+    if not (n >= 1 and n % 1 == 0):
+        raise InvalidSpec(f"n must be a positive integer, got {n!r}")
+    if not (0.0 <= a < math.inf and -math.inf < c < math.inf):
+        raise InvalidSpec(f"a must be finite and >= 0 and c finite, got a={a!r}, c={c!r}")
+    if kind == KIND_SOLVABLE:
+        if not (a > 0.0 and c > -a / n):
+            raise InvalidSpec(
+                f"the solvable model needs a > 0 and c > -a/n, got a={a!r}, c={c!r}, n={n}"
+            )
+    elif c < 0.0 or a == c == 0.0:
+        raise InvalidSpec(f"the {kind} model needs c >= 0 and not a = c = 0, "
+                          f"got a={a!r}, c={c!r}")
+
+
+@dataclass(frozen=True)
+class CovSpec:
+    """Declarative covariance model: kind plus parameters (a, c, eta, n)."""
+
+    kind: str
+    a: float
+    c: float
+    n: int
+    eta: float | None = None
+
+    def __post_init__(self) -> None:
+        check_model(self.kind, self.a, self.c, self.n)
+        if self.kind != KIND_EXPONENTIAL:
+            if self.eta is not None:
+                raise InvalidSpec("eta applies to the exponential kind only")
+        elif self.eta is None or not np.isfinite(self.eta) or self.eta < 0.0:
+            raise InvalidSpec(
+                f"exponential model requires a finite eta >= 0, got {self.eta}"
+            )
+
+    def digest(self) -> str:
+        """Compact textual record used in run metadata."""
+        parts = [f"kind={self.kind}", f"a={self.a!r}", f"c={self.c!r}", f"n={self.n}"]
+        if self.eta is not None:
+            parts.append(f"eta={self.eta!r}")
+        return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class WeightSpectrum:
+    """Eigenvalues sigma^2_k with weights w_k = (sum_i O_ik)^2 / N.
+
+    The weights sum to one because the eigenvector matrix is orthogonal;
+    they say how much of the flat (signal) direction lives in each
+    eigenmode of the noise.
+    """
+
+    sigmasq: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        sig = np.asarray(self.sigmasq, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if sig.ndim != 1 or w.shape != sig.shape:
+            raise InvalidSpectrum("sigmasq and weights must be equal-length vectors")
+        if (sig <= 0.0).any():
+            raise InvalidSpectrum("all eigenvalues must be strictly positive")
+        if (w < -1e-12).any():
+            raise InvalidSpectrum("weights must be non-negative")
+        if abs(w.sum() - 1.0) > 1e-10:
+            raise InvalidSpectrum(f"weights sum to {w.sum()!r}, expected 1")
+        sig.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "sigmasq", sig)
+        object.__setattr__(self, "weights", w)
+
 
 # Eigenvalues (and squared Cholesky pivots) at or below this fraction of the
 # largest one are treated as exactly zero: a deterministic, infinitely
@@ -300,8 +394,5 @@ class Chain:
 
 def make_covariance(spec: CovSpec) -> Chain:
     """The chain of ``spec``: eta = inf for solvable, 0 for white."""
-    if spec.kind == KIND_EXPONENTIAL:
-        eta = spec.eta
-    else:
-        eta = np.inf if spec.kind == KIND_SOLVABLE else 0.0
+    eta = {KIND_SOLVABLE: np.inf, KIND_WHITE: 0.0}.get(spec.kind, spec.eta)
     return Chain(spec.a, spec.c, eta, np.arange(spec.n))

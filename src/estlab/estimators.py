@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Covariance
-from .covmodel import KIND_SOLVABLE, CovSpec
+from .covariance import KIND_SOLVABLE, Covariance, CovSpec
 from .errors import InvalidSpec
 from .partition import CHANNEL_RETAINED, PartitionDesign
 

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .covariance import Chain, make_covariance
-from .covmodel import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec, check_model
+from .covariance import (
+    KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, Chain, CovSpec, check_model, make_covariance,
+)
 from .errors import DegenerateDenominator, InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
@@ -45,6 +46,7 @@ from .partition import (
     SCHEME_BERNOULLI,
     SCHEME_PERIODIC,
     PartitionDesign,
+    check_seed,
     make_design,
     spin_coefficients,
     spin_model,
@@ -112,18 +114,13 @@ def table1(
     use the idealized amplification Aw^2 = 1/gamma, under which the closed
     WVA cell on white noise is the direct one.  Closed and numeric
     agree to 1e-8 whenever gamma*n is an integer (the retained block is then
-    realizable slot for slot).
+    realizable slot for slot).  The retained block is the first channel of
+    the blocks design, so gamma obeys that design's rules.
     """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    m = int(round(gamma * n))
-    if not 1 <= m <= n - 1:
-        raise InvalidSpec(f"gamma={gamma} retains no usable block for n={n}")
-    retained = np.arange(m)
-    aw2 = 1.0 / gamma
-
     blocks = make_design(n, "blocks", gamma=gamma)
+    retained = blocks.channel_slots("retained")
     mu_blocks = blocks.mu_prime
+    aw2 = 1.0 / gamma
     # Factored last, so invalid inputs are reported before a numeric failure.
     white = make_covariance(CovSpec(KIND_WHITE, a, c, n))
     solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
@@ -186,8 +183,6 @@ def fig2_surface(x_grid=None, r_grid=None) -> SweepResult:
     r_grid = np.asarray(r_grid, dtype=float)
     if (np.abs(r_grid) > 0.999).any():
         raise InvalidSpec("fig2 grid must keep |r| <= 0.999")
-    if (x_grid <= 0.0).any():
-        raise InvalidSpec("fig2 grid requires x > 0")
     rows = []
     for x in x_grid:
         for r in r_grid:
@@ -371,9 +366,8 @@ def fig7_sweep(
     if eta_grid is None:
         eta_grid = np.logspace(-2.0, 6.0, 40)
     eta_grid = np.asarray(eta_grid, dtype=float).ravel()
-    if (eta_grid < 0.0).any():
-        raise InvalidSpec("eta grid must be non-negative")
     check_model(KIND_EXPONENTIAL, a, c, n)
+    seed = check_seed(seed)
 
     designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Covariance
-from .covmodel import KIND_SOLVABLE, WeightSpectrum, check_model
+from .covariance import KIND_SOLVABLE, Covariance, WeightSpectrum, check_model
 from .errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
 from .partition import PartitionDesign
 
@@ -64,7 +63,7 @@ class FisherReport:
 class TwoOutcomeSpec:
     """Variances and covariance of a two-sample data set.
 
-    The asymmetry x = var1/var2 and relative correlation
+    The asymmetry x = var1/var2 > 0 and relative correlation
     r = cov/sqrt(var1*var2), with r in [-1, 1], enter only through from_xr.
     """
 
@@ -80,9 +79,11 @@ class TwoOutcomeSpec:
             raise InvalidSpec("covariance violates the Cauchy-Schwarz bound")
 
     @classmethod
-    def from_xr(cls, x: float, r: float, scale: float = 1.0) -> "TwoOutcomeSpec":
-        """Build with var2 = scale, var1 = x*scale, cov = r*sqrt(var1*var2)."""
-        return cls(var1=x * scale, var2=scale, cov=r * scale * math.sqrt(x))
+    def from_xr(cls, x: float, r: float) -> "TwoOutcomeSpec":
+        """Build with var2 = 1, var1 = x, cov = r*sqrt(x)."""
+        if not x > 0.0:
+            raise InvalidSpec(f"the asymmetry x must be > 0, got {x!r}")
+        return cls(var1=x, var2=1.0, cov=r * math.sqrt(x))
 
 
 def fi_direct_numeric(cov: Covariance, mean_shift: float = 1.0) -> FisherReport:
@@ -99,18 +100,16 @@ def fi_direct_numeric(cov: Covariance, mean_shift: float = 1.0) -> FisherReport:
     )
 
 
-def fi_eigen(spectrum: WeightSpectrum, n: int, mean_shift: float = 1.0) -> FisherReport:
+def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> FisherReport:
     """Information as the weighted average of inverse eigenvalues.
 
     value = mean_shift^2 * N * sum_k w_k / sigma^2_k, equal to the direct
-    numeric contraction of the same covariance.
+    numeric contraction of the same covariance; N is the spectrum's number
+    of modes.
     """
     if mean_shift == 0.0:
         raise InvalidSpec("mean shift must be nonzero")
-    if spectrum.sigmasq.size != n:
-        raise InvalidSpectrum(
-            f"spectrum has {spectrum.sigmasq.size} modes, expected n={n}"
-        )
+    n = spectrum.sigmasq.size
     scale = mean_shift * mean_shift
     value = scale * n * float((spectrum.weights / spectrum.sigmasq).sum())
     ew_var = float((spectrum.weights * spectrum.sigmasq).sum()) / (n * scale)

@@ -29,10 +29,10 @@ class SymMatrix:
         if a.shape[0] < 1:
             raise InvalidSpec("matrix dimension must be at least 1")
         if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
+            raise InvalidSpec("matrix entries must be finite")
         scale = np.abs(a).max()
         if scale > 0.0 and np.abs(a - a.T).max() > 1e-8 * scale:
-            raise ValueError("matrix is not symmetric")
+            raise InvalidSpec("matrix is not symmetric")
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         self._entries = a

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import make_covariance
-from .covmodel import CovSpec
+from .covariance import CovSpec, make_covariance
 from .errors import InvalidSpec
 from .estimators import check_fits, estimator_weights
-from .partition import PartitionDesign
+from .partition import PartitionDesign, check_seed
 
 GENERATOR_NAME = "pcg64"
 NORMAL_METHOD = "inverse-cdf"
@@ -139,14 +138,13 @@ def run_trials(
     uses the unbiased (T - 1) normalization.
     """
     try:
-        trials, seed = operator.index(trials), operator.index(seed)
+        trials = operator.index(trials)
     except TypeError:
-        raise InvalidSpec(f"trials and seed must be integers, got {trials!r}, {seed!r}") from None
+        raise InvalidSpec(f"trials must be an integer, got {trials!r}") from None
     # At least 2 for a variance, at most 2**32 for one-word spawn keys.
     if not 2 <= trials <= MAX_TRIALS:
         raise InvalidSpec(f"trials must lie in [2, 2**32], got {trials}")
-    if seed < 0:
-        raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    seed = check_seed(seed)
     if not math.isfinite(d_true):
         raise InvalidSpec(f"d_true must be finite, got {d_true!r}")
     # Invalid inputs are reported before factoring can fail numerically.

@@ -12,8 +12,10 @@ mu_prime[i] * d.  Four layouts are provided:
 * ``blocks``       first round(gamma*n) slots in channel 1, rest in channel 2
 
 plus ``direct_design`` for the no-partition baseline (one channel, unit
-coefficient).  The two-state overlap model ties an overlap angle phi to
-weak values and retention probability:
+coefficient); ``SCHEMES`` names all five.  ``check_seed`` is the one seed
+rule (an integer >= 0), for the bernoulli draw here and for every seeded
+study and Monte Carlo run.  The two-state overlap model ties an overlap
+angle phi to weak values and retention probability:
 
     Aw = -cot(phi/2),  Awp = tan(phi/2),  gamma = sin^2(phi/2)
 
@@ -26,6 +28,7 @@ the exact overlap-model pair at the realized retained fraction.  Pass
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,23 @@ SCHEME_PERIODIC = "periodic"
 SCHEME_ALTERNATING = "alternating"
 SCHEME_BLOCKS = "blocks"
 SCHEME_DIRECT = "direct"
+SCHEMES = (SCHEME_DIRECT, SCHEME_BERNOULLI, SCHEME_PERIODIC, SCHEME_ALTERNATING, SCHEME_BLOCKS)
 
 CHANNEL_RETAINED = "retained"
 CHANNEL_REJECTED = "rejected"
 CHANNEL_PLUS = "plus"
 CHANNEL_MINUS = "minus"
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int, or InvalidSpec unless it is an integer >= 0."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidSpec(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -170,15 +185,13 @@ def make_design(
         )
 
     if scheme == SCHEME_BERNOULLI:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
         retained_mask = rng.random(n) < gamma
         assignment = np.where(retained_mask, 0, 1).astype(np.intp)
     elif scheme == SCHEME_PERIODIC:
-        # Any period >= n retains slot 0 alone; capping keeps a tiny gamma
-        # (1/gamma = inf) from overflowing int().
+        # Capped at n, where slot 0 alone is retained, so 1/gamma = inf cannot
+        # overflow int(); gamma < 1 and n >= 2 keep the period at least 1.
         period = int(round(min(1.0 / gamma, n)))
-        if period < 1:
-            raise InvalidSpec(f"gamma={gamma} gives an empty retention period")
         assignment = np.where(np.arange(n) % period == 0, 0, 1).astype(np.intp)
     else:
         n1 = int(round(gamma * n))

@@ -15,8 +15,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from estlab.covariance import PSD_TOLERANCE
-from estlab.covmodel import KIND_SOLVABLE, KIND_WHITE, CovSpec, WeightSpectrum
+from estlab.covariance import (
+    KIND_SOLVABLE,
+    KIND_WHITE,
+    PSD_TOLERANCE,
+    CovSpec,
+    WeightSpectrum,
+)
 from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
 from estlab.experiments import SweepResult

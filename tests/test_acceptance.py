@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from estlab.cli import main as cli_main
-from estlab.covmodel import CovSpec
+from estlab.covariance import CovSpec
 from estlab.experiments import fig7_sweep, table1
 from estlab.fisher import (
     TwoOutcomeSpec,

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
 
+import estlab
 from estlab import __version__
 from estlab.cli import main
 from estlab.covariance import Chain
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def read_csv(path):
@@ -125,10 +133,11 @@ class TestValidation:
               "--scheme", "direct", "--trials", "20", "--seed", "-1"], None),
             (["figure", "fig7", "--scheme", "bernoulli", "--n", "50", "--reps", "2",
               "--seed", "-1"], None),
+            (["figure", "fig7", "--scheme", "periodic", "--n", "50", "--seed", "-1"], None),
             (["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
               "--scheme", "direct", "--trials", "20"], "-1"),
         ],
-        ids=["simulate", "fig7-bernoulli", "env-seed"],
+        ids=["simulate", "fig7-bernoulli", "fig7-periodic", "env-seed"],
     )
     def test_negative_seed_is_invalid_configuration(
         self, argv, env_seed, tmp_path, capsys, monkeypatch
@@ -537,6 +546,20 @@ class TestConfigFile:
             assert float(row[headers.index("closed_form")]) == pytest.approx(25.0)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--conf"],
+        ["figure", "fig2", "--c"],
+    ], ids=["table1-conf", "fig2-c"])
+    def test_abbreviated_config_is_usage_error(self, argv, tmp_path, capsys):
+        # argparse takes any unique prefix of --config, but only the full
+        # spelling is read; an abbreviation must not run on the defaults.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=20\n")
+        out = tmp_path / "t.csv"
+        assert main([*argv, str(cfg), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "--config in full" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
             ["table1", "--config", str(tmp_path / "nope.cfg"),
@@ -559,6 +582,28 @@ class TestIoFailures:
         main(["table1", "-o", str(target), "--n", "100"])
         assert not list(tmp_path.glob("**/*.part"))
         capsys.readouterr()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_out_of_memory_is_numeric_failure(tmp_path):
+    # 2**32 trials pass validation, then the estimate vector needs 32 GiB; the
+    # child process alone is capped at 1 GiB of address space.
+    out = tmp_path / "x.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(estlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "estlab", "simulate", "--model", "solvable", "--n", "10",
+         "--estimator", "equal", "--trials", str(2**32), "--seed", "1", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "Unable to allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_module_entry_point_runs():

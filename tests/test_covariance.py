@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Chain, make_covariance
-from estlab.covmodel import CovSpec
+from estlab.covariance import Chain, CovSpec, make_covariance
 from estlab.errors import InvalidSpec, NotPositiveDefinite
 from estlab.fisher import fi_eigen
 
@@ -63,7 +62,7 @@ def _assert_solves_match_dense(chain, dense, U, rtol: float) -> None:
 def _assert_spectrum_matches_dense(chain, dense) -> None:
     n = dense.dim
     ones = np.ones(n)
-    report = fi_eigen(chain.spectrum(), n)
+    report = fi_eigen(chain.spectrum())
     assert report.value == pytest.approx(float(dense.quad(ones)), rel=RTOL)
     assert report.equal_weight_variance == pytest.approx(
         float(dense.form(ones)) / (n * n), rel=RTOL
@@ -122,7 +121,7 @@ def test_exponential_matches_dense_at_n4096():
     U = _columns(4096, seed=7)
     np.testing.assert_allclose(structured.quad(U), dense.quad(U), rtol=RTOL)
     np.testing.assert_allclose(structured.form(U), dense.form(U), rtol=RTOL)
-    report = fi_eigen(structured.spectrum(), 4096)
+    report = fi_eigen(structured.spectrum())
     assert report.value == pytest.approx(float(dense.quad(U[:, 0])), rel=RTOL)
     kept = np.arange(0, 4096, 7)
     np.testing.assert_allclose(

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covariance import make_covariance
-from estlab.covmodel import CovSpec, WeightSpectrum
+from estlab.covariance import CovSpec, WeightSpectrum, make_covariance
 from estlab.errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
 from estlab.experiments import delta_i, fig7_sweep
 from estlab.fisher import fi_opm_solvable, fi_wva_solvable
@@ -50,7 +49,7 @@ class TestCovSpec:
             CovSpec("solvable", 1.0, 0.1, 0)
 
 
-# Every entry point that takes a model's (a, c, n) applies covmodel.check_model.
+# Every entry point that takes a model's (a, c, n) applies covariance.check_model.
 MODEL_ENTRY_POINTS = {
     "CovSpec-solvable": lambda a, c, n: CovSpec("solvable", a, c, n),
     "CovSpec-white": lambda a, c, n: CovSpec("white", a, c, n),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covariance import make_covariance
-from estlab.covmodel import CovSpec
+from estlab.covariance import CovSpec, make_covariance
 from estlab.errors import InvalidSpec
 from estlab.estimators import Dataset, check_fits, estimator_weights
 from estlab.montecarlo import run_trials

@@ -212,6 +212,8 @@ class TestFig7:
     def test_eta_grid_validation(self):
         with pytest.raises(InvalidSpec):
             fig7_sweep(eta_grid=[-1.0])
+        with pytest.raises(InvalidSpec, match="eta must be"):
+            fig7_sweep(n=50, eta_grid=[math.nan])
         with pytest.raises(InvalidSpec):
             fig7_sweep(scheme="chop")
         with pytest.raises(InvalidSpec):
@@ -220,6 +222,13 @@ class TestFig7:
         for a, c in [(1.0, -0.1), (-1.0, 0.5), (0.0, 0.0), (math.nan, 0.05)]:
             with pytest.raises(InvalidSpec):
                 fig7_sweep(n=50, a=a, c=c, gamma=0.1, eta_grid=[0.1, 10.0])
+
+    @pytest.mark.parametrize("scheme,seed", [
+        ("bernoulli", -3), ("periodic", -1), ("bernoulli", 1.5),
+    ])
+    def test_seed_rule_for_every_scheme(self, scheme, seed):
+        with pytest.raises(InvalidSpec, match="seed must be"):
+            fig7_sweep(n=50, scheme=scheme, reps=2, seed=seed, eta_grid=[1.0])
 
     @settings(deadline=None, max_examples=50)
     @given(

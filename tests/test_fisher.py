@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Chain, make_covariance
-from estlab.covmodel import CovSpec
+from estlab.covariance import Chain, CovSpec, make_covariance
 from estlab.errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
 from estlab.fisher import (
     FisherReport,
@@ -71,22 +70,26 @@ class TestDirectNumeric:
 class TestEigenWeighted:
     def test_solvable_example(self):
         ws = make_covariance(CovSpec("solvable", 1.0, 2.0, 3)).spectrum()
-        assert fi_eigen(ws, 3).value == pytest.approx(3.0 / 7.0, rel=1e-12)
+        assert fi_eigen(ws).value == pytest.approx(3.0 / 7.0, rel=1e-12)
 
     def test_white(self):
         ws = make_covariance(CovSpec("solvable", 2.0, 0.0, 8)).spectrum()
-        assert fi_eigen(ws, 8).value == pytest.approx(4.0, rel=1e-12)
+        assert fi_eigen(ws).value == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_direct_on_random_spd(self):
         m = random_spd(24, seed=5)
         direct = fi_direct_numeric(Dense(m)).value
-        eigen = fi_eigen(Dense(m).spectrum(), 24).value
+        eigen = fi_eigen(Dense(m).spectrum()).value
         assert eigen == pytest.approx(direct, rel=1e-8)
 
-    def test_size_mismatch(self):
-        spectrum = make_covariance(CovSpec("solvable", 1.0, 0.0, 4)).spectrum()
-        with pytest.raises(InvalidSpectrum):
-            fi_eigen(spectrum, 5)
+    def test_mean_shift_is_keyword_only(self):
+        # N comes from the spectrum; a positional second argument would once
+        # have been N and must not be read as a shift.
+        spectrum = Dense(random_spd(24, seed=5)).spectrum()
+        with pytest.raises(TypeError):
+            fi_eigen(spectrum, 24)
+        shifted = fi_eigen(spectrum, mean_shift=3.0).value
+        assert shifted == pytest.approx(9.0 * fi_eigen(spectrum).value, rel=1e-12)
 
 
 class TestTwoOutcome:
@@ -146,6 +149,11 @@ class TestTwoOutcome:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             optimal_alpha(TwoOutcomeSpec(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, math.nan])
+    def test_from_xr_needs_positive_asymmetry(self, x):
+        with pytest.raises(InvalidSpec, match="the asymmetry x must be > 0"):
+            TwoOutcomeSpec.from_xr(x, 0.5)
 
     @pytest.mark.parametrize("x,r", [(1.0, 0.0), (4.0, 0.5), (0.3, -0.8)])
     def test_optimum_on_grid(self, x, r):
@@ -364,6 +372,6 @@ class TestInformationInequalities:
         closed = fi_wva_solvable(a, c, n, 1.0, 1.0).value  # gamma = 1: direct closed form
         numeric = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n)))).value
         spectrum = make_covariance(CovSpec("solvable", a, c, n)).spectrum()
-        eigen = fi_eigen(spectrum, n).value
+        eigen = fi_eigen(spectrum).value
         assert numeric == pytest.approx(closed, rel=1e-8)
         assert eigen == pytest.approx(closed, rel=1e-8)

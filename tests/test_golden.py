@@ -69,6 +69,20 @@ def test_csv_bytes_match_golden(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_file_gives_the_golden_bytes(name, tmp_path):
+    # Every flag from a key=value file, required ones included, spliced in
+    # after the positionals ("figure fig7" as well as "table1").
+    argv = CASES[name]
+    head = next(i for i, token in enumerate(argv) if token.startswith("--"))
+    flags = argv[head:]
+    pairs = zip(flags[::2], flags[1::2])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key.removeprefix('--')}={value}\n" for key, value in pairs))
+    got = _run([*argv[:head], "--config", str(cfg)], tmp_path / f"{name}.csv")
+    assert got == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estlab.covmodel import CovSpec
+from estlab.covariance import CovSpec
 from estlab.errors import InvalidSpec, NotPositiveDefinite
 from estlab.matkernel import SymMatrix
 
@@ -39,11 +39,11 @@ class TestSymMatrix:
             SymMatrix(np.zeros((0, 0)))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="matrix is not symmetric"):
             SymMatrix([[1.0, 2.0], [0.0, 1.0]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="matrix entries must be finite"):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_entries_are_read_only(self):

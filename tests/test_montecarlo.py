@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2
 
-from estlab.covmodel import CovSpec
+from estlab.covariance import CovSpec
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite
 from estlab.estimators import ESTIMATOR_NAMES, Dataset, check_fits, estimator_weights
 from estlab.matkernel import SymMatrix

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from estlab.covmodel import CovSpec
+from estlab.covariance import CovSpec
 from estlab.errors import InvalidSpec
 from estlab.fisher import fi_partitioned
 from estlab.matkernel import SymMatrix
 from estlab.partition import (
+    check_seed,
     direct_design,
     make_design,
     spin_coefficients,
@@ -129,6 +130,19 @@ class TestMakeDesign:
     def test_small_n_rejected(self):
         with pytest.raises(InvalidSpec, match=r"partition designs require n >= 2"):
             make_design(1, "alternating")
+
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "non-integral"])
+    def test_bernoulli_seed_rule(self, seed, message):
+        with pytest.raises(InvalidSpec, match=message):
+            make_design(10, "bernoulli", gamma=0.5, seed=seed)
+
+    def test_check_seed_returns_a_python_int(self):
+        seed = check_seed(np.int64(7))
+        assert seed == 7 and type(seed) is int
+        assert check_seed(0) == 0 and check_seed(2**70) == 2**70
 
     def test_direct_design(self):
         design = direct_design(5)
