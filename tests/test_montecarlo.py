@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,15 +7,15 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2
 
+from estlab import montecarlo
 from estlab.covariance import CovSpec
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite
 from estlab.estimators import ESTIMATOR_NAMES, Dataset, check_fits, estimator_weights
 from estlab.matkernel import SymMatrix
 from estlab.montecarlo import (
-    BLOCK_TRIALS,
+    BLOCK_WORDS,
     GENERATOR_NAME,
     NORMAL_METHOD,
-    _spawn_states,
     _trial_normals,
     run_trials,
 )
@@ -42,9 +44,30 @@ def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _rng_for(seed, trial: int | None = None) -> np.random.Generator:
-    key = () if trial is None else (trial,)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+def _rng_for(seed, trial: int | None = None, n: int | None = None) -> np.random.Generator:
+    """The root stream of ``seed``, or the run stream at trial ``trial`` of ``n`` normals.
+
+    A run reads PCG64(SeedSequence(seed, spawn_key=(0,))) in order, so trial
+    t starts at raw word t * n; advance jumps there without drawing.
+    """
+    if trial is None:
+        return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    stream = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    return np.random.Generator(stream.advance(trial * n))
+
+
+def _recorded_normals(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """Every normal a run_trials call draws, in stream order."""
+    drawn = []
+
+    def recording_ndtri(u, out):
+        z = ndtri(u, out=out)
+        drawn.append(z.ravel().copy())
+        return z
+
+    monkeypatch.setattr(montecarlo, "ndtri", recording_ndtri)
+    run_trials(*args, **kwargs)
+    return np.concatenate(drawn)
 
 
 def sample_noise(matrix: SymMatrix, seed) -> np.ndarray:
@@ -206,7 +229,7 @@ class TestRunTrials:
         matrix = build(spec)
         lower = factor_spd(matrix)
         for t in range(5):
-            z = standard_normal(_rng_for(77, t), 12)
+            z = standard_normal(_rng_for(77, t, 12), 12)
             data = Dataset(design.mu_prime + lower @ z, design)
             assert ens.estimates[t] == pytest.approx(
                 estimate_ml(data, Dense(matrix)), rel=1e-12
@@ -226,7 +249,7 @@ def _reference_estimates(spec, design, estimator, d_true, trials, seed):
         "wva-corrected": lambda data: estimate_wva_corrected(data, spec.a, spec.c),
     }[estimator]
     return np.array([
-        apply(Dataset(mean + lower @ standard_normal(_rng_for(seed, t), spec.n), design))
+        apply(Dataset(mean + lower @ standard_normal(_rng_for(seed, t, spec.n), spec.n), design))
         for t in range(trials)
     ])
 
@@ -264,39 +287,16 @@ def _runs(draw):
 
 
 @st.composite
-def _spawn_blocks(draw):
-    """A seed of 1 to 6 uint32 words and a block of one-word spawn keys."""
-    words = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, (1 << 32 * words) - 1))
-    count = draw(st.integers(1, 300))
-    first = draw(st.one_of(st.sampled_from([0, 255, 256, 2**32 - count]),
-                           st.integers(0, 2**32 - count)))
-    return seed, first, count
-
-
-class TestSpawnStates:
-    """_spawn_states is numpy's SeedSequence hash, one block of keys at a time."""
-
-    @settings(deadline=None, max_examples=150)
-    @given(block=_spawn_blocks())
-    @example(block=(0, 0, 1))
-    @example(block=(2**32 - 1, 255, 2))
-    @example(block=(2**32, 256, 300))
-    @example(block=(2**128, 2**32 - 5, 5))
-    @example(block=(2**160, 2**32 - 1, 1))
-    def test_matches_numpy_seed_sequence(self, block):
-        seed, first, count = block
-        expected = np.array([
-            np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)
-            for t in range(first, first + count)
-        ])
-        got = _spawn_states(seed, first, count)
-        assert got.dtype == np.uint64 and got.shape == (count, 4)
-        assert np.array_equal(got, expected)
+def _prefix_runs(draw):
+    """n, a trial count and an extension, each spanning up to two blocks."""
+    n = draw(st.integers(1, 40))
+    per_block = BLOCK_WORDS // n
+    trials = draw(st.integers(2, 2 * per_block + 3))
+    return n, trials, draw(st.integers(1, per_block + 1))
 
 
 class TestBatchedTrials:
-    """run_trials draws per-trial substreams in blocks and applies weights once."""
+    """run_trials reads one stream in blocks of trials and applies weights once."""
 
     @settings(deadline=None, max_examples=60)
     @given(run=_runs(), d_true=st.floats(-3.0, 3.0), trials=st.integers(2, 40),
@@ -313,19 +313,67 @@ class TestBatchedTrials:
         assert np.abs(ens.estimates - reference).max() <= 1e-12 * spread
 
     @settings(deadline=None, max_examples=15)
-    @given(n=st.integers(1, 40), trials=st.integers(2, 2 * BLOCK_TRIALS + 3),
-           extra=st.integers(1, BLOCK_TRIALS + 1), seed=st.integers(0, 2**32))
-    def test_longer_run_extends_a_shorter_one(self, n, trials, extra, seed):
+    @given(run=_prefix_runs(), seed=st.integers(0, 2**32))
+    # Past 8192 columns a sum over a block must still be row by row.
+    @example(run=(10_000, 257, 3), seed=5)
+    def test_longer_run_extends_a_shorter_one(self, run, seed):
+        n, trials, extra = run
         spec = CovSpec("exponential", 1.0, 0.4, n, eta=3.0)
         short = run_trials(spec, direct_design(n), "equal", trials=trials, seed=seed)
         long = run_trials(spec, direct_design(n), "equal", trials=trials + extra, seed=seed)
         assert np.array_equal(long.estimates[:trials], short.estimates)
 
+    def test_block_size_does_not_change_the_estimates(self, monkeypatch):
+        n = 10_000
+        spec = CovSpec("exponential", 1.0, 0.05, n, eta=10.0)
+        runs = []
+        # One trial per block, three per block, and the default.
+        for words in (n, 3 * n, BLOCK_WORDS):
+            monkeypatch.setattr(montecarlo, "BLOCK_WORDS", words)
+            runs.append(run_trials(spec, direct_design(n), "equal", trials=9, seed=1))
+        for ens in runs[1:]:
+            assert np.array_equal(ens.estimates, runs[0].estimates)
+
+    def test_draw_memory_is_bounded(self):
+        # A block holds about BLOCK_WORDS normals, not a fixed trial count.
+        n = 100_000
+        spec = CovSpec("exponential", 1.0, 0.05, n, eta=10.0)
+        design = make_design(n, "alternating")
+        tracemalloc.start()
+        try:
+            run_trials(spec, design, "ml", trials=300, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     @pytest.mark.parametrize("first,count,n", [(0, 1, 1), (0, 5, 17), (253, 7, 100)])
     def test_block_normals_are_the_per_trial_normals(self, first, count, n):
-        block = _trial_normals(2024, first, count, n)
-        rows = [standard_normal(_rng_for(2024, first + i), n) for i in range(count)]
+        # Two consecutive blocks: the second holds trials first ... first + count - 1.
+        stream = _rng_for(2024, 0, n).bit_generator
+        _trial_normals(stream, first, n)
+        block = _trial_normals(stream, count, n)
+        rows = [standard_normal(_rng_for(2024, first + i, n), n) for i in range(count)]
         assert np.array_equal(block, np.array(rows))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_trial_zero_draws_the_first_spawned_substream(self, seed, monkeypatch):
+        # Trial 0 is what it was when each trial t read SeedSequence(seed, spawn_key=(t,)).
+        drawn = _recorded_normals(monkeypatch, CovSpec("solvable", 1.0, 0.05, 30),
+                                  direct_design(30), "equal", trials=3, seed=seed)
+        first = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        assert np.array_equal(drawn[:30], standard_normal(first, 30))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_trials_share_no_words_with_the_design_stream(self, seed, monkeypatch):
+        # A bernoulli design draws its mask from the root stream SeedSequence(seed).
+        n, trials = 50, 4
+        design = make_design(n, "bernoulli", gamma=0.5, seed=seed)
+        drawn = _recorded_normals(monkeypatch, CovSpec("solvable", 1.0, 0.05, n), design,
+                                  "wva", trials=trials, seed=seed)
+        root = standard_normal(_rng_for(seed), 2 * trials * n)
+        assert drawn.size == trials * n
+        assert np.intersect1d(drawn, root).size == 0
 
     def test_bounded_integers_are_shifted_raw_words(self):
         # Lemire's method never rejects for the range 2**53, so Generator.integers
