@@ -25,7 +25,6 @@ from .montecarlo import TrialEnsemble, run_trials
 from .partition import (
     PartitionDesign,
     SpinModel,
-    direct_design,
     make_design,
     spin_model,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "TrialEnsemble",
     "TwoOutcomeSpec",
     "WeightSpectrum",
-    "direct_design",
     "fi_direct_numeric",
     "fi_eigen",
     "fi_opm_solvable",

@@ -49,15 +49,7 @@ from .experiments import (
 )
 from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
 from .montecarlo import run_trials
-from .partition import (
-    SCHEME_BERNOULLI,
-    SCHEME_DIRECT,
-    SCHEME_PERIODIC,
-    SCHEMES,
-    direct_design,
-    make_design,
-    spin_model,
-)
+from .partition import SCHEME_BERNOULLI, SCHEME_DIRECT, SCHEME_PERIODIC, SCHEMES, make_design
 
 
 def _default_seed() -> int:
@@ -140,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--phi", type=float, default=None, metavar="RAD",
-        help="overlap angle in (0, pi); sets channel coefficients from the "
-        "two-state overlap model (and gamma, unless given)",
+        help="overlap angle in (0, pi) for every scheme but direct; sets channel "
+        "coefficients from the two-state overlap model (and gamma, unless given)",
     )
     p.add_argument(
         "--estimator", choices=ESTIMATOR_NAMES, required=True,
@@ -326,24 +318,11 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
     )
 
 
-def _simulate_design(args: argparse.Namespace):
-    if args.scheme == SCHEME_DIRECT:
-        return direct_design(args.n)
-    gamma = args.gamma
-    coefficients = None
-    if args.phi is not None:
-        model = spin_model(args.phi)
-        coefficients = (model.aw, model.awp)
-        if gamma is None:
-            gamma = model.gamma
-    return make_design(
-        args.n, args.scheme, gamma=gamma, seed=args.seed, coefficients=coefficients
-    )
-
-
 def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
     spec = CovSpec(args.model, args.a, args.c, args.n, eta=args.eta)
-    design = _simulate_design(args)
+    design = make_design(
+        args.n, args.scheme, gamma=args.gamma, seed=args.seed, phi=args.phi
+    )
     ensemble = run_trials(
         spec, design, args.estimator,
         d_true=args.d, trials=args.trials, seed=args.seed,

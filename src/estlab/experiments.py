@@ -3,6 +3,7 @@
 Each function returns a SweepResult (headers, rows, metadata) that
 write_csv serializes with a single metadata comment line, 17-significant-
 digit floats and LF line endings, so repeated runs are byte identical.
+Each study takes every argument: the CLI holds the defaults.
 
 Built-in studies:
 
@@ -51,8 +52,6 @@ from .partition import (
     spin_coefficients,
     spin_model,
 )
-
-BERNOULLI_DEFAULT_REPS = 32
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,7 @@ def write_csv(result: SweepResult, fh) -> None:
 # table1
 # ---------------------------------------------------------------------------
 
-def table1(
-    a: float = 1.0, c: float = 0.05, n: int = 1000, gamma: float = 0.005
-) -> SweepResult:
+def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     """Fisher information of the three strategies in both noise limits.
 
     The numeric twin of each closed-form cell inverts the actual matrix and
@@ -168,17 +165,13 @@ def table1(
 # fig2 / fig345: two-outcome studies
 # ---------------------------------------------------------------------------
 
-def fig2_surface(x_grid=None, r_grid=None) -> SweepResult:
+def fig2_surface(x_grid, r_grid) -> SweepResult:
     """Scaled inverse information over asymmetry x and correlation r.
 
     Values are 1/I in units of sqrt(var1*var2), i.e. with var2 = 1 and
     var1 = x the cell holds 1/(I*sqrt(x)).  The |r| = 1 boundary is excluded
     (information diverges there).
     """
-    if x_grid is None:
-        x_grid = np.logspace(-1.0, 1.0, 41)
-    if r_grid is None:
-        r_grid = np.linspace(-0.99, 0.99, 45)
     x_grid = np.asarray(x_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if (np.abs(r_grid) > 0.999).any():
@@ -211,20 +204,16 @@ DEFAULT_CURVE_SPECS = (
 )
 
 
-def fig345_curves(var_specs=None, alpha_grid=None) -> SweepResult:
-    """Estimator variance versus weighting alpha for (x, r) families.
+def fig345_curves(alpha_grid) -> SweepResult:
+    """Estimator variance versus weighting alpha for the DEFAULT_CURVE_SPECS.
 
     Each row carries the curve's optimal weight alpha_star and its minimum
     variance.  The fully degenerate curve (r = 1, x = 1) is flat; its
     alpha_star is reported as 0.5 by symmetry.
     """
-    if var_specs is None:
-        var_specs = DEFAULT_CURVE_SPECS
-    if alpha_grid is None:
-        alpha_grid = np.linspace(-1.5, 2.5, 201)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     rows = []
-    for x, r in var_specs:
+    for x, r in DEFAULT_CURVE_SPECS:
         spec = TwoOutcomeSpec.from_xr(x, r)
         try:
             alpha_star = optimal_alpha(spec)
@@ -242,7 +231,7 @@ def fig345_curves(var_specs=None, alpha_grid=None) -> SweepResult:
         rows=rows,
         metadata=_metadata(
             "fig345",
-            curves=len(tuple(var_specs)),
+            curves=len(DEFAULT_CURVE_SPECS),
             alpha_min=float(alpha_grid.min()),
             alpha_max=float(alpha_grid.max()),
             alpha_points=alpha_grid.size,
@@ -254,9 +243,7 @@ def fig345_curves(var_specs=None, alpha_grid=None) -> SweepResult:
 # fig6: block decomposition versus overlap angle
 # ---------------------------------------------------------------------------
 
-def fig6_decomposition(
-    n: int = 100, c_over_a: float = 0.5, phi_grid=None
-) -> SweepResult:
+def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
     """Two-channel information terms versus phi on the solvable model.
 
     Columns I1, I2, I3 and their sum are in units of N/a (the uncorrelated
@@ -266,8 +253,6 @@ def fig6_decomposition(
     """
     if n < 2 or c_over_a < 0.0:
         raise InvalidSpec(f"fig6 needs n >= 2 and c_over_a >= 0, got {n}, {c_over_a}")
-    if phi_grid is None:
-        phi_grid = np.linspace(0.01, math.pi - 0.01, 100)
     phi_grid = np.asarray(phi_grid, dtype=float)
     a = 1.0
     c = c_over_a * a
@@ -342,14 +327,7 @@ def retention_designs(
 
 
 def fig7_sweep(
-    n: int = 1000,
-    a: float = 1.0,
-    c: float = 0.05,
-    gamma: float = 0.005,
-    eta_grid=None,
-    scheme: str = SCHEME_PERIODIC,
-    reps: int = BERNOULLI_DEFAULT_REPS,
-    seed: int = 0,
+    n: int, a: float, c: float, gamma: float, eta_grid, scheme: str, reps: int, seed: int
 ) -> SweepResult:
     """Strategy comparison versus dimensionless correlation time eta.
 
@@ -363,8 +341,6 @@ def fig7_sweep(
     ``reps`` seeded retention patterns (fixed across eta).  The whole eta
     grid shares one covariance chain, at O(n) per eta.
     """
-    if eta_grid is None:
-        eta_grid = np.logspace(-2.0, 6.0, 40)
     eta_grid = np.asarray(eta_grid, dtype=float).ravel()
     check_model(KIND_EXPONENTIAL, a, c, n)
     seed = check_seed(seed)

@@ -72,12 +72,8 @@ class TrialEnsemble:
 
 
 def run_trials(
-    spec: CovSpec,
-    design: PartitionDesign,
-    estimator: str,
-    d_true: float = 1.0,
-    trials: int = 1000,
-    seed: int = 0,
+    spec: CovSpec, design: PartitionDesign, estimator: str,
+    d_true: float, trials: int, seed: int,
 ) -> TrialEnsemble:
     """Run ``trials`` independent seeded datasets through one estimator.
 

@@ -4,25 +4,25 @@ mean-shift coefficient.
 A design assigns each of the n measurement slots to a channel and gives each
 channel a coefficient (its weak value): slot i then has mean coefficient
 mu_prime[i] = coefficient(channel(i)), so the expected sample is
-mu_prime[i] * d.  Four layouts are provided:
+mu_prime[i] * d.  ``make_design`` builds the five ``SCHEMES``:
 
+* ``direct``       no partitioning: one channel, unit coefficient
 * ``bernoulli``    each slot retained independently with probability gamma
 * ``periodic``     slots at multiples of round(1/gamma) retained
 * ``alternating``  odd slots +1, even slots -1 (sign-flipped signal)
 * ``blocks``       first round(gamma*n) slots in channel 1, rest in channel 2
 
-plus ``direct_design`` for the no-partition baseline (one channel, unit
-coefficient); ``SCHEMES`` names all five.  ``check_seed`` is the one seed
-rule (an integer >= 0), for the bernoulli draw here and for every seeded
-study and Monte Carlo run.  The two-state overlap model ties an overlap
-angle phi to weak values and retention probability:
+``check_seed`` is the one seed rule (an integer >= 0), for the bernoulli
+draw here and for every seeded study and Monte Carlo run.  The two-state
+overlap model ties an overlap angle phi to weak values and retention
+probability:
 
     Aw = -cot(phi/2),  Awp = tan(phi/2),  gamma = sin^2(phi/2)
 
-Postselect schemes default to the idealized amplification convention
-Aw = sqrt(1/gamma) (rejected channel coefficient 0); ``blocks`` defaults to
-the exact overlap-model pair at the realized retained fraction.  Pass
-``coefficients`` explicitly to use any other convention.
+Without phi, postselect schemes take the idealized amplification convention
+Aw = sqrt(1/gamma) (rejected channel coefficient 0), ``blocks`` the exact
+overlap-model pair at the realized retained fraction, and ``alternating``
+the pair (+1, -1).
 """
 
 from __future__ import annotations
@@ -137,48 +137,56 @@ class PartitionDesign:
         return f"scheme={self.scheme} n={self.n} channels={pairs}"
 
 
-def direct_design(n: int) -> PartitionDesign:
-    """No partitioning: every slot retained with unit coefficient."""
-    if n < 1:
-        raise InvalidSpec("direct design requires n >= 1")
-    return PartitionDesign(
-        n=n,
-        scheme=SCHEME_DIRECT,
-        channels=(CHANNEL_RETAINED,),
-        assignment=np.zeros(n, dtype=np.intp),
-        coefficients=np.array([1.0]),
-    )
-
-
 def make_design(
     n: int,
     scheme: str,
     gamma: float | None = None,
     seed: int = 0,
-    coefficients: tuple[float, float] | None = None,
+    phi: float | None = None,
 ) -> PartitionDesign:
-    """Build one of the named two-channel layouts.
+    """Build one of the five ``SCHEMES``; the one home of the scheme-parameter rule.
 
-    ``seed`` only matters for the bernoulli scheme, where retention is drawn
-    from the seeded deterministic generator (PCG64) so identical seeds give
-    identical designs.
+    gamma applies to bernoulli, periodic and blocks, and they need it.  phi
+    gives the overlap pair (Aw, Awp) to the channels of every scheme but
+    direct, and sets gamma = sin^2(phi/2) where gamma applies and is not
+    given.  Any other gamma or phi is InvalidSpec.  ``seed`` only matters for
+    the bernoulli scheme, where retention is drawn from the seeded
+    deterministic generator (PCG64) so identical seeds give identical designs.
     """
+    if scheme not in SCHEMES:
+        raise InvalidSpec(f"unknown partition scheme {scheme!r}")
+    if gamma is not None and scheme in (SCHEME_DIRECT, SCHEME_ALTERNATING):
+        raise InvalidSpec(f"gamma does not apply to the {scheme} scheme")
+    if scheme == SCHEME_DIRECT:
+        if phi is not None:
+            raise InvalidSpec("phi does not apply to the direct scheme")
+        if n < 1:
+            raise InvalidSpec("direct design requires n >= 1")
+        return PartitionDesign(
+            n=n,
+            scheme=scheme,
+            channels=(CHANNEL_RETAINED,),
+            assignment=np.zeros(n, dtype=np.intp),
+            coefficients=np.array([1.0]),
+        )
     if n < 2:
         raise InvalidSpec("partition designs require n >= 2")
+    coeffs = None
+    if phi is not None:
+        model = spin_model(phi)
+        coeffs = (model.aw, model.awp)
+        if gamma is None:
+            gamma = model.gamma
 
     if scheme == SCHEME_ALTERNATING:
-        assignment = (np.arange(n) % 2).astype(np.intp)
-        coeffs = coefficients if coefficients is not None else (1.0, -1.0)
         return PartitionDesign(
             n=n,
             scheme=scheme,
             channels=(CHANNEL_PLUS, CHANNEL_MINUS),
-            assignment=assignment,
-            coefficients=np.asarray(coeffs, dtype=float),
+            assignment=(np.arange(n) % 2).astype(np.intp),
+            coefficients=np.asarray(coeffs or (1.0, -1.0), dtype=float),
         )
 
-    if scheme not in (SCHEME_BERNOULLI, SCHEME_PERIODIC, SCHEME_BLOCKS):
-        raise InvalidSpec(f"unknown partition scheme {scheme!r}")
     if gamma is None or not 0.0 < gamma < 1.0:
         raise InvalidSpec(
             f"{scheme} scheme requires gamma strictly inside (0, 1), got {gamma}"
@@ -201,7 +209,7 @@ def make_design(
             )
         assignment = np.where(np.arange(n) < n1, 0, 1).astype(np.intp)
 
-    if coefficients is None:
+    if coeffs is None:
         if scheme == SCHEME_BLOCKS:
             # Coefficients at the realized fraction keep the layout an exact
             # overlap-model partition even when gamma*n is not an integer.
@@ -209,8 +217,6 @@ def make_design(
             coeffs = spin_coefficients(realized)
         else:
             coeffs = (math.sqrt(1.0 / gamma), 0.0)
-    else:
-        coeffs = coefficients
 
     return PartitionDesign(
         n=n,

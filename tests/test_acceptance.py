@@ -21,7 +21,7 @@ from estlab.fisher import (
     two_outcome_variance,
 )
 from estlab.montecarlo import run_trials
-from estlab.partition import direct_design, make_design, spin_model
+from estlab.partition import make_design, spin_model
 
 from conftest import Dense, build, column, random_spd, solvable_inverse
 
@@ -61,7 +61,8 @@ def test_criterion_1_table1_reproduction():
 def test_criterion_2_fig7_shape():
     n, a, c, gamma = 1000, 1.0, 0.05, 0.005
     started = time.monotonic()
-    sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma)  # default 40-point log grid
+    sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=np.logspace(-2, 6, 40),
+                       scheme="periodic", reps=1, seed=0)
     elapsed = time.monotonic() - started
 
     eta = column(sweep, "eta")
@@ -137,12 +138,14 @@ def test_criterion_5_monte_carlo_efficiency():
     trials = 100_000
     started = time.monotonic()
 
-    equal = run_trials(spec, direct_design(100), "equal", trials=trials, seed=20240101)
+    equal = run_trials(spec, make_design(100, "direct"), "equal",
+                       d_true=1.0, trials=trials, seed=20240101)
     bgsub = run_trials(
-        spec, make_design(100, "alternating"), "bgsub", trials=trials, seed=20240102
+        spec, make_design(100, "alternating"), "bgsub",
+        d_true=1.0, trials=trials, seed=20240102,
     )
     blocks = make_design(100, "blocks", gamma=0.5)
-    ml = run_trials(spec, blocks, "ml", trials=trials, seed=20240103)
+    ml = run_trials(spec, blocks, "ml", d_true=1.0, trials=trials, seed=20240103)
     elapsed = time.monotonic() - started
 
     fi_ml = fi_partitioned(Dense(build(spec)), blocks.mu_prime, blocks).value

@@ -173,6 +173,12 @@ class TestValidation:
         ["table1", "--n", "1"],
         ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
          "--trials", "1"],
+        ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+         "--scheme", "direct", "--gamma", "0.3"],
+        ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+         "--scheme", "direct", "--phi", "1.0"],
+        ["simulate", "--model", "solvable", "--n", "10", "--estimator", "bgsub",
+         "--scheme", "alternating", "--gamma", "0.3"],
         ["delta-i", "--a", "0", "--c", "1", "--n", "10"],
         ["delta-i", "--a", "1", "--c", "-0.5", "--n", "10"],
         ["delta-i", "--a", "1", "--c", "1", "--n", "0"],
@@ -181,7 +187,8 @@ class TestValidation:
             "fig2-x-min", "fig2-x-reversed", "fig2-r-max", "fig2-r-reversed",
             "fig345-alpha-points", "fig345-alpha-reversed", "fig6-phi-points",
             "fig6-n", "fig6-c-over-a", "fisher-mean-shift", "table1-gamma",
-            "table1-n", "simulate-trials", "delta-i-a", "delta-i-c", "delta-i-n"])
+            "table1-n", "simulate-trials", "simulate-direct-gamma", "simulate-direct-phi",
+            "simulate-alternating-gamma", "delta-i-a", "delta-i-c", "delta-i-n"])
     def test_rejected_configuration_exit_code(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(argv + ["-o", str(out)]) == 3
@@ -228,7 +235,7 @@ class TestValidation:
         assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", [2**32 + 1, 100_000_000_000])
-    def test_trials_beyond_spawn_keys_is_invalid_configuration(
+    def test_more_than_2_pow_32_trials_is_invalid_configuration(
         self, trials, tmp_path, capsys
     ):
         # Rejected in the validation phase, before any allocation or draw.

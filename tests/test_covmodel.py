@@ -56,7 +56,9 @@ MODEL_ENTRY_POINTS = {
     "CovSpec-exponential": lambda a, c, n: CovSpec("exponential", a, c, n, eta=1.0),
     "fi_wva_solvable": lambda a, c, n: fi_wva_solvable(a, c, n, 0.5, 1.0),
     "fi_opm_solvable": lambda a, c, n: fi_opm_solvable(a, c, n, 0.5, 1.0, -1.0),
-    "fig7_sweep": lambda a, c, n: fig7_sweep(n=n, a=a, c=c, gamma=0.5, eta_grid=[1.0]),
+    "fig7_sweep": lambda a, c, n: fig7_sweep(
+        n=n, a=a, c=c, gamma=0.5, eta_grid=[1.0], scheme="periodic", reps=1, seed=0
+    ),
     "delta_i": delta_i,
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from estlab.covariance import CovSpec, make_covariance
 from estlab.errors import InvalidSpec
 from estlab.estimators import Dataset, check_fits, estimator_weights
 from estlab.montecarlo import run_trials
-from estlab.partition import PartitionDesign, direct_design, make_design
+from estlab.partition import PartitionDesign, make_design
 
 from conftest import Dense, build
 
@@ -31,21 +32,23 @@ def _estimate(name, samples, design, spec=None):
 class TestDataset:
     def test_length_checked(self):
         with pytest.raises(InvalidSpec, match="2 samples for a design with 3 slots"):
-            _dataset([1.0, 2.0], direct_design(3))
+            _dataset([1.0, 2.0], make_design(3, "direct"))
 
     def test_samples_read_only(self):
-        data = _dataset([1.0, 2.0, 3.0], direct_design(3))
+        data = _dataset([1.0, 2.0, 3.0], make_design(3, "direct"))
         with pytest.raises(ValueError):
             data.samples[0] = 0.0
 
 
 class TestEqualWeight:
     def test_simple_mean(self):
-        assert _estimate("equal", [1.0, 2.0, 3.0], direct_design(3)) == pytest.approx(2.0)
+        design = make_design(3, "direct")
+        assert _estimate("equal", [1.0, 2.0, 3.0], design) == pytest.approx(2.0)
 
     def test_noise_free_recovery(self):
         d0 = 0.37
-        assert _estimate("equal", np.full(9, d0), direct_design(9)) == pytest.approx(d0)
+        design = make_design(9, "direct")
+        assert _estimate("equal", np.full(9, d0), design) == pytest.approx(d0)
 
     def test_rejects_partitioned_design(self):
         design = make_design(4, "alternating")
@@ -55,7 +58,8 @@ class TestEqualWeight:
 
 class TestMaximumLikelihood:
     def test_identity_covariance_is_mean(self):
-        assert _estimate("ml", [1.0, 2.0, 3.0, 6.0], direct_design(4)) == pytest.approx(3.0)
+        design = make_design(4, "direct")
+        assert _estimate("ml", [1.0, 2.0, 3.0, 6.0], design) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("scheme,gamma", [("blocks", 0.25), ("alternating", None)])
     def test_noise_free_recovery_any_design(self, scheme, gamma):
@@ -89,12 +93,14 @@ class TestMaximumLikelihood:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidSpec):
-            check_fits("ml", CovSpec("white", 1.0, 0.0, 3), direct_design(4))
+            check_fits("ml", CovSpec("white", 1.0, 0.0, 3), make_design(4, "direct"))
 
 
 class TestWeakValue:
     def test_noise_free_recovery(self):
-        design = make_design(10, "periodic", gamma=0.2, coefficients=(5.0, 0.0))
+        design = dataclasses.replace(
+            make_design(10, "periodic", gamma=0.2), coefficients=(5.0, 0.0)
+        )
         d0 = 0.9
         assert _estimate("wva", design.mu_prime * d0, design) == pytest.approx(d0, rel=1e-12)
 
@@ -174,7 +180,7 @@ class TestWeakValueCorrected:
         )
 
     def test_requires_two_channels(self):
-        design = direct_design(4)
+        design = make_design(4, "direct")
         with pytest.raises(InvalidSpec, match="wva-corrected needs a retained/rejected design"):
             check_fits("wva-corrected", CovSpec("solvable", 1.0, 0.1, 4), design)
 
@@ -187,8 +193,8 @@ class TestWeakValueCorrected:
         # Same seeds, same datasets: using the rejected data cannot hurt.
         spec = CovSpec("solvable", 1.0, 0.05, 100)
         design = make_design(100, "blocks", gamma=0.05)
-        wva = run_trials(spec, design, "wva", trials=30_000, seed=777)
-        cor = run_trials(spec, design, "wva-corrected", trials=30_000, seed=777)
+        wva = run_trials(spec, design, "wva", d_true=1.0, trials=30_000, seed=777)
+        cor = run_trials(spec, design, "wva-corrected", d_true=1.0, trials=30_000, seed=777)
         assert cor.empirical_variance <= wva.empirical_variance
 
 
@@ -205,14 +211,15 @@ class TestMonteCarloCalibration:
             assignment=np.zeros(5, dtype=np.intp),
             coefficients=np.array([math.sqrt(200.0)]),
         )
-        ens = run_trials(spec, design, "wva", trials=100_000, seed=31415)
+        ens = run_trials(spec, design, "wva", d_true=1.0, trials=100_000, seed=31415)
         assert ens.empirical_variance == pytest.approx(1.0 / 800.0, rel=0.03)
         se = math.sqrt(ens.empirical_variance / ens.trials)
         assert abs(ens.empirical_mean - 1.0) <= 4 * se
 
     def test_equal_weight_variance_moderate_run(self):
         spec = CovSpec("solvable", 1.0, 0.05, 100)
-        ens = run_trials(spec, direct_design(100), "equal", trials=20_000, seed=8)
+        ens = run_trials(spec, make_design(100, "direct"), "equal",
+                         d_true=1.0, trials=20_000, seed=8)
         assert ens.empirical_variance == pytest.approx(0.06, rel=0.05)
         se = math.sqrt(ens.empirical_variance / ens.trials)
         assert abs(ens.empirical_mean - 1.0) <= 4 * se
@@ -225,12 +232,13 @@ class TestMonteCarloCalibration:
         target = 1.0 / fi_partitioned(
             Dense(build(spec)), design.mu_prime, design
         ).value
-        ens = run_trials(spec, design, "ml", trials=20_000, seed=9)
+        ens = run_trials(spec, design, "ml", d_true=1.0, trials=20_000, seed=9)
         assert ens.empirical_variance == pytest.approx(target, rel=0.05)
 
     def test_wva_corrected_unbiased(self):
         spec = CovSpec("solvable", 1.0, 0.05, 100)
         design = make_design(100, "blocks", gamma=0.05)
-        ens = run_trials(spec, design, "wva-corrected", trials=100_000, seed=7777)
+        ens = run_trials(spec, design, "wva-corrected",
+                         d_true=1.0, trials=100_000, seed=7777)
         se = math.sqrt(ens.empirical_variance / ens.trials)
         assert abs(ens.empirical_mean - 1.0) <= 4 * se

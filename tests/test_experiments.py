@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from estlab.errors import InvalidSpec
 from estlab.experiments import (
+    DEFAULT_CURVE_SPECS,
     delta_i,
     delta_i_summary,
     fig2_surface,
@@ -65,9 +66,9 @@ class TestTable1:
 
     def test_gamma_validated(self):
         with pytest.raises(InvalidSpec):
-            table1(gamma=1.5)
+            table1(1.0, 0.05, 1000, 1.5)
         with pytest.raises(InvalidSpec):
-            table1(n=10, gamma=0.001)
+            table1(1.0, 0.05, 10, 0.001)
 
 
 class TestFig2:
@@ -90,49 +91,56 @@ class TestFig2:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidSpec):
-            fig2_surface(r_grid=[0.9999])
+            fig2_surface(x_grid=[1.0], r_grid=[0.9999])
         with pytest.raises(InvalidSpec):
-            fig2_surface(x_grid=[-1.0])
+            fig2_surface(x_grid=[-1.0], r_grid=[0.0])
 
     def test_row_count(self):
         result = fig2_surface(x_grid=np.ones(3), r_grid=np.zeros(4))
         assert len(result.rows) == 12
 
 
+def _curve(result, x, r):
+    """The rows of the (x, r) curve, once per alpha."""
+    rows = [row for row in result.rows if (row[0], row[1]) == (x, r)]
+    return rows[: len(rows) // DEFAULT_CURVE_SPECS.count((x, r))]
+
+
 class TestFig345:
     def test_equal_weight_half_correlated(self):
-        result = fig345_curves(var_specs=[(1.0, 0.5)], alpha_grid=[0.5])
-        row = result.rows[0]
+        row = _curve(fig345_curves(alpha_grid=[0.5]), 1.0, 0.5)[0]
         assert row[3] == pytest.approx(0.75, rel=1e-12)
         assert row[4] == pytest.approx(0.5)  # alpha_star by symmetry
         assert row[5] == pytest.approx(0.75, rel=1e-12)
 
     def test_degenerate_curve_is_constant_one(self):
-        result = fig345_curves(var_specs=[(1.0, 1.0)], alpha_grid=np.linspace(0, 1, 11))
-        values = column(result, "variance")
+        rows = _curve(fig345_curves(alpha_grid=np.linspace(0, 1, 11)), 1.0, 1.0)
+        values = np.array([row[3] for row in rows])
         assert np.allclose(values, 1.0, rtol=1e-12)
-        assert result.rows[0][4] == 0.5
+        assert rows[0][4] == 0.5
 
     def test_optimum_marks_grid_minimum(self):
         grid = np.linspace(-1.5, 2.5, 401)
-        result = fig345_curves(var_specs=[(4.0, 0.5), (0.25, 1.0)], alpha_grid=grid)
+        result = fig345_curves(alpha_grid=grid)
         for x, r in ((4.0, 0.5), (0.25, 1.0)):
-            rows = [row for row in result.rows if row[0] == x and row[1] == r]
+            rows = _curve(result, x, r)
             min_on_grid = min(row[3] for row in rows)
             assert rows[0][5] <= min_on_grid + 1e-12
 
     def test_perfect_positive_correlation_zero_minimum(self):
-        result = fig345_curves(var_specs=[(4.0, 1.0)], alpha_grid=[0.0])
-        assert result.rows[0][5] == pytest.approx(0.0, abs=1e-12)
+        row = _curve(fig345_curves(alpha_grid=[0.0]), 4.0, 1.0)[0]
+        assert row[5] == pytest.approx(0.0, abs=1e-12)
 
     def test_default_families_row_count(self):
-        result = fig345_curves()
+        result = fig345_curves(alpha_grid=np.linspace(-1.5, 2.5, 201))
         assert len(result.rows) == 14 * 201
 
 
 class TestFig6:
     def test_sum_is_unity_everywhere(self):
-        result = fig6_decomposition()
+        result = fig6_decomposition(
+            n=100, c_over_a=0.5, phi_grid=np.linspace(0.01, math.pi - 0.01, 100)
+        )
         assert len(result.rows) == 100
         total = column(result, "total")
         assert np.abs(total - 1.0).max() <= 1e-9
@@ -148,16 +156,25 @@ class TestFig6:
         assert abs(i3) < 1e-3
 
     def test_terms_positive_shares(self):
-        result = fig6_decomposition(phi_grid=np.linspace(0.3, math.pi - 0.3, 7))
+        result = fig6_decomposition(
+            n=100, c_over_a=0.5, phi_grid=np.linspace(0.3, math.pi - 0.3, 7)
+        )
         for name in ("i1", "i2", "i3"):
             assert (column(result, name) > 0.0).all()
+
+
+def _fig7(**given):
+    """fig7_sweep at the paper's benchmark point, periodic, but for ``given``."""
+    args = dict(n=1000, a=1.0, c=0.05, gamma=0.005, eta_grid=np.logspace(-2, 6, 40),
+                scheme="periodic", reps=32, seed=0)
+    return fig7_sweep(**{**args, **given})
 
 
 @pytest.fixture(scope="module")
 def sweep():
     return fig7_sweep(
         n=400, a=1.0, c=0.05, gamma=0.01,
-        eta_grid=np.logspace(-3, 6, 10),
+        eta_grid=np.logspace(-3, 6, 10), scheme="periodic", reps=1, seed=0,
     )
 
 
@@ -211,24 +228,24 @@ class TestFig7:
 
     def test_eta_grid_validation(self):
         with pytest.raises(InvalidSpec):
-            fig7_sweep(eta_grid=[-1.0])
+            _fig7(eta_grid=[-1.0])
         with pytest.raises(InvalidSpec, match="eta must be"):
-            fig7_sweep(n=50, eta_grid=[math.nan])
+            _fig7(n=50, eta_grid=[math.nan])
         with pytest.raises(InvalidSpec):
-            fig7_sweep(scheme="chop")
+            _fig7(scheme="chop")
         with pytest.raises(InvalidSpec):
-            fig7_sweep(scheme="bernoulli", reps=0)
+            _fig7(scheme="bernoulli", reps=0)
         # Rejected as invalid before any chain is factored.
         for a, c in [(1.0, -0.1), (-1.0, 0.5), (0.0, 0.0), (math.nan, 0.05)]:
             with pytest.raises(InvalidSpec):
-                fig7_sweep(n=50, a=a, c=c, gamma=0.1, eta_grid=[0.1, 10.0])
+                _fig7(n=50, a=a, c=c, gamma=0.1, eta_grid=[0.1, 10.0])
 
     @pytest.mark.parametrize("scheme,seed", [
         ("bernoulli", -3), ("periodic", -1), ("bernoulli", 1.5),
     ])
     def test_seed_rule_for_every_scheme(self, scheme, seed):
         with pytest.raises(InvalidSpec, match="seed must be"):
-            fig7_sweep(n=50, scheme=scheme, reps=2, seed=seed, eta_grid=[1.0])
+            _fig7(n=50, scheme=scheme, reps=2, seed=seed, eta_grid=[1.0])
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -240,7 +257,7 @@ class TestFig7:
     def test_periodic_wva_never_beats_direct_in_white_limit(self, gamma, n, a, c):
         # The periodic design retains m = ceil(n/round(1/gamma)) slots, so
         # its amplification is the realized n/m, not 1/gamma.
-        sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[0.0, 1e-2])
+        sweep = _fig7(n=n, a=a, c=c, gamma=gamma, eta_grid=[0.0, 1e-2])
         direct = column(sweep, "fi_direct")
         assert (column(sweep, "fi_wva") <= direct * (1 + 1e-9)).all()
         assert direct == pytest.approx(n / (a + c), rel=1e-12)
@@ -254,7 +271,7 @@ class TestFig7:
         gamma=st.floats(0.001, 0.9),
     )
     def test_periodic_invariants(self, n, a, c, eta, gamma):
-        sweep = fig7_sweep(n=n, a=a, c=c, gamma=gamma, eta_grid=[eta])
+        sweep = _fig7(n=n, a=a, c=c, gamma=gamma, eta_grid=[eta])
         assert (column(sweep, "fi_bgsub") >= column(sweep, "fi_wva") * (1 - 1e-9)).all()
         for strategy in ("direct", "wva", "bgsub"):
             fi = column(sweep, f"fi_{strategy}")
@@ -264,7 +281,7 @@ class TestFig7:
         n = 20_000
         tracemalloc.start()
         try:
-            fig7_sweep(n=n, eta_grid=np.logspace(-2, 6, 4))
+            _fig7(n=n, eta_grid=np.logspace(-2, 6, 4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -312,7 +329,7 @@ class TestDeltaI:
 
 class TestCsvSerialization:
     def test_format_contract(self):
-        result = table1(n=100, gamma=0.05)
+        result = table1(1.0, 0.05, 100, 0.05)
         buf = io.StringIO()
         write_csv(result, buf)
         lines = buf.getvalue().split("\n")
@@ -327,8 +344,8 @@ class TestCsvSerialization:
 
     def test_byte_identical_reruns(self):
         a, b = io.StringIO(), io.StringIO()
-        write_csv(fig6_decomposition(n=20, phi_grid=np.linspace(0.1, 3.0, 5)), a)
-        write_csv(fig6_decomposition(n=20, phi_grid=np.linspace(0.1, 3.0, 5)), b)
+        write_csv(fig6_decomposition(n=20, c_over_a=0.5, phi_grid=np.linspace(0.1, 3.0, 5)), a)
+        write_csv(fig6_decomposition(n=20, c_over_a=0.5, phi_grid=np.linspace(0.1, 3.0, 5)), b)
         assert a.getvalue() == b.getvalue()
 
     def test_lf_line_endings_only(self):

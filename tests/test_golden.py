@@ -1,4 +1,5 @@
-"""Golden CSV bytes of every deterministic command at small sizes.
+"""Golden CSV bytes of every deterministic command, and of one seeded
+simulate run, at small sizes.
 
 Each case runs one CLI call and compares the output with the file under
 ``tests/golden/`` byte for byte, so a refactor that moves any digit of a
@@ -37,6 +38,10 @@ CASES = {
     "fisher-white": ["fisher", "--model", "white", "--a", "1.5", "--c", "0.25", "--n", "40"],
     "fisher-exponential": ["fisher", "--model", "exponential", "--a", "1", "--c", "0.05",
                            "--n", "60", "--eta", "3.7"],
+    "simulate-alternating-phi": ["simulate", "--model", "exponential", "--a", "1",
+                                 "--c", "0.05", "--n", "50", "--eta", "3.7",
+                                 "--scheme", "alternating", "--phi", "1.2",
+                                 "--estimator", "ml", "--trials", "200", "--seed", "7"],
 }
 
 

@@ -19,7 +19,7 @@ from estlab.montecarlo import (
     _trial_normals,
     run_trials,
 )
-from estlab.partition import direct_design, make_design
+from estlab.partition import make_design
 
 from conftest import (
     Dense,
@@ -70,9 +70,11 @@ def _recorded_normals(monkeypatch, *args, **kwargs) -> np.ndarray:
     return np.concatenate(drawn)
 
 
-def sample_noise(matrix: SymMatrix, seed) -> np.ndarray:
-    """One zero-mean Gaussian vector L @ z with covariance ``matrix``."""
-    return Dense(matrix).lower @ standard_normal(_rng_for(seed), matrix.dim)
+def sample_noise(matrix: SymMatrix, seed, count: int = 1) -> np.ndarray:
+    """``count`` zero-mean Gaussian vectors L @ z with covariance ``matrix``, one
+    per row, all drawn in turn from the root stream of ``seed``."""
+    z = standard_normal(_rng_for(seed), count * matrix.dim).reshape(count, matrix.dim)
+    return z @ Dense(matrix).lower.T
 
 
 class TestStandardNormal:
@@ -103,13 +105,13 @@ class TestSampleNoise:
     def test_identity_empirical_covariance(self):
         trials = 100_000
         m = SymMatrix(np.eye(4))
-        draws = np.array([sample_noise(m, s) for s in range(trials)])
+        draws = sample_noise(m, 0, trials)
         emp = np.cov(draws.T)
         assert np.abs(emp - np.eye(4)).max() < 3.0 / np.sqrt(trials)
 
     def test_solvable_empirical_covariance(self):
         m = build(CovSpec("solvable", 1.0, 0.5, 2))
-        draws = np.array([sample_noise(m, s) for s in range(20_000)])
+        draws = sample_noise(m, 0, 20_000)
         cov01 = np.cov(draws.T)[0, 1]
         # 3 sigma of a sample covariance with T draws.
         sigma = np.sqrt((1.5 * 1.5 + 0.5 * 0.5) / 20_000)
@@ -123,15 +125,18 @@ class TestSampleNoise:
 class TestRunTrials:
     def test_deterministic_ensemble(self):
         spec = CovSpec("solvable", 1.0, 0.05, 20)
-        a = run_trials(spec, direct_design(20), "equal", trials=200, seed=5)
-        b = run_trials(spec, direct_design(20), "equal", trials=200, seed=5)
+        a = run_trials(spec, make_design(20, "direct"), "equal",
+                       d_true=1.0, trials=200, seed=5)
+        b = run_trials(spec, make_design(20, "direct"), "equal",
+                       d_true=1.0, trials=200, seed=5)
         assert np.array_equal(a.estimates, b.estimates)
         assert a.config_digest == b.config_digest
         assert a.empirical_mean == b.empirical_mean
 
     def test_summary_recomputable(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
-        ens = run_trials(spec, direct_design(10), "equal", trials=500, seed=6)
+        ens = run_trials(spec, make_design(10, "direct"), "equal",
+                         d_true=1.0, trials=500, seed=6)
         assert ens.empirical_variance >= 0.0
         assert ens.empirical_mean == pytest.approx(
             float(np.mean(ens.estimates)), abs=1e-12
@@ -142,20 +147,23 @@ class TestRunTrials:
 
     def test_near_noise_free(self):
         spec = CovSpec("solvable", 1e-12, 0.0, 10)
-        ens = run_trials(spec, direct_design(10), "equal", trials=100, seed=4, d_true=2.5)
+        ens = run_trials(spec, make_design(10, "direct"), "equal",
+                         trials=100, seed=4, d_true=2.5)
         assert ens.empirical_mean == pytest.approx(2.5, abs=1e-5)
         assert ens.empirical_variance < 1e-10
 
     def test_null_signal_unbiased(self):
         spec = CovSpec("solvable", 1.0, 0.05, 30)
-        ens = run_trials(spec, direct_design(30), "equal", trials=20_000, seed=17, d_true=0.0)
+        ens = run_trials(spec, make_design(30, "direct"), "equal",
+                         trials=20_000, seed=17, d_true=0.0)
         se = np.sqrt(ens.empirical_variance / ens.trials)
         assert abs(ens.empirical_mean) <= 4 * se
 
     def test_chi_square_sanity(self):
         spec = CovSpec("solvable", 1.0, 0.05, 40)
         trials = 5000
-        ens = run_trials(spec, direct_design(40), "equal", trials=trials, seed=2718)
+        ens = run_trials(spec, make_design(40, "direct"), "equal",
+                         d_true=1.0, trials=trials, seed=2718)
         true_var = 1.0 / 40 + 0.05
         stat = trials * ens.empirical_variance / true_var
         lo, hi = chi2.ppf([0.0005, 0.9995], trials - 1)
@@ -164,68 +172,77 @@ class TestRunTrials:
     def test_lag_one_autocorrelation(self):
         spec = CovSpec("solvable", 1.0, 0.05, 40)
         trials = 5000
-        ens = run_trials(spec, direct_design(40), "equal", trials=trials, seed=2718)
+        ens = run_trials(spec, make_design(40, "direct"), "equal",
+                         d_true=1.0, trials=trials, seed=2718)
         e = ens.estimates
         rho = np.corrcoef(e[:-1], e[1:])[0, 1]
         assert abs(rho) < 4.0 / np.sqrt(trials)
 
     def test_digest_names_generator_and_method(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
-        ens = run_trials(spec, direct_design(10), "equal", trials=10, seed=0)
+        ens = run_trials(spec, make_design(10, "direct"), "equal",
+                         d_true=1.0, trials=10, seed=0)
         assert GENERATOR_NAME in ens.config_digest
         assert NORMAL_METHOD in ens.config_digest
         assert "estimator=equal" in ens.config_digest
 
     def test_estimates_read_only(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
-        ens = run_trials(spec, direct_design(10), "equal", trials=10, seed=0)
+        ens = run_trials(spec, make_design(10, "direct"), "equal",
+                         d_true=1.0, trials=10, seed=0)
         with pytest.raises(ValueError):
             ens.estimates[0] = 0.0
 
     def test_requires_two_trials(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
-            run_trials(spec, direct_design(10), "equal", trials=1, seed=0)
+            run_trials(spec, make_design(10, "direct"), "equal",
+                       d_true=1.0, trials=1, seed=0)
 
-    def test_rejects_more_trials_than_one_word_spawn_keys(self):
+    def test_rejects_more_than_2_pow_32_trials(self):
         # Rejected before the estimates array is allocated or anything drawn.
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec, match="2\\*\\*32"):
-            run_trials(spec, direct_design(10), "equal", trials=100_000_000_000, seed=0)
+            run_trials(spec, make_design(10, "direct"), "equal",
+                       d_true=1.0, trials=100_000_000_000, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "non-integral"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec, match="seed"):
-            run_trials(spec, direct_design(10), "equal", trials=10, seed=seed)
+            run_trials(spec, make_design(10, "direct"), "equal",
+                       d_true=1.0, trials=10, seed=seed)
 
     @pytest.mark.parametrize("trials,d_true", [(10.5, 1.0), (10, np.nan), (10, np.inf)],
                              ids=["fractional-trials", "nan-d", "inf-d"])
     def test_trials_and_d_true_are_checked(self, trials, d_true):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
-            run_trials(spec, direct_design(10), "equal", trials=trials, seed=0, d_true=d_true)
+            run_trials(spec, make_design(10, "direct"), "equal",
+                       trials=trials, seed=0, d_true=d_true)
 
     def test_design_size_must_match(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec):
-            run_trials(spec, direct_design(9), "equal", trials=10, seed=0)
+            run_trials(spec, make_design(9, "direct"), "equal",
+                       d_true=1.0, trials=10, seed=0)
 
     def test_unknown_estimator(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)
         with pytest.raises(InvalidSpec, match="unknown estimator 'median'"):
-            run_trials(spec, direct_design(10), "median", trials=10, seed=0)
+            run_trials(spec, make_design(10, "direct"), "median",
+                       d_true=1.0, trials=10, seed=0)
 
     def test_wva_corrected_needs_solvable(self):
         spec = CovSpec("exponential", 1.0, 0.05, 10, eta=1.0)
         design = make_design(10, "blocks", gamma=0.2)
         with pytest.raises(InvalidSpec):
-            run_trials(spec, design, "wva-corrected", trials=10, seed=0)
+            run_trials(spec, design, "wva-corrected", d_true=1.0, trials=10, seed=0)
 
     def test_ml_matches_public_estimator_sample_for_sample(self):
         spec = CovSpec("solvable", 1.0, 0.3, 12)
         design = make_design(12, "blocks", gamma=0.25)
-        ens = run_trials(spec, design, "ml", trials=5, seed=77)
+        ens = run_trials(spec, design, "ml", d_true=1.0, trials=5, seed=77)
         matrix = build(spec)
         lower = factor_spd(matrix)
         for t in range(5):
@@ -268,7 +285,7 @@ def _runs(draw):
     spec = CovSpec(kind, a, c, n, eta=eta)
     scheme = draw(st.sampled_from(["direct", "alternating", "periodic", "bernoulli", "blocks"]))
     if scheme == "direct":
-        design = direct_design(n)
+        design = make_design(n, "direct")
     else:
         gamma = draw(st.floats(0.02, 0.5)) if scheme != "alternating" else None
         try:
@@ -319,8 +336,10 @@ class TestBatchedTrials:
     def test_longer_run_extends_a_shorter_one(self, run, seed):
         n, trials, extra = run
         spec = CovSpec("exponential", 1.0, 0.4, n, eta=3.0)
-        short = run_trials(spec, direct_design(n), "equal", trials=trials, seed=seed)
-        long = run_trials(spec, direct_design(n), "equal", trials=trials + extra, seed=seed)
+        short = run_trials(spec, make_design(n, "direct"), "equal",
+                           d_true=1.0, trials=trials, seed=seed)
+        long = run_trials(spec, make_design(n, "direct"), "equal",
+                          d_true=1.0, trials=trials + extra, seed=seed)
         assert np.array_equal(long.estimates[:trials], short.estimates)
 
     def test_block_size_does_not_change_the_estimates(self, monkeypatch):
@@ -330,7 +349,8 @@ class TestBatchedTrials:
         # One trial per block, three per block, and the default.
         for words in (n, 3 * n, BLOCK_WORDS):
             monkeypatch.setattr(montecarlo, "BLOCK_WORDS", words)
-            runs.append(run_trials(spec, direct_design(n), "equal", trials=9, seed=1))
+            runs.append(run_trials(spec, make_design(n, "direct"), "equal",
+                                   d_true=1.0, trials=9, seed=1))
         for ens in runs[1:]:
             assert np.array_equal(ens.estimates, runs[0].estimates)
 
@@ -341,7 +361,7 @@ class TestBatchedTrials:
         design = make_design(n, "alternating")
         tracemalloc.start()
         try:
-            run_trials(spec, design, "ml", trials=300, seed=1)
+            run_trials(spec, design, "ml", d_true=1.0, trials=300, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,7 +380,8 @@ class TestBatchedTrials:
     def test_trial_zero_draws_the_first_spawned_substream(self, seed, monkeypatch):
         # Trial 0 is what it was when each trial t read SeedSequence(seed, spawn_key=(t,)).
         drawn = _recorded_normals(monkeypatch, CovSpec("solvable", 1.0, 0.05, 30),
-                                  direct_design(30), "equal", trials=3, seed=seed)
+                                  make_design(30, "direct"), "equal",
+                                  d_true=1.0, trials=3, seed=seed)
         first = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         assert np.array_equal(drawn[:30], standard_normal(first, 30))
 
@@ -370,7 +391,7 @@ class TestBatchedTrials:
         n, trials = 50, 4
         design = make_design(n, "bernoulli", gamma=0.5, seed=seed)
         drawn = _recorded_normals(monkeypatch, CovSpec("solvable", 1.0, 0.05, n), design,
-                                  "wva", trials=trials, seed=seed)
+                                  "wva", d_true=1.0, trials=trials, seed=seed)
         root = standard_normal(_rng_for(seed), 2 * trials * n)
         assert drawn.size == trials * n
         assert np.intersect1d(drawn, root).size == 0

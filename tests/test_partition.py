@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from estlab.fisher import fi_partitioned
 from estlab.matkernel import SymMatrix
 from estlab.partition import (
     check_seed,
-    direct_design,
     make_design,
     spin_coefficients,
     spin_model,
@@ -110,7 +110,9 @@ class TestMakeDesign:
         assert design.coefficient("rejected") == 0.0
 
     def test_coefficient_override(self):
-        design = make_design(100, "periodic", gamma=0.04, coefficients=(-3.0, 0.5))
+        design = dataclasses.replace(
+            make_design(100, "periodic", gamma=0.04), coefficients=(-3.0, 0.5)
+        )
         assert design.coefficient("retained") == -3.0
         assert design.coefficient("rejected") == 0.5
 
@@ -144,10 +146,37 @@ class TestMakeDesign:
         assert seed == 7 and type(seed) is int
         assert check_seed(0) == 0 and check_seed(2**70) == 2**70
 
-    def test_direct_design(self):
-        design = direct_design(5)
+    def test_direct_scheme(self):
+        design = make_design(5, "direct")
         assert design.channels == ("retained",)
         assert np.array_equal(design.mu_prime, np.ones(5))
+
+    @pytest.mark.parametrize("scheme", ["bernoulli", "periodic", "alternating", "blocks"])
+    def test_phi_gives_the_overlap_pair(self, scheme):
+        model = spin_model(1.0)
+        design = make_design(40, scheme, phi=1.0)
+        assert design.coefficients.tolist() == [model.aw, model.awp]
+
+    @pytest.mark.parametrize("scheme", ["bernoulli", "periodic", "blocks"])
+    def test_phi_sets_gamma_unless_given(self, scheme):
+        gamma = spin_model(1.0).gamma
+        assert np.array_equal(
+            make_design(40, scheme, phi=1.0, seed=3).assignment,
+            make_design(40, scheme, gamma=gamma, seed=3).assignment,
+        )
+        assert np.array_equal(
+            make_design(40, scheme, gamma=0.5, phi=1.0, seed=3).assignment,
+            make_design(40, scheme, gamma=0.5, seed=3).assignment,
+        )
+
+    @pytest.mark.parametrize("scheme,params,message", [
+        ("direct", dict(gamma=0.3), "gamma does not apply to the direct scheme"),
+        ("direct", dict(phi=1.0), "phi does not apply to the direct scheme"),
+        ("alternating", dict(gamma=0.3), "gamma does not apply to the alternating scheme"),
+    ], ids=["direct-gamma", "direct-phi", "alternating-gamma"])
+    def test_parameter_outside_its_schemes(self, scheme, params, message):
+        with pytest.raises(InvalidSpec, match=message):
+            make_design(10, scheme, **params)
 
 
 class TestSubmatrix:
@@ -198,7 +227,9 @@ class TestMeanVector:
         assert design.mu_prime.tolist() == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_retained_only_amplification(self):
-        design = make_design(10, "periodic", gamma=0.2, coefficients=(4.0, 0.0))
+        design = dataclasses.replace(
+            make_design(10, "periodic", gamma=0.2), coefficients=(4.0, 0.0)
+        )
         vec = design.mu_prime * 0.5
         retained = design.channel_slots("retained")
         assert np.array_equal(vec[retained], np.full(retained.size, 2.0))
