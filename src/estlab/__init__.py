@@ -12,10 +12,9 @@ from .errors import EstlabError
 from .fisher import (
     FisherReport,
     TwoOutcomeSpec,
-    fi_direct_numeric,
     fi_eigen,
+    fi_matched,
     fi_opm_solvable,
-    fi_partitioned,
     fi_two_outcome,
     fi_wva_solvable,
     optimal_alpha,
@@ -40,10 +39,9 @@ __all__ = [
     "TrialEnsemble",
     "TwoOutcomeSpec",
     "WeightSpectrum",
-    "fi_direct_numeric",
     "fi_eigen",
+    "fi_matched",
     "fi_opm_solvable",
-    "fi_partitioned",
     "fi_two_outcome",
     "fi_wva_solvable",
     "make_covariance",

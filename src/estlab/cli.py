@@ -47,7 +47,7 @@ from .experiments import (
     table1,
     write_csv,
 )
-from .fisher import fi_direct_numeric, fi_eigen, fi_wva_solvable
+from .fisher import METHOD_NUMERIC_INVERSE, FisherReport, fi_eigen, fi_matched, fi_wva_solvable
 from .montecarlo import run_trials
 from .partition import SCHEME_BERNOULLI, SCHEME_DIRECT, SCHEME_PERIODIC, SCHEMES, make_design
 
@@ -295,7 +295,9 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
     shift = args.mean_shift
     cov = make_covariance(spec)
     # First, as it rejects a zero shift, which the closed forms divide by.
-    numeric = fi_direct_numeric(cov, shift)
+    fi, iv = fi_matched(cov, np.ones(spec.n), shift * shift)
+    numeric = FisherReport(float(fi), METHOD_NUMERIC_INVERSE,
+                           equal_weight_variance=float(1.0 / iv))
     rows = []
     # Full retention with Aw = shift is the direct strategy; white noise is
     # the solvable model with variance a + c and no common offset.

@@ -73,22 +73,20 @@ def estimator_weights(
 ) -> np.ndarray:
     """Weights w of the named estimator, d_hat = w @ samples, once check_fits passed.
 
-    ``cov`` is the model covariance; only ml reads it, for
-    w = C^-1 mu' / (mu' C^-1 mu').
+    equal, bgsub and wva are the matched average mu_S/|mu_S|^2 of the slots
+    S they read, of variance 1/iv of ``fisher.fi_matched``; check_fits leaves
+    |mu| constant on S, so it is 1/(mu_i |S|) there.  Only ml reads ``cov``,
+    for w = C^-1 mu' / (mu' C^-1 mu').
     """
     n = design.n
     mu = design.mu_prime
-    if name == "equal":
-        return np.full(n, 1.0 / n)
-    if name == "bgsub":
-        return mu / n
     if name == "ml":
         y = cov.solve(mu)
         return y / float(y @ mu)
-    retained = design.channel_slots(CHANNEL_RETAINED)
-    aw = design.coefficient(CHANNEL_RETAINED)
+    read = design.channel_slots(CHANNEL_RETAINED) if name.startswith("wva") else np.arange(n)
     weights = np.zeros(n)
-    weights[retained] = 1.0 / (aw * retained.size)
+    weights[read] = 1.0 / (mu[read] * read.size)
     if name == "wva-corrected":
-        weights -= aw * spec.c * (retained.size / n) / (spec.a + n * spec.c)
+        aw = design.coefficient(CHANNEL_RETAINED)
+        weights -= aw * spec.c * (read.size / n) / (spec.a + n * spec.c)
     return weights

@@ -35,9 +35,8 @@ from .covariance import (
 from .errors import DegenerateDenominator, InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
-    fi_direct_numeric,
+    fi_matched,
     fi_opm_solvable,
-    fi_partitioned,
     fi_two_outcome,
     fi_wva_solvable,
     optimal_alpha,
@@ -106,8 +105,8 @@ def write_csv(result: SweepResult, fh) -> None:
 def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     """Fisher information of the three strategies in both noise limits.
 
-    The numeric twin of each closed-form cell inverts the actual matrix and
-    contracts it with the strategy's mean-coefficient vector; the WVA cells
+    The numeric twin of each closed-form cell is ``fi_matched``'s information
+    of the slots the strategy reads, on the actual covariance; the WVA cells
     use the idealized amplification Aw^2 = 1/gamma, under which the closed
     WVA cell on white noise is the direct one.  Closed and numeric
     agree to 1e-8 whenever gamma*n is an integer (the retained block is then
@@ -116,11 +115,12 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     """
     blocks = make_design(n, "blocks", gamma=gamma)
     retained = blocks.channel_slots("retained")
-    mu_blocks = blocks.mu_prime
     aw2 = 1.0 / gamma
     # Factored last, so invalid inputs are reported before a numeric failure.
-    white = make_covariance(CovSpec(KIND_WHITE, a, c, n))
-    solvable = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n))
+    covs = {
+        "uncorrelated": make_covariance(CovSpec(KIND_WHITE, a, c, n)),
+        "correlated": make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)),
+    }
 
     # Full retention with Aw = 1 is the direct strategy; white noise is the
     # solvable model with variance a + c and no common offset.  With
@@ -135,16 +135,12 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
         ("wva", "correlated"): fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
         ("opm", "correlated"): fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
     }
-    numeric = {
-        ("direct", "uncorrelated"): fi_direct_numeric(white).value,
-        ("wva", "uncorrelated"): aw2
-        * fi_direct_numeric(white.restrict(retained)).value,
-        ("opm", "uncorrelated"): fi_partitioned(white, mu_blocks, blocks).value,
-        ("direct", "correlated"): fi_direct_numeric(solvable).value,
-        ("wva", "correlated"): aw2
-        * fi_direct_numeric(solvable.restrict(retained)).value,
-        ("opm", "correlated"): fi_partitioned(solvable, mu_blocks, blocks).value,
-    }
+    numeric = {}
+    for regime, cov in covs.items():
+        numeric["direct", regime] = fi_matched(cov, np.ones(n))[0]
+        numeric["wva", regime] = fi_matched(
+            cov.restrict(retained), np.ones(retained.size), aw2)[0]
+        numeric["opm", regime] = fi_matched(cov, blocks.mu_prime)[0]
 
     rows = []
     for strategy in ("direct", "wva", "opm"):
@@ -263,7 +259,7 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
     mu_prime = np.column_stack(
         [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
     )
-    numeric = make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)).quad(mu_prime)
+    numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)), mu_prime)
     rows = []
     for phi, model, n1, total_numeric in zip(phi_grid, models, retained, numeric):
         report = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
@@ -349,22 +345,20 @@ def fig7_sweep(
     retained_sets = [d.channel_slots("retained") for d in designs]
 
     g = make_design(n, "alternating").mu_prime
-    rhs = np.column_stack([np.ones(n), g])
     cov = Chain(a, c, eta_grid, np.arange(n))
-    fi_direct, fi_bgsub = cov.quad(rhs).T
-    iv_direct, iv_bgsub = n * n / cov.form(rhs).T
+    fi, iv = fi_matched(cov, np.column_stack([np.ones(n), g]))
+    fi_direct, fi_bgsub = fi.T
+    iv_direct, iv_bgsub = iv.T
 
-    fi_wva_vals = []
-    iv_wva_vals = []
-    for retained in retained_sets:
-        m = retained.size
-        aw2 = n / m if scheme == SCHEME_PERIODIC else 1.0 / gamma
-        sub = cov.restrict(retained)
-        ones_m = np.ones(m)
-        fi_wva_vals.append(aw2 * sub.quad(ones_m))
-        iv_wva_vals.append(aw2 * m * m / sub.form(ones_m))
-    fi_wva = np.mean(fi_wva_vals, axis=0)
-    iv_wva = np.mean(iv_wva_vals, axis=0)
+    # One (fi, iv) pair of per-eta arrays for each retention pattern.
+    wva = [
+        fi_matched(
+            cov.restrict(retained), np.ones(retained.size),
+            n / retained.size if scheme == SCHEME_PERIODIC else 1.0 / gamma,
+        )
+        for retained in retained_sets
+    ]
+    fi_wva, iv_wva = np.mean(wva, axis=0)
 
     rows = list(zip(eta_grid, fi_direct, fi_wva, fi_bgsub, iv_direct, iv_wva, iv_bgsub))
     return SweepResult(

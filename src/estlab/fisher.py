@@ -10,8 +10,9 @@ and 1/I is the smallest variance any unbiased estimator of d can reach.
 The direct strategy has mu_prime = <A> * ones; a two-channel partition has
 mu_prime = (Aw on channel 1, Awp on channel 2), and I splits into three
 block terms I1 (channel 1 alone), I2 (channel 2 alone) and I3 (their
-cross-correlations).  The closed forms for the solvable model C = a*I + c*J,
-where every contraction is exact, return a FisherReport like the others.
+cross-correlations).  Every study reads its numeric contractions from
+``fi_matched``.  The closed forms for the solvable model C = a*I + c*J,
+where every contraction is exact, return a FisherReport like fi_eigen.
 
 The mean-shift magnitude <A> defaults to 1 throughout; amplification in the
 partitioned strategies is carried entirely by (Aw, Awp, gamma).
@@ -26,7 +27,6 @@ import numpy as np
 
 from .covariance import KIND_SOLVABLE, Covariance, WeightSpectrum, check_model
 from .errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
-from .partition import PartitionDesign
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_NUMERIC_INVERSE = "numeric_inverse"
@@ -86,18 +86,20 @@ class TwoOutcomeSpec:
         return cls(var1=x, var2=1.0, cov=r * math.sqrt(x))
 
 
-def fi_direct_numeric(cov: Covariance, mean_shift: float = 1.0) -> FisherReport:
-    """Direct-strategy information mean_shift^2 * 1'C^-1 1 via ``cov.quad``."""
-    if mean_shift == 0.0:
-        raise InvalidSpec("mean shift must be nonzero")
-    ones = np.ones(cov.dim)
-    scale = mean_shift * mean_shift
-    ew_var = float(cov.form(ones)) / (cov.dim * cov.dim * scale)
-    return FisherReport(
-        value=scale * float(cov.quad(ones)),
-        method=METHOD_NUMERIC_INVERSE,
-        equal_weight_variance=ew_var,
-    )
+def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(fi, iv): information of the slots read, inverse variance of their matched average.
+
+    fi = scale * mu'C^-1 mu and iv = scale * |mu|^4 / mu'C mu = 1/(w'Cw) for
+    w = mu/|mu|^2, the weights of equal, wva and bgsub, with one entry per
+    eta and per column of ``mu``.  ``scale`` is a channel's Aw^2, kept
+    outside the contractions: quad(sqrt(s)*u) need not round like s*quad(u).
+    """
+    if not 0.0 < scale < math.inf:
+        raise InvalidSpec(f"scale (Aw^2) must be positive and finite, got {scale!r}")
+    norm = (np.asarray(mu, dtype=float) ** 2).sum(axis=0)
+    if not np.all(norm > 0.0):
+        raise InvalidSpec("mean coefficients must not be the zero vector")
+    return scale * cov.quad(mu), scale * norm * norm / cov.form(mu)
 
 
 def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> FisherReport:
@@ -148,51 +150,6 @@ def optimal_alpha(spec: TwoOutcomeSpec) -> float:
     return (spec.var2 - spec.cov) / denom
 
 
-def fi_partitioned(
-    cov: Covariance,
-    mu_prime: np.ndarray,
-    design: PartitionDesign | None = None,
-) -> FisherReport:
-    """Information mu'.T @ inv(C) @ mu' for an arbitrary mean-coefficient vector.
-
-    When a two-channel design is supplied the value is decomposed into
-    (I1, I2, I3) by restricting the inverse-covariance contraction to the
-    (1,1), (2,2) and cross blocks of the partition; the blocks refer to the
-    inverse of the whole matrix, not to inverses of the sub-blocks.
-    """
-    mu = np.asarray(mu_prime, dtype=float)
-    if mu.shape != (cov.dim,):
-        raise InvalidSpec(f"mu_prime length {mu.size} does not match dimension {cov.dim}")
-    norm = float(mu @ mu)
-    if norm == 0.0:
-        raise InvalidSpec("mu_prime must not be the zero vector")
-    terms: tuple[float, float, float] | None = None
-    if design is not None and len(design.channels) == 2:
-        if design.n != cov.dim:
-            raise InvalidSpec(
-                f"design covers {design.n} slots, matrix dimension is {cov.dim}"
-            )
-        masked = np.zeros((cov.dim, 2))
-        for k in range(2):
-            sel = design.assignment == k
-            masked[sel, k] = mu[sel]
-        blocks = masked.T @ cov.solve(masked)
-        terms = (
-            float(blocks[0, 0]),
-            float(blocks[1, 1]),
-            float(blocks[0, 1] + blocks[1, 0]),
-        )
-        value = terms[0] + terms[1] + terms[2]
-    else:
-        value = float(mu @ cov.solve(mu))
-    return FisherReport(
-        value=value,
-        method=METHOD_NUMERIC_INVERSE,
-        terms=terms,
-        equal_weight_variance=float(cov.form(mu)) / (norm * norm),
-    )
-
-
 def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> FisherReport:
     """Post-selected information on the solvable model: Aw^2 * gN / (a + gNc).
 
@@ -224,12 +181,14 @@ def fi_opm_solvable(
 ) -> FisherReport:
     """Exact two-channel information on the solvable model, with block terms.
 
-    value = (a*N*[g*Aw^2 + (1-g)*Awp^2] + c*g*(1-g)*N^2*(Aw - Awp)^2)
+    value = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a
+          = (a*N*[g*Aw^2 + (1-g)*Awp^2] + c*g*(1-g)*N^2*(Aw - Awp)^2)
             / (a^2 + N*a*c)
 
-    For the overlap-model coefficients this collapses to N/a at every gamma:
-    using both channels and their cross-correlation removes the correlated
-    noise entirely.
+    and ``terms`` splits the second form into (I1, I2, I3).  For the
+    overlap-model coefficients this collapses to N/a at every gamma: using
+    both channels and their cross-correlation removes the correlated noise
+    entirely.
     """
     check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma < 1.0:
@@ -244,7 +203,9 @@ def fi_opm_solvable(
     sum_mu = n1 * aw + n2 * awp
     ew_var = (a * sum_mu2 + c * sum_mu * sum_mu) / (sum_mu2 * sum_mu2)
     return FisherReport(
-        value=i1 + i2 + i3,
+        # Sherman-Morrison.  As c -> -a/n the block terms grow without bound
+        # and cancel, while for c < 0 both terms here are positive.
+        value=(sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a,
         method=METHOD_CLOSED_FORM,
         terms=(i1, i2, i3),
         equal_weight_variance=ew_var,

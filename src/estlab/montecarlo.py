@@ -48,9 +48,12 @@ def _trial_normals(stream: np.random.PCG64, count: int, n: int) -> np.ndarray:
     """
     words = stream.random_raw(count * n).reshape(count, n)
     words >>= 11
-    # u = (k + 0.5) / 2^53 lies strictly inside (0, 1), so ndtri never sees 0 or 1.
+    # u = (k + 0.5) / 2^53, but k + 0.5 rounds to even past 2^52, so the last
+    # word k = 2^53 - 1 would give u = 1 and an infinite normal; the clamp
+    # keeps u strictly inside (0, 1) and moves no other word's value.
     u = words + 0.5
     u *= 2.0 ** -53
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return ndtri(u, out=u)
 
 

@@ -6,7 +6,9 @@ it with the dense kernel (``factor_spd``: Cholesky, ``eigendecompose``:
 eigh): O(n^2) memory and O(n^3) work, but no structure to get wrong.  The
 ``estimate_*`` functions apply one estimator to one Dataset from its textbook
 formula, the reference for the weights ``estlab.estimators`` builds once per
-run.  ``column`` reads one column of a SweepResult as a float array.
+run.  ``column`` reads one column of a SweepResult as a float array, and
+``block_terms`` is the numeric (I1, I2, I3) split of a two-channel design's
+information that the closed terms of ``fi_opm_solvable`` are held to.
 """
 
 from dataclasses import dataclass
@@ -74,6 +76,22 @@ def column(result: SweepResult, header: str) -> np.ndarray:
     """Values of one column of ``result`` as a float array."""
     k = result.headers.index(header)
     return np.array([row[k] for row in result.rows], dtype=float)
+
+
+def block_terms(cov, design) -> tuple[float, float, float]:
+    """(I1, I2, I3) of mu'C^-1 mu' for a two-channel design.
+
+    I1 and I2 contract each channel's mean coefficients with its own block of
+    the inverse of the whole matrix (not the inverse of its sub-block), and
+    I3 is the two cross blocks; the three sum to the information.
+    """
+    mu = design.mu_prime
+    masked = np.zeros((cov.dim, 2))
+    for k in range(2):
+        sel = design.assignment == k
+        masked[sel, k] = mu[sel]
+    blocks = masked.T @ cov.solve(masked)
+    return float(blocks[0, 0]), float(blocks[1, 1]), float(blocks[0, 1] + blocks[1, 0])
 
 
 def random_spd(dim: int, seed: int, cond_lo: float = 0.1, cond_hi: float = 10.0) -> SymMatrix:

@@ -14,9 +14,8 @@ from estlab.covariance import CovSpec
 from estlab.experiments import fig7_sweep, table1
 from estlab.fisher import (
     TwoOutcomeSpec,
-    fi_direct_numeric,
+    fi_matched,
     fi_opm_solvable,
-    fi_partitioned,
     optimal_alpha,
     two_outcome_variance,
 )
@@ -99,7 +98,7 @@ def test_criterion_3_phi_independence():
         worst_closed = max(worst_closed, abs(closed - target) / target)
         n1 = min(max(int(round(model.gamma * n)), 1), n - 1)
         design = make_design(n, "blocks", gamma=n1 / n)
-        numeric = fi_partitioned(cov, design.mu_prime, design).value
+        numeric, _ = fi_matched(cov, design.mu_prime)
         worst_numeric = max(worst_numeric, abs(numeric - target) / target)
     ok = worst_closed < 1e-9 and worst_numeric < 1e-7
     _report(
@@ -114,16 +113,16 @@ def test_criterion_4_cramer_rao_suite():
     worst_product = np.inf
     for _ in range(500):
         dim = int(rng.integers(1, 65))
-        rep = fi_direct_numeric(Dense(random_spd(dim, int(rng.integers(0, 2**31)))))
-        worst_product = min(worst_product, rep.equal_weight_variance * rep.value)
+        fi, iv = fi_matched(Dense(random_spd(dim, int(rng.integers(0, 2**31)))), np.ones(dim))
+        worst_product = min(worst_product, fi / iv)
     ok = worst_product >= 1.0 - 1e-12
 
     worst_gap = 0.0
     for a in (0.5, 1.0, 2.0):
         for n in (2, 10, 100, 512):
             for c in (-0.4 * a / n, 0.0, 0.05, 1.5):
-                rep = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n))))
-                worst_gap = max(worst_gap, abs(rep.equal_weight_variance * rep.value - 1.0))
+                fi, iv = fi_matched(Dense(build(CovSpec("solvable", a, c, n))), np.ones(n))
+                worst_gap = max(worst_gap, abs(fi / iv - 1.0))
     ok &= worst_gap <= 1e-10
     _report(
         f"criterion 4: Cramer-Rao on 500 random SPD (min var*FI = "
@@ -148,7 +147,7 @@ def test_criterion_5_monte_carlo_efficiency():
     ml = run_trials(spec, blocks, "ml", d_true=1.0, trials=trials, seed=20240103)
     elapsed = time.monotonic() - started
 
-    fi_ml = fi_partitioned(Dense(build(spec)), blocks.mu_prime, blocks).value
+    fi_ml, _ = fi_matched(Dense(build(spec)), blocks.mu_prime)
 
     ok = abs(equal.empirical_variance - 0.06) <= 0.02 * 0.06
     ok &= abs(bgsub.empirical_variance - 0.01) <= 0.02 * 0.01

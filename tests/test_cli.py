@@ -169,6 +169,9 @@ class TestValidation:
         ["figure", "fig6", "--n", "1"],
         ["figure", "fig6", "--c-over-a", "-0.001"],
         ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "0"],
+        ["fisher", "--model", "exponential", "--eta", "3", "--n", "10", "--mean-shift", "0"],
+        # The squared shift underflows to 0 (once a ZeroDivisionError, exit 1).
+        ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "1e-200"],
         ["table1", "--gamma", "1.5"],
         ["table1", "--n", "1"],
         ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
@@ -186,7 +189,8 @@ class TestValidation:
             "fig7-reps-bernoulli", "fig7-gamma", "fig7-n", "fig2-x-points",
             "fig2-x-min", "fig2-x-reversed", "fig2-r-max", "fig2-r-reversed",
             "fig345-alpha-points", "fig345-alpha-reversed", "fig6-phi-points",
-            "fig6-n", "fig6-c-over-a", "fisher-mean-shift", "table1-gamma",
+            "fig6-n", "fig6-c-over-a", "fisher-mean-shift", "fisher-mean-shift-exponential",
+            "fisher-mean-shift-underflow", "table1-gamma",
             "table1-n", "simulate-trials", "simulate-direct-gamma", "simulate-direct-phi",
             "simulate-alternating-gamma", "delta-i-a", "delta-i-c", "delta-i-n"])
     def test_rejected_configuration_exit_code(self, argv, tmp_path, capsys):
@@ -393,6 +397,31 @@ class TestFisherCommand:
         value = float(closed[headers.index("value")])
         ew_var = float(closed[headers.index("equal_weight_variance")])
         assert abs(ew_var - 1.0 / value) <= 1e-15 * (1.0 / value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["solvable", "white", "exponential"]),
+        a=st.floats(0.1, 10.0),
+        c=st.floats(0.0, 2.0),
+        n=st.integers(1, 500),
+        shift=st.floats(0.1, 10.0),
+    )
+    def test_numeric_row_moves_by_rounding_only(self, tmp_path_factory, model, a, c, n, shift):
+        # The numeric row's equal-weight variance is 1/iv of fi_matched; it
+        # was 1'C1 / (n^2 shift^2).  The value is unchanged.
+        out = tmp_path_factory.mktemp("numeric") / "f.csv"
+        eta = ["--eta", "3.7"] if model == "exponential" else []
+        assert main(["fisher", "--model", model, "--a", repr(a), "--c", repr(c),
+                     "--n", str(n), *eta, "--mean-shift", repr(shift), "-o", str(out)]) == 0
+        _, headers, rows = read_csv(out)
+        row = next(r for r in rows if r[headers.index("method")] == "numeric_inverse")
+        cov = Chain(a, c, {"solvable": np.inf, "white": 0.0, "exponential": 3.7}[model],
+                    np.arange(n))
+        ones = np.ones(n)
+        assert float(row[headers.index("value")]) == shift * shift * float(cov.quad(ones))
+        before = float(cov.form(ones)) / (n * n * shift * shift)
+        ew_var = float(row[headers.index("equal_weight_variance")])
+        assert abs(ew_var - before) <= 1e-15 * before
 
 
 class TestSimulateCommand:

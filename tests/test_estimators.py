@@ -225,13 +225,11 @@ class TestMonteCarloCalibration:
         assert abs(ens.empirical_mean - 1.0) <= 4 * se
 
     def test_ml_efficiency_moderate_run(self):
-        from estlab.fisher import fi_partitioned
+        from estlab.fisher import fi_matched
 
         spec = CovSpec("solvable", 1.0, 0.05, 50)
         design = make_design(50, "blocks", gamma=0.5)
-        target = 1.0 / fi_partitioned(
-            Dense(build(spec)), design.mu_prime, design
-        ).value
+        target = 1.0 / fi_matched(Dense(build(spec)), design.mu_prime)[0]
         ens = run_trials(spec, design, "ml", d_true=1.0, trials=20_000, seed=9)
         assert ens.empirical_variance == pytest.approx(target, rel=0.05)
 

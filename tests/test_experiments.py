@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
 from estlab.errors import InvalidSpec
+from estlab.estimators import estimator_weights
 from estlab.experiments import (
     DEFAULT_CURVE_SPECS,
     delta_i,
@@ -21,7 +23,11 @@ from estlab.experiments import (
     write_csv,
 )
 
-from conftest import column
+from estlab.fisher import fi_opm_solvable
+from estlab.montecarlo import run_trials
+from estlab.partition import make_design, spin_model
+
+from conftest import block_terms, column
 
 
 class TestTable1:
@@ -63,6 +69,33 @@ class TestTable1:
         assume(1 <= round(gamma * n) <= n - 1)
         cells = {(r[0], r[1]): r[2] for r in table1(a, c, n, gamma).rows}
         assert cells[("wva", "uncorrelated")] == cells[("direct", "uncorrelated")]
+
+    def test_opm_numeric_cells_move_by_rounding_only(self):
+        # At the golden's point.  The opm cells were the sum of the numeric
+        # block terms; they are now one positive-term quad.
+        a, c, n, gamma = 1.3, 0.07, 300, 0.02
+        cells = {(r[0], r[1]): r[3] for r in table1(a, c, n, gamma).rows}
+        blocks = make_design(n, "blocks", gamma=gamma)
+        for regime, kind in (("uncorrelated", KIND_WHITE), ("correlated", KIND_SOLVABLE)):
+            before = sum(block_terms(make_covariance(CovSpec(kind, a, c, n)), blocks))
+            assert abs(cells["opm", regime] - before) <= 1e-15 * before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),
+        c=st.floats(-3.0, 1.0).map(lambda x: 10.0**x),
+        n=st.integers(4, 5000),
+        gamma=st.floats(0.01, 0.99),
+    )
+    @example(a=1.0, c=0.05, n=1000, gamma=0.005)
+    def test_opm_numeric_cells_are_the_exact_information(self, a, c, n, gamma):
+        # Blocks at the realized fraction are an exact overlap-model
+        # partition: N/(a + c) on white noise and N/a on the solvable model.
+        # The block-term sums were up to 3e-14 off; the quad is within 8e-15.
+        assume(1 <= round(gamma * n) <= n - 1)
+        cells = {(r[0], r[1]): r[3] for r in table1(a, c, n, gamma).rows}
+        for regime, exact in (("uncorrelated", n / (a + c)), ("correlated", n / a)):
+            assert abs(cells["opm", regime] - exact) <= 2e-14 * exact
 
     def test_gamma_validated(self):
         with pytest.raises(InvalidSpec):
@@ -147,6 +180,18 @@ class TestFig6:
         numeric = column(result, "total_numeric")
         assert np.abs(numeric - 1.0).max() <= 1e-7
 
+    @pytest.mark.parametrize("n,c_over_a,points", [(40, 0.3, 12), (100, 0.5, 100)])
+    def test_total_moves_by_rounding_only(self, n, c_over_a, points):
+        # The total was the sum of the closed block terms; it is now the
+        # Sherman-Morrison form of the same information.
+        phi_grid = np.linspace(0.01, math.pi - 0.01, points)
+        result = fig6_decomposition(n, c_over_a, phi_grid)
+        for phi, total in zip(phi_grid, column(result, "total")):
+            model = spin_model(float(phi))
+            before = sum(fi_opm_solvable(1.0, c_over_a, n, model.gamma, model.aw,
+                                         model.awp).terms) / n
+            assert abs(total - before) <= 1e-15 * before
+
     def test_small_angle_limit(self):
         result = fig6_decomposition(n=100, c_over_a=0.5, phi_grid=[0.001])
         row = result.rows[0]
@@ -178,7 +223,40 @@ def sweep():
     )
 
 
+def _fig7_golden(eta_grid):
+    """fig7 at its golden's point: n=300, gamma=0.05, where n/m = 1/gamma."""
+    return fig7_sweep(n=300, a=1.0, c=0.05, gamma=0.05, eta_grid=eta_grid,
+                      scheme="periodic", reps=1, seed=0)
+
+
 class TestFig7:
+    @pytest.mark.parametrize("strategy,estimator,scheme", [
+        ("direct", "equal", "direct"), ("wva", "wva", "periodic"),
+        ("bgsub", "bgsub", "alternating"),
+    ])
+    def test_inv_var_columns_are_the_estimator_variances(self, strategy, estimator, scheme):
+        # One matched-average rule: each column is 1/(w'Cw) of the weights a
+        # simulate run applies.
+        eta_grid = np.logspace(-2, 6, 6)
+        got = column(_fig7_golden(eta_grid), f"inv_var_equal_{strategy}")
+        gamma = 0.05 if scheme == "periodic" else None
+        design = make_design(300, scheme, gamma=gamma)
+        for eta, iv in zip(eta_grid, got):
+            spec = CovSpec("exponential", 1.0, 0.05, 300, eta=float(eta))
+            cov = make_covariance(spec)
+            w = estimator_weights(estimator, spec, design, cov)
+            assert iv == pytest.approx(1.0 / float(cov.form(w)), rel=1e-12)
+
+    def test_inv_var_wva_matches_simulate(self):
+        # The sample variance of T estimates has variance 2 sigma^4 / (T - 1).
+        sigma2 = 1.0 / column(_fig7_golden([10.0]), "inv_var_equal_wva")[0]
+        spec = CovSpec("exponential", 1.0, 0.05, 300, eta=10.0)
+        design = make_design(300, "periodic", gamma=0.05)
+        trials = 20_000
+        ens = run_trials(spec, design, "wva", d_true=1.0, trials=trials, seed=11)
+        z = (ens.empirical_variance - sigma2) / (sigma2 * math.sqrt(2.0 / (trials - 1)))
+        assert abs(z) < 4.0
+
     def test_white_limit(self, sweep):
         plateau = 400 / 1.05
         for name in ("fi_direct", "fi_wva", "fi_bgsub"):

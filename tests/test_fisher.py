@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from estlab.covariance import Chain, CovSpec, make_covariance
-from estlab.errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
+from estlab.errors import (
+    DegenerateDenominator, InvalidSpec, InvalidSpectrum, NotPositiveDefinite,
+)
 from estlab.fisher import (
     FisherReport,
     TwoOutcomeSpec,
-    fi_direct_numeric,
     fi_eigen,
+    fi_matched,
     fi_opm_solvable,
-    fi_partitioned,
     fi_two_outcome,
     fi_wva_solvable,
     optimal_alpha,
@@ -22,7 +23,12 @@ from estlab.fisher import (
 from estlab.matkernel import SymMatrix
 from estlab.partition import CHANNEL_RETAINED, make_design, spin_model
 
-from conftest import Dense, build, random_spd
+from conftest import Dense, block_terms, build, chain_matrix, random_spd
+
+
+def direct(cov, mean_shift=1.0):
+    """(fi, iv) of the direct strategy: every slot, mean coefficient mean_shift."""
+    return fi_matched(cov, np.ones(cov.dim), mean_shift * mean_shift)
 
 
 class TestFisherReport:
@@ -42,29 +48,29 @@ class TestFisherReport:
 class TestDirectNumeric:
     def test_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 20))
-        assert fi_direct_numeric(Dense(m)).value == pytest.approx(20 / 1.05, rel=1e-12)
+        assert direct(Dense(m))[0] == pytest.approx(20 / 1.05, rel=1e-12)
 
     def test_solvable_large(self):
         m = build(CovSpec("solvable", 1.0, 0.05, 1000))
-        assert fi_direct_numeric(Dense(m)).value == pytest.approx(
+        assert direct(Dense(m))[0] == pytest.approx(
             19.607843137254903, rel=1e-10
         )
 
     def test_diagonal_additivity(self):
         sig = np.array([0.5, 2.0, 1.25, 4.0])
         m = SymMatrix(np.diag(sig))
-        assert fi_direct_numeric(Dense(m)).value == pytest.approx((1.0 / sig).sum(), rel=1e-12)
+        assert direct(Dense(m))[0] == pytest.approx((1.0 / sig).sum(), rel=1e-12)
 
     def test_mean_shift_scaling(self):
         m = build(CovSpec("solvable", 1.0, 0.1, 10))
-        base = fi_direct_numeric(Dense(m)).value
-        assert fi_direct_numeric(Dense(m), mean_shift=3.0).value == pytest.approx(
+        base = direct(Dense(m))[0]
+        assert direct(Dense(m), mean_shift=3.0)[0] == pytest.approx(
             9.0 * base, rel=1e-12
         )
 
     def test_zero_mean_shift_rejected(self):
         with pytest.raises(InvalidSpec):
-            fi_direct_numeric(Dense(SymMatrix(np.eye(2))), mean_shift=0.0)
+            direct(Dense(SymMatrix(np.eye(2))), mean_shift=0.0)
 
 
 class TestEigenWeighted:
@@ -78,9 +84,8 @@ class TestEigenWeighted:
 
     def test_matches_direct_on_random_spd(self):
         m = random_spd(24, seed=5)
-        direct = fi_direct_numeric(Dense(m)).value
         eigen = fi_eigen(Dense(m).spectrum()).value
-        assert eigen == pytest.approx(direct, rel=1e-8)
+        assert eigen == pytest.approx(direct(Dense(m))[0], rel=1e-8)
 
     def test_mean_shift_is_keyword_only(self):
         # N comes from the spectrum; a positional second argument would once
@@ -168,36 +173,84 @@ class TestPartitioned:
     def test_uniform_mu_reduces_to_direct(self):
         m = random_spd(10, seed=21)
         shift = 1.7
-        rep = fi_partitioned(Dense(m), np.full(10, shift))
-        assert rep.value == pytest.approx(
-            fi_direct_numeric(Dense(m), mean_shift=shift).value, rel=1e-12
-        )
+        fi, _ = fi_matched(Dense(m), np.full(10, shift))
+        assert fi == pytest.approx(direct(Dense(m), mean_shift=shift)[0], rel=1e-12)
 
     def test_alternating_signs_on_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 12))
         mu = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-        assert fi_partitioned(Dense(m), mu).value == pytest.approx(12 / 1.05, rel=1e-12)
+        assert fi_matched(Dense(m), mu)[0] == pytest.approx(12 / 1.05, rel=1e-12)
 
     def test_terms_match_closed_form(self):
         a, c, n = 1.0, 0.5, 100
         design = make_design(n, "blocks", gamma=0.3)
         m = build(CovSpec("solvable", a, c, n))
-        numeric = fi_partitioned(Dense(m), design.mu_prime, design)
+        value, _ = fi_matched(Dense(m), design.mu_prime)
         aw, awp = design.coefficients
         closed = fi_opm_solvable(a, c, n, 0.3, aw, awp)
-        assert numeric.value == pytest.approx(closed.value, rel=1e-10)
-        for t_num, t_closed in zip(numeric.terms, closed.terms):
+        assert value == pytest.approx(closed.value, rel=1e-10)
+        for t_num, t_closed in zip(block_terms(Dense(m), design), closed.terms):
             assert t_num == pytest.approx(t_closed, rel=1e-9)
 
     def test_terms_sum_to_value(self):
         design = make_design(30, "blocks", gamma=0.2)
         m = random_spd(30, seed=30)
-        rep = fi_partitioned(Dense(m), design.mu_prime, design)
-        assert sum(rep.terms) == pytest.approx(rep.value, rel=1e-12)
+        value, _ = fi_matched(Dense(m), design.mu_prime)
+        assert sum(block_terms(Dense(m), design)) == pytest.approx(value, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidSpec, match="mu_prime length 4 does not match dimension 3"):
-            fi_partitioned(Dense(SymMatrix(np.eye(3))), np.ones(4))
+        with pytest.raises(InvalidSpec, match="columns of length 3, got shape \\(4,\\)"):
+            fi_matched(Dense(SymMatrix(np.eye(3))), np.ones(4))
+
+
+class TestMatched:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 200),
+        a=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),
+        c=st.floats(0.0, 1.0),
+        eta=st.one_of(st.just(0.0), st.floats(-2.0, 6.0).map(lambda x: 10.0**x),
+                      st.just(math.inf)),
+        scale=st.floats(0.1, 10.0),
+        data=st.data(),
+    )
+    def test_cramer_rao_and_dense_agreement(self, n, a, c, eta, scale, data):
+        # Mean coefficients, zeros included, on a drawn subset of the slots.
+        # Below about 1e-154 a coefficient squares to 0 and the information
+        # underflows, which fi_matched rejects as a zero signal.
+        idx = np.flatnonzero(data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        mu = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3)),
+            min_size=idx.size, max_size=idx.size)))
+        assume(np.any(mu != 0.0))
+        chain = Chain(a, c, eta, np.arange(n)).restrict(idx)
+        dense = Dense(chain_matrix(a, c, eta, n)).restrict(idx)
+        fi, iv = fi_matched(chain, mu, scale)
+        assert fi >= iv * (1.0 - 1e-12)
+        norm = float(mu @ mu)
+        assert fi == pytest.approx(scale * float(dense.quad(mu)), rel=1e-12)
+        assert iv == pytest.approx(scale * norm * norm / float(dense.form(mu)), rel=1e-12)
+
+    def test_one_entry_per_eta_and_column(self):
+        eta = np.array([0.0, 3.7, math.inf])
+        mu = np.column_stack([np.ones(9), np.arange(9.0)])
+        fi, iv = fi_matched(Chain(1.0, 0.4, eta, np.arange(9)), mu, 2.0)
+        assert fi.shape == iv.shape == (3, 2)
+        for g, e in enumerate(eta):
+            assert np.array_equal(fi[g], fi_matched(Chain(1.0, 0.4, e, np.arange(9)), mu, 2.0)[0])
+
+    @pytest.mark.parametrize("mu,scale", [
+        (np.zeros(4), 1.0),
+        (np.column_stack([np.ones(4), np.zeros(4)]), 1.0),
+        (np.ones(4), 0.0),
+        (np.ones(4), -1.0),
+        (np.ones(4), math.inf),
+        (np.ones(4), math.nan),
+    ])
+    def test_zero_signal_rejected(self, mu, scale):
+        with pytest.raises(InvalidSpec):
+            fi_matched(make_covariance(CovSpec("white", 1.0, 0.0, 4)), mu, scale)
 
 
 class TestWvaSolvable:
@@ -218,12 +271,10 @@ class TestWvaSolvable:
         a, c, n, gamma = 1.3, 0.07, 300, 0.02
         aw = math.sqrt(1.0 / gamma)
         m = round(gamma * n)
-        oracle = fi_direct_numeric(make_covariance(CovSpec("solvable", a, c, m)), aw)
+        fi, iv = direct(make_covariance(CovSpec("solvable", a, c, m)), aw)
         rep = fi_wva_solvable(a, c, n, gamma, aw)
-        assert rep.value == pytest.approx(oracle.value, rel=1e-12)
-        assert rep.equal_weight_variance == pytest.approx(
-            oracle.equal_weight_variance, rel=1e-12
-        )
+        assert rep.value == pytest.approx(fi, rel=1e-12)
+        assert rep.equal_weight_variance == pytest.approx(1.0 / iv, rel=1e-12)
 
     def test_bound_by_uncorrelated_information(self):
         # With Aw^2 = 1/gamma and at least one retained sample on average,
@@ -287,6 +338,19 @@ class TestOpmSolvable:
             worst = max(worst, abs(rep.value - target) / target)
         assert worst < 1e-9
 
+    def test_value_does_not_cancel_as_c_nears_minus_a_over_n(self):
+        # The block terms reach +-2.25e16 here and once summed to 8.0, not
+        # N/a = 10.  The value no longer cancels, the terms cannot sum to it,
+        # and the dense operator rejects the same covariance.
+        c = math.nextafter(-0.1, 0.0)
+        with pytest.raises(InvalidSpectrum, match="term decomposition sums to 8.0"):
+            fi_opm_solvable(1.0, c, 10, 0.5, 1.0, -1.0)
+        with pytest.raises(NotPositiveDefinite):
+            make_covariance(CovSpec("solvable", 1.0, c, 10))
+        rep = fi_opm_solvable(1.0, -0.05, 10, 0.5, 1.0, -1.0)
+        assert rep.value == pytest.approx(10.0, rel=1e-12)
+        assert sum(rep.terms) == pytest.approx(10.0, rel=1e-12)
+
     def test_equal_weight_variance_saturates_for_spin(self):
         model = spin_model(0.7)
         rep = fi_opm_solvable(2.0, 0.4, 60, model.gamma, model.aw, model.awp)
@@ -296,13 +360,13 @@ class TestOpmSolvable:
 class TestEqualWeightVariance:
     def test_solvable_closed_form(self):
         m = build(CovSpec("solvable", 1.0, 0.05, 100))
-        assert fi_direct_numeric(Dense(m)).equal_weight_variance == pytest.approx(
+        assert 1.0 / direct(Dense(m))[1] == pytest.approx(
             0.06, rel=1e-12
         )
 
     def test_white(self):
         m = build(CovSpec("white", 1.0, 0.05, 20))
-        assert fi_direct_numeric(Dense(m)).equal_weight_variance == pytest.approx(
+        assert 1.0 / direct(Dense(m))[1] == pytest.approx(
             1.05 / 20, rel=1e-12
         )
 
@@ -312,13 +376,13 @@ class TestEqualWeightVariance:
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         # Oracle: direct numeric contraction of the coefficient vector.
         oracle = float(signs @ m.entries @ signs) / float(signs @ signs) ** 2
-        value = fi_partitioned(Dense(m), signs).equal_weight_variance
+        value = 1.0 / fi_matched(Dense(m), signs)[1]
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value == pytest.approx(a / n, rel=1e-12)
 
     def test_mu_prime_length_checked(self):
-        with pytest.raises(InvalidSpec, match="mu_prime length 2 does not match dimension 3"):
-            fi_partitioned(Dense(SymMatrix(np.eye(3))), np.ones(2))
+        with pytest.raises(InvalidSpec, match="columns of length 3, got shape \\(2,\\)"):
+            fi_matched(Dense(SymMatrix(np.eye(3))), np.ones(2))
 
 
 class TestInformationInequalities:
@@ -326,8 +390,8 @@ class TestInformationInequalities:
     @given(dim=st.integers(1, 64), seed=st.integers(0, 2**31 - 1))
     def test_cramer_rao_bound(self, dim, seed):
         m = random_spd(dim, seed)
-        rep = fi_direct_numeric(Dense(m))
-        assert rep.equal_weight_variance * rep.value >= 1.0 - 1e-12
+        fi, iv = direct(Dense(m))
+        assert fi / iv >= 1.0 - 1e-12
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -351,7 +415,7 @@ class TestInformationInequalities:
         retained = design.channel_slots(CHANNEL_RETAINED)
         assume(retained.size > 0)
         cov = Chain(a, c, eta, np.arange(n))
-        full = fi_partitioned(cov, design.mu_prime).value
+        full, _ = fi_matched(cov, design.mu_prime)
         aw = design.coefficient(CHANNEL_RETAINED)
         wva = aw * aw * float(cov.restrict(retained).quad(np.ones(retained.size)))
         assert full >= wva * (1.0 - 1e-12)
@@ -363,14 +427,14 @@ class TestInformationInequalities:
     )
     def test_solvable_saturates_bound(self, a, c, n):
         m = build(CovSpec("solvable", a, c, n))
-        rep = fi_direct_numeric(Dense(m))
-        assert abs(rep.equal_weight_variance * rep.value - 1.0) <= 1e-10
+        fi, iv = direct(Dense(m))
+        assert abs(fi / iv - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 16, 100, 512])
     def test_cross_method_agreement(self, n):
         a, c = 1.0, 0.05
         closed = fi_wva_solvable(a, c, n, 1.0, 1.0).value  # gamma = 1: direct closed form
-        numeric = fi_direct_numeric(Dense(build(CovSpec("solvable", a, c, n)))).value
+        numeric, _ = direct(Dense(build(CovSpec("solvable", a, c, n))))
         spectrum = make_covariance(CovSpec("solvable", a, c, n)).spectrum()
         eigen = fi_eigen(spectrum).value
         assert numeric == pytest.approx(closed, rel=1e-8)

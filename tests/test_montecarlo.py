@@ -36,11 +36,13 @@ from conftest import (
 def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normals via the inverse CDF on a centered 53-bit lattice.
 
-    u = (k + 0.5) / 2^53 with k uniform on [0, 2^53) keeps u strictly inside
-    (0, 1).  With _rng_for this is the RNG contract's reference draw.
+    u = (k + 0.5) / 2^53 with k uniform on [0, 2^53), clamped at 1 - 2^-53
+    since k + 0.5 rounds to 2^53 at the last k.  With _rng_for this is the
+    RNG contract's reference draw.
     """
     u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5
     u *= 2.0 ** -53
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return ndtri(u, out=u)
 
 
@@ -91,6 +93,22 @@ class TestStandardNormal:
 
     def test_empty_draw(self):
         assert standard_normal(np.random.default_rng(1), 0).size == 0
+
+    def test_extreme_words_give_finite_normals(self):
+        # The largest word once gave u = 1.0 and an infinite normal.  Only its
+        # value moves: to ndtri(1 - 2^-53), one lattice step past its neighbour.
+        class Stub:
+            def random_raw(self, size):
+                words = [2**64 - 1, 2**64 - 1 - 2**11, 0, 2**11]
+                return np.array(words[:size], dtype=np.uint64)
+
+        z = _trial_normals(Stub(), 2, 2).ravel()
+        assert np.isfinite(z).all()
+        assert z[0] == ndtri(1.0 - 2.0 ** -53) == pytest.approx(8.2095, abs=1e-4)
+        assert z[1] == ndtri((2.0 ** 53 - 1.5) * 2.0 ** -53) == pytest.approx(8.1259, abs=1e-4)
+        assert z[2] == ndtri(2.0 ** -54) == pytest.approx(-8.2924, abs=1e-4)
+        assert z[3] == ndtri(1.5 * 2.0 ** -53)
+        assert z[1] < z[0]
 
 
 class TestSampleNoise:

@@ -6,7 +6,7 @@ import pytest
 
 from estlab.covariance import CovSpec
 from estlab.errors import InvalidSpec
-from estlab.fisher import fi_partitioned
+from estlab.fisher import fi_matched
 from estlab.matkernel import SymMatrix
 from estlab.partition import (
     check_seed,
@@ -247,8 +247,8 @@ class TestBalancedBlocksInformation:
         value = float(mu @ Dense(m).solve(mu))
         assert value == pytest.approx(n / a, rel=1e-10)
 
-    def test_matches_fi_partitioned(self):
+    def test_matches_fi_matched(self):
         design = make_design(12, "blocks", gamma=0.5)
         m = build(CovSpec("solvable", 1.0, 0.3, 12))
-        rep = fi_partitioned(Dense(m), design.mu_prime, design)
-        assert rep.value == pytest.approx(12.0, rel=1e-10)
+        value, _ = fi_matched(Dense(m), design.mu_prime)
+        assert value == pytest.approx(12.0, rel=1e-10)
