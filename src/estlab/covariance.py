@@ -20,16 +20,18 @@ estimator weight and Monte Carlo loading in estlab is one of its
 * ``solve(U)``     C^-1 U,
 * ``form(U)``      u'C u for each column,
 * ``loading(U)``   G'U for the Cholesky factor G of C (C = G G'),
-* ``restrict(idx)``  the covariance of a retained subset of the slots,
+* ``restrict(idx)``  the covariance of the retained slots idx (the rule
+                     ``subset_index``),
 * ``spectrum()``   eigenvalues of C with the flat-vector weights, for every
                    model: closed form at eta = 0 and eta = inf.
 
 A retained subset of a chain is again a chain, with per-gap correlations
 phi_k = exp(-dt_k/eta).  C is diagonal plus semiseparable, so its Cholesky
 factor costs O(n) to build and to apply (the one-term celerite
-factorization, Foreman-Mackey et al. 2017), and no operation builds an
-n x n array.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
-materialized matrix) is the reference the tests hold this operator to.
+factorization, Foreman-Mackey et al. 2017), every contraction reads C only
+through that factor, and no operation builds an n x n array.  The dense
+oracle in tests/conftest.py (Cholesky and eigh on a materialized matrix) is
+the reference the tests hold this operator to.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import InvalidSpec, InvalidSpectrum, NotPositiveDefinite
-from .partition import subset_index
 
 KIND_SOLVABLE = "solvable"
 KIND_EXPONENTIAL = "exponential"
@@ -199,6 +200,18 @@ def _bidiagonal_solve(sub: np.ndarray, b: np.ndarray, transpose: bool = False) -
     return b
 
 
+def subset_index(retained, dim: int) -> np.ndarray:
+    """Validated retained slots: a non-empty, strictly increasing index vector."""
+    idx = np.asarray(retained, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise InvalidSpec("retained index set must be a non-empty vector")
+    if (np.diff(idx) <= 0).any():
+        raise InvalidSpec("retained indices must be strictly increasing")
+    if idx[0] < 0 or idx[-1] >= dim:
+        raise InvalidSpec(f"retained indices must lie in [0, {dim - 1}]")
+    return idx
+
+
 class Chain:
     """a*I + c*K on increasing times, factored once as L diag(D) L' in O(n).
 
@@ -275,12 +288,6 @@ class Chain:
         """Columns of U as a (1, column, slot) array."""
         return np.ascontiguousarray(_columns(U, self.dim).T)[None]
 
-    def _work(self, U: np.ndarray) -> np.ndarray:
-        """A fresh (eta, column, slot) copy of the operand."""
-        work = np.empty((self.eta.size,) + U.shape[1:])
-        work[...] = U
-        return work
-
     def _out(self, values: np.ndarray, U) -> np.ndarray:
         """(eta, column, slot) values as eta.shape + U.shape."""
         return np.moveaxis(values, -1, 1).reshape(self.eta.shape + np.shape(U))
@@ -319,31 +326,32 @@ class Chain:
         z[..., :-1] -= v
         return self._out(z, U)
 
-    def loading(self, U) -> np.ndarray:
-        """G'U with G = L diag(sqrt(D)), the Cholesky factor of C (C = G G').
+    def _lt(self, U: np.ndarray) -> np.ndarray:
+        """L'U = B' (A'^-1 U) as a fresh (eta, column, slot) array.
 
-        L' = B' A'^-1, so with p = A'^-1 u, (L'u)_i = u_i + c W_i phi_{i+1} p_{i+1}:
+        With p = A'^-1 u, (L'u)_i = u_i + c W_i phi_{i+1} p_{i+1}:
         non-negative terms for u >= 0.
         """
-        U3 = self._operand(U)
-        v = _bidiagonal_solve(self._phi, self._work(U3), transpose=True)
+        v = _bidiagonal_solve(self._phi, np.repeat(U, self.eta.size, axis=0), transpose=True)
         # v is p here, and p_{n-1} = u_{n-1} is already (L'u)_{n-1}.
         v[..., :-1] = self._phi * v[..., 1:]
         v[..., :-1] *= self._cw[..., :-1]
-        v[..., :-1] += U3[..., :-1]
+        v[..., :-1] += U[..., :-1]
+        return v
+
+    def loading(self, U) -> np.ndarray:
+        """G'U with G = L diag(sqrt(D)), the Cholesky factor of C (C = G G')."""
+        v = self._lt(self._operand(U))
         v *= np.sqrt(self._pivot)
         return self._out(v, U)
 
     def form(self, U) -> np.ndarray:
-        """u'C u = a u'u + c u'K u, with K u = A^-1 u + A'^-1 u - u (AR(1) both ways)."""
+        """u'C u = sum_i D_i v_i^2 with v = L'u: positive terms only."""
         shape = self.eta.shape + np.shape(U)[1:]
-        U = self._operand(U)
-        ku = _bidiagonal_solve(self._phi, self._work(U))
-        ku += _bidiagonal_solve(self._phi, self._work(U), transpose=True)
-        ku -= U
-        ku *= U
-        value = self.a * (U * U).sum(axis=-1) + self.c * ku.sum(axis=-1)
-        return value.reshape(shape)
+        v = self._lt(self._operand(U))
+        v *= v
+        v *= self._pivot
+        return v.sum(axis=-1).reshape(shape)
 
     def restrict(self, idx) -> "Chain":
         """The retained slots idx (strictly increasing): again a chain."""
@@ -370,10 +378,7 @@ class Chain:
             weights = np.zeros(self.dim)
             weights[0] = 1.0
             return WeightSpectrum(sigmasq=sigmasq, weights=weights)
-        with np.errstate(divide="ignore"):
-            lag = np.diff(self.times) / self.eta
-        rho = np.exp(-lag)
-        one_minus = -np.expm1(-lag)
+        rho, one_minus = self._phi[0, 0], self._one_minus[0, 0]
         one_minus_sq = one_minus * (1.0 + rho)
         diag = np.zeros(self.dim)
         diag[0] = 1.0

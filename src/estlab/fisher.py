@@ -96,9 +96,15 @@ def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.
     """
     if not 0.0 < scale < math.inf:
         raise InvalidSpec(f"scale (Aw^2) must be positive and finite, got {scale!r}")
-    norm = (np.asarray(mu, dtype=float) ** 2).sum(axis=0)
-    if not np.all(norm > 0.0):
+    mu = np.asarray(mu, dtype=float)
+    if not np.any(mu, axis=0).all():
         raise InvalidSpec("mean coefficients must not be the zero vector")
+    with np.errstate(over="ignore"):
+        norm = (mu**2).sum(axis=0)
+        quartic = norm * norm
+    if not ((quartic > 0.0) & (quartic < math.inf)).all():
+        raise InvalidSpec(f"the squared norm of the mean coefficients, {norm!r}, and its "
+                          "square must be positive finite floats")
     return scale * cov.quad(mu), scale * norm * norm / cov.form(mu)
 
 

@@ -225,16 +225,3 @@ def make_design(
         assignment=assignment,
         coefficients=np.asarray(coeffs, dtype=float),
     )
-
-
-def subset_index(retained, dim: int) -> np.ndarray:
-    """Validated retained slots: a non-empty, strictly increasing index vector."""
-    idx = np.asarray(retained, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise InvalidSpec("retained index set must be a non-empty vector")
-    if (np.diff(idx) <= 0).any():
-        raise InvalidSpec("retained indices must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= dim:
-        raise InvalidSpec(f"retained indices must lie in [0, {dim - 1}]")
-    return idx
-

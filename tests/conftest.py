@@ -11,6 +11,7 @@ run.  ``column`` reads one column of a SweepResult as a float array, and
 information that the closed terms of ``fi_opm_solvable`` are held to.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,13 @@ from estlab.covariance import (
     PSD_TOLERANCE,
     CovSpec,
     WeightSpectrum,
+    subset_index,
 )
 from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
 from estlab.experiments import SweepResult
 from estlab.matkernel import SymMatrix
-from estlab.partition import CHANNEL_RETAINED, subset_index
+from estlab.partition import CHANNEL_RETAINED
 
 
 class ConvergenceFailure(NumericFailure):
@@ -189,6 +191,10 @@ class Dense:
         U = _columns(U, self.dim)
         entries = self.matrix.entries
         return np.array([(entries * np.outer(u, u)).sum() for u in U.T]).reshape(shape)
+
+    def exact_form(self, u) -> float:
+        """u'C u as the correctly rounded sum of the n^2 products (math.fsum)."""
+        return math.fsum((self.matrix.entries * np.outer(u, u)).ravel())
 
     def restrict(self, idx) -> "Dense":
         return Dense(submatrix(self.matrix, idx))

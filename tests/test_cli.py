@@ -14,6 +14,8 @@ from estlab import __version__
 from estlab.cli import main
 from estlab.covariance import Chain
 
+from conftest import Dense, chain_matrix
+
 try:
     import resource
 except ImportError:  # not on every platform
@@ -331,6 +333,18 @@ class TestFisherCommand:
         assert max(values) - min(values) <= 1e-8 * max(values)
         assert values[0] == pytest.approx(100 / 6.0, rel=1e-10)
         capsys.readouterr()
+
+    def test_solvable_numeric_row_moves_by_rounding_only(self, tmp_path):
+        # At the golden's point the numeric row's equal-weight variance is
+        # 1'C1/n^2 = 0.066, held to the dense matrix's correctly rounded 1'C1.
+        out = tmp_path / "f.csv"
+        assert main(["fisher", "--model", "solvable", "--a", "0.8", "--c", "0.05",
+                     "--n", "50", "-o", str(out)]) == 0
+        _, headers, rows = read_csv(out)
+        row = next(r for r in rows if r[headers.index("method")] == "numeric_inverse")
+        ew_var = float(row[headers.index("equal_weight_variance")])
+        want = Dense(chain_matrix(0.8, 0.05, np.inf, 50)).exact_form(np.ones(50)) / 50**2
+        assert abs(ew_var - want) <= 5e-15 * want
 
     def test_exponential_numeric_only(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

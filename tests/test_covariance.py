@@ -150,6 +150,34 @@ def test_eta_grid_is_the_per_eta_results_stacked():
     assert batched.restrict([0, 5, 9]).quad(np.ones(3)).shape == (5,)
 
 
+def _alternating_form(a: float, eta: float, n: int) -> float:
+    """a*n + g'Kg for alternating signs g, c = 1, in positive terms only.
+
+    g'Kg = n(1 - rho)/(1 + rho) + 2 rho t/(1 + rho)^2 with t = 1 - (-rho)^n:
+    -expm1(-n/eta) for even n and 1 + rho^n for odd n.
+    """
+    rho = math.exp(-1.0 / eta)
+    one_minus = -math.expm1(-1.0 / eta)
+    t = -math.expm1(-n / eta) if n % 2 == 0 else 1.0 + rho**n
+    return a * n + n * one_minus / (1.0 + rho) + 2.0 * rho * t / (1.0 + rho) ** 2
+
+
+ALTERNATING_ETAS = [0.5, 1.0, 1e3, 1e6, 1e8, 1e9]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 400, 1001, 20000])
+def test_alternating_form_does_not_cancel(n, a):
+    # Alternating u makes the model's terms a u'u + c u'(A^-1 u + A'^-1 u - u)
+    # cancel as eta grows (their sum is 8.3e-8 off at a = 0, eta = 1e9).
+    g = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    want = np.array([_alternating_form(a, eta, n) for eta in ALTERNATING_ETAS])
+    grid = Chain(a, 1.0, ALTERNATING_ETAS, np.arange(n)).form(g)
+    single = [float(Chain(a, 1.0, eta, np.arange(n)).form(g)) for eta in ALTERNATING_ETAS]
+    np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(single, want, rtol=1e-13, atol=0.0)
+
+
 def test_single_slot_and_white_limit_are_exact():
     one = Chain(2.0, 0.5, 3.0, [0.0])
     assert float(one.quad(np.array([2.0]))) == 4.0 / 2.5

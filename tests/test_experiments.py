@@ -27,7 +27,7 @@ from estlab.fisher import fi_opm_solvable
 from estlab.montecarlo import run_trials
 from estlab.partition import make_design, spin_model
 
-from conftest import block_terms, column
+from conftest import Dense, block_terms, chain_matrix, column
 
 
 class TestTable1:
@@ -246,6 +246,25 @@ class TestFig7:
             cov = make_covariance(spec)
             w = estimator_weights(estimator, spec, design, cov)
             assert iv == pytest.approx(1.0 / float(cov.form(w)), rel=1e-12)
+
+    def test_inv_var_columns_move_by_rounding_only(self):
+        # At the golden's point.  The columns were |mu|^4 over a u'u + c u'Ku
+        # rebuilt from the model; the form is now sum_i D_i (L'u)_i^2.
+        eta_grid = np.logspace(-2, 6, 6)
+        result = _fig7_golden(eta_grid)
+        retained = make_design(300, "periodic", gamma=0.05).channel_slots("retained")
+        m = retained.size
+        g = make_design(300, "alternating").mu_prime
+        for k, eta in enumerate(eta_grid):
+            dense = Dense(chain_matrix(1.0, 0.05, float(eta), 300))
+            want = {
+                "direct": 300.0**2 / dense.exact_form(np.ones(300)),
+                "wva": 300 / m * m * m / dense.restrict(retained).exact_form(np.ones(m)),
+                "bgsub": 300.0**2 / dense.exact_form(g),
+            }
+            for strategy, iv in want.items():
+                got = column(result, f"inv_var_equal_{strategy}")[k]
+                assert abs(got - iv) <= 5e-15 * iv
 
     def test_inv_var_wva_matches_simulate(self):
         # The sample variance of T estimates has variance 2 sigma^4 / (T - 1).

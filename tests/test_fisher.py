@@ -216,8 +216,8 @@ class TestMatched:
     )
     def test_cramer_rao_and_dense_agreement(self, n, a, c, eta, scale, data):
         # Mean coefficients, zeros included, on a drawn subset of the slots.
-        # Below about 1e-154 a coefficient squares to 0 and the information
-        # underflows, which fi_matched rejects as a zero signal.
+        # Below about 1e-81 the squared norm squares to 0, and fi_matched
+        # rejects the coefficients as out of range.
         idx = np.flatnonzero(data.draw(
             st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
         mu = np.array(data.draw(st.lists(
@@ -251,6 +251,17 @@ class TestMatched:
     def test_zero_signal_rejected(self, mu, scale):
         with pytest.raises(InvalidSpec):
             fi_matched(make_covariance(CovSpec("white", 1.0, 0.0, 4)), mu, scale)
+
+    @pytest.mark.parametrize("mu,cause", [
+        ([0.0, 0.0, 0.0], "must not be the zero vector"),
+        # The squared norm underflows to 0 or overflows to inf.
+        ([4.75e-205, 0.0, 0.0], "squared norm of the mean coefficients"),
+        ([1e200, 0.0, 0.0], "squared norm of the mean coefficients"),
+    ])
+    def test_rejection_names_the_cause(self, mu, cause):
+        cov = make_covariance(CovSpec("white", 1.0, 0.0, 3))
+        with pytest.raises(InvalidSpec, match=cause):
+            fi_matched(cov, np.array(mu))
 
 
 class TestWvaSolvable:

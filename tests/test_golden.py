@@ -10,8 +10,8 @@ after an intended change of output, rewrite them with
 
 and say in CHANGES.md which values moved and why.  Dense factorizations and
 libm calls can round differently on another numpy/BLAS build, so a mismatch
-reports the largest relative change of a numeric cell to tell last-digit
-rounding apart from a real change.
+reports the largest change of a numeric cell (relative, or absolute for a
+cell at 0) to tell last-digit rounding apart from a real change.
 """
 
 import contextlib
@@ -51,7 +51,8 @@ def _run(argv, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _largest_relative_change(got: bytes, want: bytes) -> float:
+def _largest_change(got: bytes, want: bytes) -> float:
+    """Largest change of a numeric cell: relative, or absolute for a cell at 0."""
     worst = 0.0
     for a, b in zip(got.decode().split("\n"), want.decode().split("\n")):
         for x, y in zip(a.split(","), b.split(",")):
@@ -60,8 +61,17 @@ def _largest_relative_change(got: bytes, want: bytes) -> float:
             except ValueError:
                 continue
             if fx != fy:
-                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+                scale = max(abs(fx), abs(fy)) if fx and fy else 1.0
+                worst = max(worst, abs(fx - fy) / scale)
     return worst
+
+
+def test_largest_change_is_absolute_for_a_cell_at_zero():
+    want = b"# meta,1\nx,y\n0,2.0\n"
+    assert _largest_change(want, want) == 0.0
+    assert _largest_change(b"# meta,1\nx,y\n6.5e-16,2.0\n", want) == 6.5e-16
+    assert _largest_change(b"# meta,1\nx,y\n0,2.5\n", want) == 0.2
+    assert _largest_change(b"# meta,1\nx,y\n-0.5,2.0\n", want) == 0.5
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -69,8 +79,8 @@ def test_csv_bytes_match_golden(name, tmp_path):
     got = _run(CASES[name], tmp_path / f"{name}.csv")
     want = (GOLDEN / f"{name}.csv").read_bytes()
     assert got == want, (
-        f"{name}: CSV bytes differ from tests/golden/{name}.csv; largest relative "
-        f"change of a numeric cell {_largest_relative_change(got, want):.3g}"
+        f"{name}: CSV bytes differ from tests/golden/{name}.csv; largest change of a "
+        f"numeric cell (relative, absolute from 0) {_largest_change(got, want):.3g}"
     )
 
 
