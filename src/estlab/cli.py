@@ -25,6 +25,7 @@ written atomically (temp file then rename); all randomness is traceable to
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -99,6 +100,8 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# One parser per process: no default is mutable, and each parse fills a new Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="estlab",
@@ -354,7 +357,7 @@ def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]
         dump = SweepResult(
             name="simulate-estimates",
             headers=("trial", "estimate"),
-            rows=[(t, float(v)) for t, v in enumerate(ensemble.estimates)],
+            rows=list(zip(range(ensemble.trials), ensemble.estimates.tolist())),
             metadata=metadata,
         )
         outputs.append((dump, Path(args.dump_estimates)))

@@ -3,7 +3,8 @@
 Each function returns a SweepResult (headers, rows, metadata) that
 write_csv serializes with a single metadata comment line, 17-significant-
 digit floats and LF line endings, so repeated runs are byte identical.
-Each study takes every argument: the CLI holds the defaults.
+Each study takes every argument: the CLI holds the defaults.  The
+two-outcome studies evaluate fisher's closed forms over whole grids at once.
 
 Built-in studies:
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,6 +89,15 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
+def _column_format(kinds: set[type]) -> str | None:
+    """The %-format that writes cells of these types as _format_cell does, or None
+    for other types and mixes (bools; int with float), written cell by cell."""
+    for fmt, allowed in (("%s", {str}), ("%.17g", {float, np.float64}), ("%d", {int, np.int64})):
+        if kinds <= allowed:
+            return fmt
+    return None
+
+
 def write_csv(result: SweepResult, fh) -> None:
     """Serialize: `# estlab-version=... config=... seed=...`, headers, rows."""
     seed = result.metadata.get("seed", "none")
@@ -94,8 +106,12 @@ def write_csv(result: SweepResult, fh) -> None:
         f"config={config_digest(result.metadata)} seed={seed}\n"
     )
     fh.write(",".join(result.headers) + "\n")
-    for row in result.rows:
-        fh.write(",".join(_format_cell(v) for v in row) + "\n")
+    formats = [_column_format(set(map(type, map(itemgetter(k), result.rows))))
+               for k in range(len(result.headers))]
+    if None in formats:
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in result.rows)
+    else:
+        fh.writelines(map((",".join(formats) + "\n").__mod__, result.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +188,12 @@ def fig2_surface(x_grid, r_grid) -> SweepResult:
     r_grid = np.asarray(r_grid, dtype=float)
     if (np.abs(r_grid) > 0.999).any():
         raise InvalidSpec("fig2 grid must keep |r| <= 0.999")
+    info = fi_two_outcome(TwoOutcomeSpec.from_xr(x_grid[:, None], r_grid))
+    scaled = 1.0 / (info * np.sqrt(x_grid)[:, None])
+    r_cells = r_grid.tolist()
     rows = []
-    for x in x_grid:
-        for r in r_grid:
-            info = fi_two_outcome(TwoOutcomeSpec.from_xr(x, r))
-            rows.append((x, r, 1.0 / (info * math.sqrt(x))))
+    for x, values in zip(x_grid.tolist(), scaled.tolist()):
+        rows.extend(zip(repeat(x), r_cells, values))
     return SweepResult(
         name="fig2",
         headers=("x", "r", "inverse_fi_scaled"),
@@ -208,6 +225,7 @@ def fig345_curves(alpha_grid) -> SweepResult:
     alpha_star is reported as 0.5 by symmetry.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
+    alpha_cells = alpha_grid.tolist()
     rows = []
     for x, r in DEFAULT_CURVE_SPECS:
         spec = TwoOutcomeSpec.from_xr(x, r)
@@ -217,10 +235,10 @@ def fig345_curves(alpha_grid) -> SweepResult:
             # r = 1, x = 1: the curve is flat, every weighting is optimal.
             alpha_star = 0.5
         minimum = two_outcome_variance(spec, alpha_star)
-        for alpha in alpha_grid:
-            rows.append(
-                (x, r, alpha, two_outcome_variance(spec, alpha), alpha_star, minimum)
-            )
+        rows.extend(zip(
+            repeat(x), repeat(r), alpha_cells, two_outcome_variance(spec, alpha_grid).tolist(),
+            repeat(float(alpha_star)), repeat(float(minimum)),
+        ))
     return SweepResult(
         name="fig345",
         headers=("x", "r", "alpha", "variance", "alpha_star", "min_variance"),

@@ -61,29 +61,30 @@ class FisherReport:
 
 @dataclass(frozen=True)
 class TwoOutcomeSpec:
-    """Variances and covariance of a two-sample data set.
+    """Variances and covariance of a two-sample data set, or of broadcasting arrays of them.
 
     The asymmetry x = var1/var2 > 0 and relative correlation
     r = cov/sqrt(var1*var2), with r in [-1, 1], enter only through from_xr.
+    Each rule holds for every entry.
     """
 
-    var1: float
-    var2: float
-    cov: float
+    var1: float | np.ndarray
+    var2: float | np.ndarray
+    cov: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.var1 <= 0.0 or self.var2 <= 0.0:
+        if np.any(self.var1 <= 0.0) or np.any(self.var2 <= 0.0):
             raise InvalidSpec("variances must be strictly positive")
         # Tiny slack tolerates r = +/-1 specs built as r*sqrt(var1*var2).
-        if self.cov * self.cov > self.var1 * self.var2 * (1.0 + 1e-12):
+        if np.any(self.cov * self.cov > self.var1 * self.var2 * (1.0 + 1e-12)):
             raise InvalidSpec("covariance violates the Cauchy-Schwarz bound")
 
     @classmethod
-    def from_xr(cls, x: float, r: float) -> "TwoOutcomeSpec":
-        """Build with var2 = 1, var1 = x, cov = r*sqrt(x)."""
-        if not x > 0.0:
-            raise InvalidSpec(f"the asymmetry x must be > 0, got {x!r}")
-        return cls(var1=x, var2=1.0, cov=r * math.sqrt(x))
+    def from_xr(cls, x, r) -> "TwoOutcomeSpec":
+        """Build with var2 = 1, var1 = x, cov = r*sqrt(x); x and r may be arrays."""
+        if not np.all(np.greater(x, 0.0)):
+            raise InvalidSpec(f"the asymmetry x must be > 0, got {np.min(x).item()!r}")
+        return cls(var1=x, var2=1.0, cov=r * np.sqrt(x))
 
 
 def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -102,9 +103,9 @@ def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore"):
         norm = (mu**2).sum(axis=0)
         quartic = norm * norm
-    if not ((quartic > 0.0) & (quartic < math.inf)).all():
-        raise InvalidSpec(f"the squared norm of the mean coefficients, {norm!r}, and its "
-                          "square must be positive finite floats")
+    if not ((quartic >= np.finfo(float).tiny) & (quartic < math.inf)).all():
+        raise InvalidSpec(f"the squared norm of the mean coefficients, {norm!r}, must square "
+                          "to a finite normal float; a subnormal square loses digits of iv")
     return scale * cov.quad(mu), scale * norm * norm / cov.form(mu)
 
 
@@ -128,16 +129,16 @@ def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> FisherRepo
     )
 
 
-def fi_two_outcome(spec: TwoOutcomeSpec) -> float:
-    """Two-sample information (var1 + var2 - 2cov) / (var1*var2 - cov^2)."""
+def fi_two_outcome(spec: TwoOutcomeSpec) -> float | np.ndarray:
+    """Two-sample information (var1 + var2 - 2cov) / (var1*var2 - cov^2), per entry."""
     det = spec.var1 * spec.var2 - spec.cov * spec.cov
-    if det <= 0.0:
+    if np.any(det <= 0.0):
         raise InvalidSpec("|r| = 1: degenerate covariance carries infinite information")
     return (spec.var1 + spec.var2 - 2.0 * spec.cov) / det
 
 
-def two_outcome_variance(spec: TwoOutcomeSpec, alpha: float) -> float:
-    """Variance of the weighted estimator alpha*s1 + (1 - alpha)*s2."""
+def two_outcome_variance(spec: TwoOutcomeSpec, alpha) -> float | np.ndarray:
+    """Variance of the weighted estimator alpha*s1 + (1 - alpha)*s2; broadcasts."""
     beta = 1.0 - alpha
     return (
         alpha * alpha * spec.var1

@@ -9,10 +9,15 @@ formula, the reference for the weights ``estlab.estimators`` builds once per
 run.  ``column`` reads one column of a SweepResult as a float array, and
 ``block_terms`` is the numeric (I1, I2, I3) split of a two-channel design's
 information that the closed terms of ``fi_opm_solvable`` are held to.
+``fig2_pointwise`` and ``fig345_pointwise`` are the two-outcome studies
+evaluated one grid point at a time, the scalar oracle of their whole-grid
+evaluation, and ``per_cell_csv`` is write_csv with every cell formatted by
+itself.
 """
 
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,9 +31,10 @@ from estlab.covariance import (
     WeightSpectrum,
     subset_index,
 )
-from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
+from estlab.errors import DegenerateDenominator, InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
-from estlab.experiments import SweepResult
+from estlab.experiments import DEFAULT_CURVE_SPECS, SweepResult, _format_cell, write_csv
+from estlab.fisher import TwoOutcomeSpec, fi_two_outcome, optimal_alpha, two_outcome_variance
 from estlab.matkernel import SymMatrix
 from estlab.partition import CHANNEL_RETAINED
 
@@ -78,6 +84,42 @@ def column(result: SweepResult, header: str) -> np.ndarray:
     """Values of one column of ``result`` as a float array."""
     k = result.headers.index(header)
     return np.array([row[k] for row in result.rows], dtype=float)
+
+
+def per_cell_csv(result: SweepResult) -> str:
+    """write_csv's text, each cell of each row formatted by itself with _format_cell."""
+    buf = io.StringIO()
+    write_csv(replace(result, rows=[]), buf)
+    for row in result.rows:
+        buf.write(",".join(_format_cell(v) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def fig2_pointwise(x_grid, r_grid) -> list[tuple]:
+    """fig2_surface's rows, one TwoOutcomeSpec and one fi_two_outcome call per point."""
+    rows = []
+    for x in np.asarray(x_grid, dtype=float):
+        for r in np.asarray(r_grid, dtype=float):
+            info = fi_two_outcome(TwoOutcomeSpec.from_xr(x, r))
+            rows.append((x, r, 1.0 / (info * math.sqrt(x))))
+    return rows
+
+
+def fig345_pointwise(alpha_grid) -> list[tuple]:
+    """fig345_curves's rows, one two_outcome_variance call per curve and alpha."""
+    rows = []
+    for x, r in DEFAULT_CURVE_SPECS:
+        spec = TwoOutcomeSpec.from_xr(x, r)
+        try:
+            alpha_star = optimal_alpha(spec)
+        except DegenerateDenominator:
+            alpha_star = 0.5
+        minimum = two_outcome_variance(spec, alpha_star)
+        for alpha in np.asarray(alpha_grid, dtype=float):
+            rows.append(
+                (x, r, alpha, two_outcome_variance(spec, alpha), alpha_star, minimum)
+            )
+    return rows
 
 
 def block_terms(cov, design) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from scipy.linalg import solve_toeplitz
 
 import estlab
 from estlab import __version__
-from estlab.cli import main
+from estlab.cli import build_parser, main
 from estlab.covariance import Chain
+from estlab.experiments import table1, write_csv
 
 from conftest import Dense, chain_matrix
 
@@ -503,8 +505,6 @@ class TestFigureCommands:
         capsys.readouterr()
 
     def test_fig7_benchmark_defaults(self):
-        from estlab.cli import build_parser
-
         args = build_parser().parse_args(["figure", "fig7", "-o", "x.csv"])
         assert args.n == 1000
         assert args.a == 1.0
@@ -609,6 +609,34 @@ class TestConfigFile:
         assert main([*argv, str(cfg), "-o", str(out)]) == 2
         assert not out.exists()
         assert "--config in full" in capsys.readouterr().err
+
+    def test_calls_leave_each_other_their_own_values(self, tmp_path, capsys, monkeypatch):
+        # One parser serves every call of a process: a call with --config
+        # and calls without it, in either order, each see only their own
+        # flags and the defaults.
+        monkeypatch.delenv("ESTLAB_SEED", raising=False)
+        assert build_parser() is build_parser()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=2\nc=0.1\nn=50\ngamma=0.1\n")
+        calls = {
+            "config": (["table1", "--config", str(cfg)], table1(2.0, 0.1, 50, 0.1)),
+            "plain": (["table1"], table1(1.0, 0.05, 1000, 0.005)),
+        }
+        for name in ("plain", "config", "plain", "config"):
+            argv, expected = calls[name]
+            out = tmp_path / "t.csv"
+            assert main([*argv, "-o", str(out)]) == 0
+            buf = io.StringIO()
+            write_csv(expected, buf)
+            assert out.read_text() == buf.getvalue(), name
+        # main sets an unset --seed on its Namespace, never on the parser.
+        seeded = ["simulate", "--model", "white", "--n", "4", "--estimator", "equal",
+                  "--trials", "2"]
+        assert main([*seeded, "--seed", "5", "-o", str(tmp_path / "s.csv")]) == 0
+        assert build_parser().parse_args([*seeded, "-o", "s.csv"]).seed is None
+        assert main([*seeded, "-o", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_text().splitlines()[0].endswith(" seed=0")
+        capsys.readouterr()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(

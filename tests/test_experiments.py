@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from estlab.cli import main
 from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
 from estlab.errors import InvalidSpec
 from estlab.estimators import estimator_weights
 from estlab.experiments import (
     DEFAULT_CURVE_SPECS,
+    SweepResult,
     delta_i,
     delta_i_summary,
     fig2_surface,
@@ -27,7 +30,27 @@ from estlab.fisher import fi_opm_solvable
 from estlab.montecarlo import run_trials
 from estlab.partition import make_design, spin_model
 
-from conftest import Dense, block_terms, chain_matrix, column
+from conftest import (
+    Dense,
+    block_terms,
+    chain_matrix,
+    column,
+    fig2_pointwise,
+    fig345_pointwise,
+    per_cell_csv,
+)
+
+
+def _csv(result) -> str:
+    buf = io.StringIO()
+    write_csv(result, buf)
+    return buf.getvalue()
+
+
+def _cli_csv(tmp_path, argv) -> str:
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 0
+    return out.read_text()
 
 
 class TestTable1:
@@ -132,6 +155,42 @@ class TestFig2:
         result = fig2_surface(x_grid=np.ones(3), r_grid=np.zeros(4))
         assert len(result.rows) == 12
 
+    def test_benchmark_size_is_the_pointwise_oracle(self, tmp_path, capsys):
+        # The CLI's grid at the benchmark's size, evaluated point by point and
+        # written cell by cell, gives the same bytes.
+        x_grid, r_grid = np.logspace(-1.0, 1.0, 200), np.linspace(-0.99, 0.99, 200)
+        result = fig2_surface(x_grid, r_grid)
+        oracle = replace(result, rows=fig2_pointwise(x_grid, r_grid))
+        text = _cli_csv(tmp_path, ["figure", "fig2", "--x-points", "200", "--r-points", "200"])
+        assert text == per_cell_csv(oracle)
+        capsys.readouterr()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_grid=st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=1, max_size=6),
+        r_grid=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6),
+    )
+    def test_grid_is_the_pointwise_oracle(self, x_grid, r_grid):
+        result = fig2_surface(x_grid, r_grid)
+        assert _csv(result) == per_cell_csv(replace(result, rows=fig2_pointwise(x_grid, r_grid)))
+
+    @pytest.mark.parametrize("x_grid,r_grid,message", [
+        ([1.0, -2.0], [0.0], "the asymmetry x must be > 0, got -2.0"),
+        ([2.0, math.nan], [0.5], "the asymmetry x must be > 0, got nan"),
+        # r*sqrt(x) squares to x itself at the least subnormal x: det = 0.
+        ([1.0, 5e-324], [0.999, 0.0], r"\|r\| = 1: degenerate covariance"),
+    ])
+    def test_rules_keep_their_messages(self, x_grid, r_grid, message):
+        with pytest.raises(InvalidSpec, match=message):
+            fig2_pointwise(x_grid, r_grid)
+        with pytest.raises(InvalidSpec, match=message):
+            fig2_surface(x_grid, r_grid)
+
+    def test_whole_grid_names_its_smallest_bad_x(self):
+        # The point-by-point loop named the first bad x in grid order.
+        with pytest.raises(InvalidSpec, match="x must be > 0, got -3.0"):
+            fig2_surface([1.0, -2.0, -3.0], [0.0])
+
 
 def _curve(result, x, r):
     """The rows of the (x, r) curve, once per alpha."""
@@ -167,6 +226,20 @@ class TestFig345:
     def test_default_families_row_count(self):
         result = fig345_curves(alpha_grid=np.linspace(-1.5, 2.5, 201))
         assert len(result.rows) == 14 * 201
+
+    def test_benchmark_size_is_the_pointwise_oracle(self, tmp_path, capsys):
+        alpha_grid = np.linspace(-1.5, 2.5, 2001)
+        result = fig345_curves(alpha_grid)
+        oracle = replace(result, rows=fig345_pointwise(alpha_grid))
+        text = _cli_csv(tmp_path, ["figure", "fig345", "--alpha-points", "2001"])
+        assert text == per_cell_csv(oracle)
+        capsys.readouterr()
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha_grid=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=8))
+    def test_grid_is_the_pointwise_oracle(self, alpha_grid):
+        result = fig345_curves(alpha_grid)
+        assert _csv(result) == per_cell_csv(replace(result, rows=fig345_pointwise(alpha_grid)))
 
 
 class TestFig6:
@@ -424,7 +497,54 @@ class TestDeltaI:
             delta_i(1.0, -0.1, 10)
 
 
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_CELLS = {
+    "str": st.text(),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(),
+    "int past 2**53": st.integers(2**53, 2**80) | st.integers(-(2**80), -(2**53)),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "np.uint64": st.integers(0, 2**64 - 1).map(np.uint64),
+    "float": _FLOATS | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    "np.float64": _FLOATS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+}
+_MIXED = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from([*_CELLS, "mixed"]), min_size=1, max_size=5))
+    count = draw(st.integers(0, 12))
+    columns = [
+        draw(st.lists(_CELLS.get(kind, _MIXED), min_size=count, max_size=count))
+        for kind in kinds
+    ]
+    return SweepResult(
+        name="table",
+        headers=tuple(f"{kind}{k}" for k, kind in enumerate(kinds)),
+        rows=list(zip(*columns)),
+        metadata={"name": "table", "seed": "7"},
+    )
+
+
 class TestCsvSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(result=_tables())
+    def test_column_formats_are_the_per_cell_formats(self, result):
+        assert _csv(result) == per_cell_csv(result)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(np.int64(1), 2**53 + 1, -0.0), (2, np.int64(-5), np.float64(5e-324))],
+        [(True, 1, 1.0), (np.bool_(False), np.int64(2), np.float64(-0.0))],
+        [(1, 2**53 + 1, "a"), (2.5, 2**63, 3), ("b", -(2**70), 4.0)],
+    ], ids=["no-rows", "one-kind-columns", "bools", "mixed"])
+    def test_examples(self, rows):
+        result = SweepResult("t", ("a", "b", "c"), rows, {"seed": "none"})
+        assert _csv(result) == per_cell_csv(result)
+
     def test_format_contract(self):
         result = table1(1.0, 0.05, 100, 0.05)
         buf = io.StringIO()

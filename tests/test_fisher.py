@@ -257,11 +257,33 @@ class TestMatched:
         # The squared norm underflows to 0 or overflows to inf.
         ([4.75e-205, 0.0, 0.0], "squared norm of the mean coefficients"),
         ([1e200, 0.0, 0.0], "squared norm of the mean coefficients"),
+        # The squared norm is normal but its square is subnormal, so iv would
+        # lose digits (9.99988867182683e-161 where 1e-160 is exact).
+        ([1e-80, 0.0, 0.0], "must square to a finite normal float"),
     ])
     def test_rejection_names_the_cause(self, mu, cause):
         cov = make_covariance(CovSpec("white", 1.0, 0.0, 3))
         with pytest.raises(InvalidSpec, match=cause):
             fi_matched(cov, np.array(mu))
+
+    def test_smallest_accepted_norm_keeps_its_digits(self):
+        # The least mu = [m, 0, 0] whose squared norm squares to a normal float.
+        tiny = np.finfo(float).tiny
+
+        def quartic(v):
+            return (v * v) * (v * v)
+
+        m = math.sqrt(math.sqrt(tiny))
+        while quartic(m) < tiny:
+            m = math.nextafter(m, math.inf)
+        while quartic(math.nextafter(m, 0.0)) >= tiny:
+            m = math.nextafter(m, 0.0)
+        cov = make_covariance(CovSpec("white", 1.0, 0.0, 3))
+        fi, iv = fi_matched(cov, np.array([m, 0.0, 0.0]))
+        assert iv == pytest.approx(m * m, rel=1e-15)
+        assert fi == pytest.approx(m * m, rel=1e-15)
+        with pytest.raises(InvalidSpec, match="must square to a finite normal float"):
+            fi_matched(cov, np.array([math.nextafter(m, 0.0), 0.0, 0.0]))
 
 
 class TestWvaSolvable:
