@@ -301,20 +301,20 @@ def _fisher_result(args: argparse.Namespace) -> SweepResult:
     fi, iv = fi_matched(cov, np.ones(spec.n), shift * shift)
     numeric = FisherReport(float(fi), METHOD_NUMERIC_INVERSE,
                            equal_weight_variance=float(1.0 / iv))
-    rows = []
+    reports = []
     # Full retention with Aw = shift is the direct strategy; white noise is
     # the solvable model with variance a + c and no common offset.
     if spec.kind != KIND_EXPONENTIAL:
         a, c = (spec.a, spec.c) if spec.kind == KIND_SOLVABLE else (spec.a + spec.c, 0.0)
-        closed = fi_wva_solvable(a, c, spec.n, 1.0, shift)
-        rows.append((spec.kind, closed.method, closed.value, closed.equal_weight_variance))
-    rows.append((spec.kind, numeric.method, numeric.value, numeric.equal_weight_variance))
-    eigen = fi_eigen(cov.spectrum(), mean_shift=shift)
-    rows.append((spec.kind, eigen.method, eigen.value, eigen.equal_weight_variance))
+        reports.append(fi_wva_solvable(a, c, spec.n, 1.0, shift))
+    reports += [numeric, fi_eigen(cov.spectrum(), mean_shift=shift)]
     return SweepResult(
         name="fisher",
         headers=("model", "method", "value", "equal_weight_variance"),
-        rows=rows,
+        blocks=[(
+            spec.kind, [r.method for r in reports], [r.value for r in reports],
+            [r.equal_weight_variance for r in reports],
+        )],
         metadata=_metadata(
             "fisher",
             model=spec.kind, a=spec.a, c=spec.c, n=spec.n,
@@ -346,7 +346,7 @@ def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]
             "estimator", "scheme", "trials", "seed", "d_true",
             "empirical_mean", "empirical_variance",
         ),
-        rows=[(
+        blocks=[(
             args.estimator, design.scheme, ensemble.trials, ensemble.seed,
             args.d, ensemble.empirical_mean, ensemble.empirical_variance,
         )],
@@ -357,7 +357,7 @@ def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]
         dump = SweepResult(
             name="simulate-estimates",
             headers=("trial", "estimate"),
-            rows=list(zip(range(ensemble.trials), ensemble.estimates.tolist())),
+            blocks=[(list(range(ensemble.trials)), ensemble.estimates.tolist())],
             metadata=metadata,
         )
         outputs.append((dump, Path(args.dump_estimates)))

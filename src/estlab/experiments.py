@@ -1,10 +1,11 @@
 """Named parameter sweeps comparing the three estimation strategies.
 
-Each function returns a SweepResult (headers, rows, metadata) that
-write_csv serializes with a single metadata comment line, 17-significant-
-digit floats and LF line endings, so repeated runs are byte identical.
-Each study takes every argument: the CLI holds the defaults.  The
-two-outcome studies evaluate fisher's closed forms over whole grids at once.
+Each function returns a SweepResult, whose blocks hold a grid axis or a
+per-curve constant once, and write_csv formats each of them once.  It
+writes a single metadata comment line, 17-significant-digit floats and LF
+line endings, so repeated runs are byte identical.  Each study takes every
+argument: the CLI holds the defaults.  The two-outcome studies evaluate
+fisher's closed forms over whole grids at once.
 
 Built-in studies:
 
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -56,14 +58,51 @@ from .partition import (
 )
 
 
+def _block_length(block: tuple) -> int:
+    """Rows in a block: the length of its lists, or 1 if it holds scalars only."""
+    lengths = {len(entry) for entry in block if isinstance(entry, list)}
+    if len(lengths) > 1:
+        raise ValueError(f"the lists of one block differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else 1
+
+
+class Rows(Sequence):
+    """The row tuples of a result's blocks, read-only; len() expands no block."""
+
+    def __init__(self, blocks: list[tuple]) -> None:
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(_block_length, self._blocks))
+
+    def __iter__(self):
+        for block in self._blocks:
+            length = _block_length(block)
+            yield from zip(*(e if isinstance(e, list) else repeat(e, length) for e in block))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (Rows, list)) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """One row per grid point; metadata records parameters, seed and build."""
+    """Blocks of rows; metadata records parameters, seed and build.
+
+    A block has one entry per header: a list (one cell per row, and perhaps
+    shared with other blocks) or a scalar (the cell of every row).
+    """
 
     name: str
     headers: tuple[str, ...]
-    rows: list[tuple]
+    blocks: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> Rows:
+        return Rows(self.blocks)
 
 
 def _metadata(name: str, seed: int | None = None, **params) -> dict[str, str]:
@@ -79,39 +118,48 @@ def config_digest(metadata: dict[str, str]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# The format of each cell type; bools and other numpy scalars are not cells.
+_CELL_FORMATS = {str: "%s", float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d"}
+_WRITE_ROWS = 1 << 14  # rows write_csv formats and joins at a time
 
 
-def _column_format(kinds: set[type]) -> str | None:
-    """The %-format that writes cells of these types as _format_cell does, or None
-    for other types and mixes (bools; int with float), written cell by cell."""
-    for fmt, allowed in (("%s", {str}), ("%.17g", {float, np.float64}), ("%d", {int, np.int64})):
-        if kinds <= allowed:
-            return fmt
-    return None
+def _cells(values, header: str) -> list[str]:
+    try:
+        return [_CELL_FORMATS[type(v)] % v for v in values]
+    except KeyError as exc:
+        raise TypeError(f"column {header!r} holds a {exc.args[0].__name__} cell; "
+                        "CSV cells are str, float or int") from None
 
 
 def write_csv(result: SweepResult, fh) -> None:
-    """Serialize: `# estlab-version=... config=... seed=...`, headers, rows."""
+    """Serialize: `# estlab-version=... config=... seed=...`, headers, rows.
+
+    A list in several blocks is formatted once; any other entry is formatted
+    _WRITE_ROWS rows of its block at a time, and those rows joined.
+    """
     seed = result.metadata.get("seed", "none")
     fh.write(
         f"# estlab-version={__version__} "
         f"config={config_digest(result.metadata)} seed={seed}\n"
     )
     fh.write(",".join(result.headers) + "\n")
-    formats = [_column_format(set(map(type, map(itemgetter(k), result.rows))))
-               for k in range(len(result.headers))]
-    if None in formats:
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in result.rows)
-    else:
-        fh.writelines(map((",".join(formats) + "\n").__mod__, result.rows))
+    uses = Counter(id(e) for block in result.blocks for e in block if isinstance(e, list))
+    shared = {}  # id(list) -> its cells, for lists in several blocks; all outlive the call
+    for block in result.blocks:
+        length = _block_length(block)
+        for start in range(0, length, _WRITE_ROWS):
+            part = slice(start, min(length, start + _WRITE_ROWS))
+            columns = []
+            for header, e in zip(result.headers, block, strict=True):
+                if not isinstance(e, list):
+                    columns.append(repeat(_cells([e], header)[0], part.stop - start))
+                elif uses[id(e)] == 1:
+                    columns.append(_cells(e[part], header))
+                else:
+                    if id(e) not in shared:
+                        shared[id(e)] = _cells(e, header)
+                    columns.append(shared[id(e)][part])
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +177,36 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     realizable slot for slot).  The retained block is the first channel of
     the blocks design, so gamma obeys that design's rules.
     """
-    blocks = make_design(n, "blocks", gamma=gamma)
-    retained = blocks.channel_slots("retained")
+    design = make_design(n, "blocks", gamma=gamma)
+    retained = design.channel_slots("retained")
     aw2 = 1.0 / gamma
     # Factored last, so invalid inputs are reported before a numeric failure.
-    covs = {
-        "uncorrelated": make_covariance(CovSpec(KIND_WHITE, a, c, n)),
-        "correlated": make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)),
-    }
+    covs = [make_covariance(CovSpec(kind, a, c, n)) for kind in (KIND_WHITE, KIND_SOLVABLE)]
 
-    # Full retention with Aw = 1 is the direct strategy; white noise is the
+    # Rows are (direct, wva, opm) x (uncorrelated, correlated).  Full
+    # retention with Aw = 1 is the direct strategy; white noise is the
     # solvable model with variance a + c and no common offset.  With
     # Aw^2 = 1/gamma, post-selection on white noise is the direct strategy:
     # the gamma*n retained slots, amplified by 1/gamma, carry n/(a + c).
     direct_white = fi_wva_solvable(a + c, 0.0, n, 1.0, 1.0).value
-    closed = {
-        ("direct", "uncorrelated"): direct_white,
-        ("wva", "uncorrelated"): direct_white,
-        ("opm", "uncorrelated"): direct_white,
-        ("direct", "correlated"): fi_wva_solvable(a, c, n, 1.0, 1.0).value,
-        ("wva", "correlated"): fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
-        ("opm", "correlated"): fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
-    }
-    numeric = {}
-    for regime, cov in covs.items():
-        numeric["direct", regime] = fi_matched(cov, np.ones(n))[0]
-        numeric["wva", regime] = fi_matched(
-            cov.restrict(retained), np.ones(retained.size), aw2)[0]
-        numeric["opm", regime] = fi_matched(cov, blocks.mu_prime)[0]
-
-    rows = []
-    for strategy in ("direct", "wva", "opm"):
-        for regime in ("uncorrelated", "correlated"):
-            cf = closed[(strategy, regime)]
-            num = numeric[(strategy, regime)]
-            rel = abs(cf - num) / abs(cf)
-            rows.append((strategy, regime, cf, num, rel, rel < 1e-8))
+    closed = [
+        direct_white, fi_wva_solvable(a, c, n, 1.0, 1.0).value,
+        direct_white, fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
+        direct_white, fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
+    ]
+    numeric = [
+        *(fi_matched(cov, np.ones(n))[0] for cov in covs),
+        *(fi_matched(cov.restrict(retained), np.ones(retained.size), aw2)[0] for cov in covs),
+        *(fi_matched(cov, design.mu_prime)[0] for cov in covs),
+    ]
+    rel = [abs(x - y) / abs(x) for x, y in zip(closed, numeric)]
     return SweepResult(
         name="table1",
         headers=("strategy", "regime", "closed_form", "numeric", "rel_err", "agree"),
-        rows=rows,
+        blocks=[(
+            ["direct", "direct", "wva", "wva", "opm", "opm"], ["uncorrelated", "correlated"] * 3,
+            closed, numeric, rel, ["true" if e < 1e-8 else "false" for e in rel],
+        )],
         metadata=_metadata("table1", a=a, c=c, n=n, gamma=gamma),
     )
 
@@ -191,13 +229,10 @@ def fig2_surface(x_grid, r_grid) -> SweepResult:
     info = fi_two_outcome(TwoOutcomeSpec.from_xr(x_grid[:, None], r_grid))
     scaled = 1.0 / (info * np.sqrt(x_grid)[:, None])
     r_cells = r_grid.tolist()
-    rows = []
-    for x, values in zip(x_grid.tolist(), scaled.tolist()):
-        rows.extend(zip(repeat(x), r_cells, values))
     return SweepResult(
         name="fig2",
         headers=("x", "r", "inverse_fi_scaled"),
-        rows=rows,
+        blocks=[(x, r_cells, values) for x, values in zip(x_grid.tolist(), scaled.tolist())],
         metadata=_metadata(
             "fig2",
             x_min=float(x_grid.min()),
@@ -226,7 +261,7 @@ def fig345_curves(alpha_grid) -> SweepResult:
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     alpha_cells = alpha_grid.tolist()
-    rows = []
+    blocks = []
     for x, r in DEFAULT_CURVE_SPECS:
         spec = TwoOutcomeSpec.from_xr(x, r)
         try:
@@ -235,14 +270,14 @@ def fig345_curves(alpha_grid) -> SweepResult:
             # r = 1, x = 1: the curve is flat, every weighting is optimal.
             alpha_star = 0.5
         minimum = two_outcome_variance(spec, alpha_star)
-        rows.extend(zip(
-            repeat(x), repeat(r), alpha_cells, two_outcome_variance(spec, alpha_grid).tolist(),
-            repeat(float(alpha_star)), repeat(float(minimum)),
+        blocks.append((
+            x, r, alpha_cells, two_outcome_variance(spec, alpha_grid).tolist(),
+            float(alpha_star), float(minimum),
         ))
     return SweepResult(
         name="fig345",
         headers=("x", "r", "alpha", "variance", "alpha_star", "min_variance"),
-        rows=rows,
+        blocks=blocks,
         metadata=_metadata(
             "fig345",
             curves=len(DEFAULT_CURVE_SPECS),
@@ -278,27 +313,17 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
         [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
     )
     numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)), mu_prime)
-    rows = []
-    for phi, model, n1, total_numeric in zip(phi_grid, models, retained, numeric):
-        report = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
-        rows.append(
-            (
-                phi,
-                model.gamma,
-                n1,
-                report.terms[0] / unit,
-                report.terms[1] / unit,
-                report.terms[2] / unit,
-                report.value / unit,
-                total_numeric / unit,
-            )
-        )
+    reports = [fi_opm_solvable(a, c, n, m.gamma, m.aw, m.awp) for m in models]
     return SweepResult(
         name="fig6",
         headers=(
             "phi", "gamma", "n_retained", "i1", "i2", "i3", "total", "total_numeric",
         ),
-        rows=rows,
+        blocks=[(
+            phi_grid.tolist(), [m.gamma for m in models], retained,
+            *([report.terms[k] / unit for report in reports] for k in range(3)),
+            [report.value / unit for report in reports], (numeric / unit).tolist(),
+        )],
         metadata=_metadata(
             "fig6", n=n, c_over_a=c_over_a, phi_points=phi_grid.size
         ),
@@ -340,6 +365,10 @@ def retention_designs(
     return designs
 
 
+# fig7 solves at most this many (eta, slot) cells at once, about 71 B each.
+BUDGET = 2**20
+
+
 def fig7_sweep(
     n: int, a: float, c: float, gamma: float, eta_grid, scheme: str, reps: int, seed: int
 ) -> SweepResult:
@@ -352,8 +381,9 @@ def fig7_sweep(
     of C.  The periodic scheme is deterministic and amplifies by its
     realized n/m, m retained slots of n; the bernoulli scheme keeps the
     idealized Aw^2 = 1/gamma and averages the weak-value columns over
-    ``reps`` seeded retention patterns (fixed across eta).  The whole eta
-    grid shares one covariance chain, at O(n) per eta.
+    ``reps`` seeded retention patterns (fixed across eta).  Chunks of at
+    most BUDGET // n etas share one covariance chain, at O(n) per eta, so
+    the work arrays stay near BUDGET cells however large n is.
     """
     eta_grid = np.asarray(eta_grid, dtype=float).ravel()
     check_model(KIND_EXPONENTIAL, a, c, n)
@@ -362,23 +392,23 @@ def fig7_sweep(
     designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]
 
-    g = make_design(n, "alternating").mu_prime
-    cov = Chain(a, c, eta_grid, np.arange(n))
-    fi, iv = fi_matched(cov, np.column_stack([np.ones(n), g]))
-    fi_direct, fi_bgsub = fi.T
-    iv_direct, iv_bgsub = iv.T
-
-    # One (fi, iv) pair of per-eta arrays for each retention pattern.
-    wva = [
-        fi_matched(
-            cov.restrict(retained), np.ones(retained.size),
-            n / retained.size if scheme == SCHEME_PERIODIC else 1.0 / gamma,
-        )
-        for retained in retained_sets
-    ]
-    fi_wva, iv_wva = np.mean(wva, axis=0)
-
-    rows = list(zip(eta_grid, fi_direct, fi_wva, fi_bgsub, iv_direct, iv_wva, iv_bgsub))
+    ones_and_g = np.column_stack([np.ones(n), make_design(n, "alternating").mu_prime])
+    step = max(1, BUDGET // n)
+    chunks = []
+    for k in range(0, eta_grid.size, step):
+        cov = Chain(a, c, eta_grid[k:k + step], np.arange(n))
+        fi, iv = fi_matched(cov, ones_and_g)
+        # One (fi, iv) pair of per-eta arrays for each retention pattern.
+        wva = [
+            fi_matched(
+                cov.restrict(retained), np.ones(retained.size),
+                n / retained.size if scheme == SCHEME_PERIODIC else 1.0 / gamma,
+            )
+            for retained in retained_sets
+        ]
+        chunks.append(np.vstack([fi.T, iv.T, np.mean(wva, axis=0)]))
+        del cov  # freed before the next chunk's chain is built
+    fi_direct, fi_bgsub, iv_direct, iv_bgsub, fi_wva, iv_wva = np.hstack(chunks).tolist()
     return SweepResult(
         name="fig7",
         headers=(
@@ -390,7 +420,7 @@ def fig7_sweep(
             "inv_var_equal_wva",
             "inv_var_equal_bgsub",
         ),
-        rows=rows,
+        blocks=[(eta_grid.tolist(), fi_direct, fi_wva, fi_bgsub, iv_direct, iv_wva, iv_bgsub)],
         metadata=_metadata(
             "fig7",
             seed=seed if scheme == SCHEME_BERNOULLI else None,
@@ -429,6 +459,6 @@ def delta_i_summary(a: float, c: float, n: int) -> SweepResult:
     return SweepResult(
         name="delta_i",
         headers=("a", "c", "n", "delta_i_exact", "delta_i_small_c_approx"),
-        rows=[(a, c, n, exact, approx)],
+        blocks=[(a, c, n, exact, approx)],
         metadata=_metadata("delta_i", a=a, c=c, n=n),
     )

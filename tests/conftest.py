@@ -12,7 +12,7 @@ information that the closed terms of ``fi_opm_solvable`` are held to.
 ``fig2_pointwise`` and ``fig345_pointwise`` are the two-outcome studies
 evaluated one grid point at a time, the scalar oracle of their whole-grid
 evaluation, and ``per_cell_csv`` is write_csv with every cell formatted by
-itself.
+itself (``_format_cell``), the byte oracle of its per-list formatting.
 """
 
 import io
@@ -33,7 +33,7 @@ from estlab.covariance import (
 )
 from estlab.errors import DegenerateDenominator, InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
-from estlab.experiments import DEFAULT_CURVE_SPECS, SweepResult, _format_cell, write_csv
+from estlab.experiments import DEFAULT_CURVE_SPECS, SweepResult, write_csv
 from estlab.fisher import TwoOutcomeSpec, fi_two_outcome, optimal_alpha, two_outcome_variance
 from estlab.matkernel import SymMatrix
 from estlab.partition import CHANNEL_RETAINED
@@ -86,10 +86,21 @@ def column(result: SweepResult, header: str) -> np.ndarray:
     return np.array([row[k] for row in result.rows], dtype=float)
 
 
+def _format_cell(value) -> str:
+    """One CSV cell formatted by itself, as write_csv once formatted every cell."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
 def per_cell_csv(result: SweepResult) -> str:
     """write_csv's text, each cell of each row formatted by itself with _format_cell."""
     buf = io.StringIO()
-    write_csv(replace(result, rows=[]), buf)
+    write_csv(replace(result, blocks=[]), buf)
     for row in result.rows:
         buf.write(",".join(_format_cell(v) for v in row) + "\n")
     return buf.getvalue()

@@ -3,12 +3,14 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from estlab import experiments
 from estlab.cli import main
 from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
 from estlab.errors import InvalidSpec
@@ -69,7 +71,7 @@ class TestTable1:
         assert cells[("opm", "correlated")][2] == pytest.approx(1000.0, rel=1e-12)
         for row in result.rows:
             closed, numeric, rel, agree = row[2], row[3], row[4], row[5]
-            assert agree
+            assert agree == "true"
             assert abs(closed - numeric) <= 1e-8 * abs(closed)
             assert rel <= 1e-8
 
@@ -155,12 +157,18 @@ class TestFig2:
         result = fig2_surface(x_grid=np.ones(3), r_grid=np.zeros(4))
         assert len(result.rows) == 12
 
+    def test_one_block_per_x_sharing_the_r_cells(self):
+        result = fig2_surface(x_grid=[0.5, 1.0, 2.0], r_grid=[-0.5, 0.0, 0.5, 0.9])
+        assert [block[0] for block in result.blocks] == [0.5, 1.0, 2.0]
+        assert all(block[1] is result.blocks[0][1] for block in result.blocks)
+        assert [len(block[2]) for block in result.blocks] == [4, 4, 4]
+
     def test_benchmark_size_is_the_pointwise_oracle(self, tmp_path, capsys):
         # The CLI's grid at the benchmark's size, evaluated point by point and
         # written cell by cell, gives the same bytes.
         x_grid, r_grid = np.logspace(-1.0, 1.0, 200), np.linspace(-0.99, 0.99, 200)
         result = fig2_surface(x_grid, r_grid)
-        oracle = replace(result, rows=fig2_pointwise(x_grid, r_grid))
+        oracle = replace(result, blocks=fig2_pointwise(x_grid, r_grid))
         text = _cli_csv(tmp_path, ["figure", "fig2", "--x-points", "200", "--r-points", "200"])
         assert text == per_cell_csv(oracle)
         capsys.readouterr()
@@ -172,7 +180,7 @@ class TestFig2:
     )
     def test_grid_is_the_pointwise_oracle(self, x_grid, r_grid):
         result = fig2_surface(x_grid, r_grid)
-        assert _csv(result) == per_cell_csv(replace(result, rows=fig2_pointwise(x_grid, r_grid)))
+        assert _csv(result) == per_cell_csv(replace(result, blocks=fig2_pointwise(x_grid, r_grid)))
 
     @pytest.mark.parametrize("x_grid,r_grid,message", [
         ([1.0, -2.0], [0.0], "the asymmetry x must be > 0, got -2.0"),
@@ -227,10 +235,16 @@ class TestFig345:
         result = fig345_curves(alpha_grid=np.linspace(-1.5, 2.5, 201))
         assert len(result.rows) == 14 * 201
 
+    def test_one_block_per_curve_sharing_the_alpha_cells(self):
+        result = fig345_curves(alpha_grid=np.linspace(0.0, 1.0, 5))
+        assert [block[:2] for block in result.blocks] == list(DEFAULT_CURVE_SPECS)
+        assert all(block[2] is result.blocks[0][2] for block in result.blocks)
+        assert all(len(block[3]) == 5 and isinstance(block[4], float) for block in result.blocks)
+
     def test_benchmark_size_is_the_pointwise_oracle(self, tmp_path, capsys):
         alpha_grid = np.linspace(-1.5, 2.5, 2001)
         result = fig345_curves(alpha_grid)
-        oracle = replace(result, rows=fig345_pointwise(alpha_grid))
+        oracle = replace(result, blocks=fig345_pointwise(alpha_grid))
         text = _cli_csv(tmp_path, ["figure", "fig345", "--alpha-points", "2001"])
         assert text == per_cell_csv(oracle)
         capsys.readouterr()
@@ -239,7 +253,7 @@ class TestFig345:
     @given(alpha_grid=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=8))
     def test_grid_is_the_pointwise_oracle(self, alpha_grid):
         result = fig345_curves(alpha_grid)
-        assert _csv(result) == per_cell_csv(replace(result, rows=fig345_pointwise(alpha_grid)))
+        assert _csv(result) == per_cell_csv(replace(result, blocks=fig345_pointwise(alpha_grid)))
 
 
 class TestFig6:
@@ -447,6 +461,21 @@ class TestFig7:
             fi = column(sweep, f"fi_{strategy}")
             assert (column(sweep, f"inv_var_equal_{strategy}") <= fi * (1 + 1e-9)).all()
 
+    @pytest.mark.parametrize("scheme", ["periodic", "bernoulli"])
+    def test_chunked_grid_is_the_single_chunk_grid(self, monkeypatch, scheme):
+        n, eta_grid = 300, np.logspace(-2, 6, 11)
+        whole = _csv(_fig7(n=n, gamma=0.05, eta_grid=eta_grid, scheme=scheme, reps=4, seed=3))
+        chunks = []
+        chain = experiments.Chain
+        monkeypatch.setattr(experiments, "Chain",
+                            lambda a, c, eta, times: chunks.append(eta.size) or chain(a, c, eta, times))
+        for budget, sizes in ((3 * n + 2, [3, 3, 3, 2]), (1, [1] * 11)):
+            chunks.clear()
+            monkeypatch.setattr(experiments, "BUDGET", budget)
+            chunked = _fig7(n=n, gamma=0.05, eta_grid=eta_grid, scheme=scheme, reps=4, seed=3)
+            assert chunks == sizes
+            assert _csv(chunked) == whole
+
     def test_memory_is_linear_in_n(self):
         n = 20_000
         tracemalloc.start()
@@ -500,22 +529,19 @@ class TestDeltaI:
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _CELLS = {
     "str": st.text(),
-    "bool": st.booleans(),
-    "np.bool_": st.booleans().map(np.bool_),
     "int": st.integers(),
     "int past 2**53": st.integers(2**53, 2**80) | st.integers(-(2**80), -(2**53)),
     "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    "np.uint64": st.integers(0, 2**64 - 1).map(np.uint64),
     "float": _FLOATS | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
     "np.float64": _FLOATS.map(np.float64),
-    "np.float32": st.floats(width=32).map(np.float32),
 }
 _MIXED = st.one_of(*_CELLS.values())
+_KINDS = st.sampled_from([*_CELLS, "mixed"])
 
 
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from([*_CELLS, "mixed"]), min_size=1, max_size=5))
+    kinds = draw(st.lists(_KINDS, min_size=1, max_size=5))
     count = draw(st.integers(0, 12))
     columns = [
         draw(st.lists(_CELLS.get(kind, _MIXED), min_size=count, max_size=count))
@@ -524,9 +550,48 @@ def _tables(draw):
     return SweepResult(
         name="table",
         headers=tuple(f"{kind}{k}" for k, kind in enumerate(kinds)),
-        rows=list(zip(*columns)),
+        blocks=[tuple(columns)],
         metadata={"name": "table", "seed": "7"},
     )
+
+
+@st.composite
+def _block_tables(draw):
+    """Drawn blocks, with the rows they stand for expanded here, not by Rows.
+
+    Entries are scalars or lists; a list may be one drawn for an earlier
+    entry of the same length, shared by identity.
+    """
+    width = draw(st.integers(1, 5))
+    shared = {}  # length -> the lists drawn so far
+    blocks, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(0, 6))
+        block = []
+        for _ in range(width):
+            pool = shared.setdefault(length, [])
+            if draw(st.booleans()):
+                block.append(draw(_MIXED))
+            elif pool and draw(st.booleans()):
+                block.append(pool[draw(st.integers(0, len(pool) - 1))])
+            else:
+                cells = draw(st.lists(_CELLS.get(draw(_KINDS), _MIXED),
+                                      min_size=length, max_size=length))
+                pool.append(cells)
+                block.append(cells)
+        count = length if any(isinstance(e, list) for e in block) else 1
+        rows.extend(zip(*(e if isinstance(e, list) else [e] * count for e in block)))
+        blocks.append(tuple(block))
+    headers = tuple(f"h{k}" for k in range(width))
+    return SweepResult("blocks", headers, blocks, {"name": "blocks", "seed": "7"}), rows
+
+
+_EXAMPLES = {
+    "no-rows": [],
+    "one-kind-columns": [(np.int64(1), 2**53 + 1, -0.0), (2, np.int64(-5), np.float64(5e-324))],
+    "mixed": [(1, 2**53 + 1, "a"), (2.5, 2**63, 3), ("b", -(2**70), 4.0)],
+    "percent": [("5%", "%s", 1.0), ("%%d", "%", 2)],
+}
 
 
 class TestCsvSerialization:
@@ -535,15 +600,61 @@ class TestCsvSerialization:
     def test_column_formats_are_the_per_cell_formats(self, result):
         assert _csv(result) == per_cell_csv(result)
 
-    @pytest.mark.parametrize("rows", [
-        [],
-        [(np.int64(1), 2**53 + 1, -0.0), (2, np.int64(-5), np.float64(5e-324))],
-        [(True, 1, 1.0), (np.bool_(False), np.int64(2), np.float64(-0.0))],
-        [(1, 2**53 + 1, "a"), (2.5, 2**63, 3), ("b", -(2**70), 4.0)],
-    ], ids=["no-rows", "one-kind-columns", "bools", "mixed"])
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_block_tables(), write_rows=st.sampled_from([1, 2, 5, 1 << 14]))
+    def test_blocks_are_the_per_cell_formats_of_their_rows(self, drawn, write_rows):
+        result, rows = drawn
+        assert len(result.rows) == len(rows)
+        assert list(result.rows) == rows
+        # A list of row tuples is itself a blocks list: one scalar block per row.
+        with patch.object(experiments, "_WRITE_ROWS", write_rows):
+            assert _csv(result) == per_cell_csv(replace(result, blocks=rows))
+
+    @pytest.mark.parametrize("rows", _EXAMPLES.values(), ids=_EXAMPLES)
     def test_examples(self, rows):
         result = SweepResult("t", ("a", "b", "c"), rows, {"seed": "none"})
         assert _csv(result) == per_cell_csv(result)
+        if rows:
+            as_columns = replace(result, blocks=[tuple(map(list, zip(*rows)))])
+            assert _csv(as_columns) == per_cell_csv(result)
+
+    @pytest.mark.parametrize("cell", [
+        True, np.bool_(False), np.uint64(2**64 - 1), np.float32(0.5), None, (1.0,),
+    ], ids=["bool", "np.bool_", "np.uint64", "np.float32", "None", "tuple"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["scalar", "list"])
+    def test_other_cell_types_raise(self, cell, as_list):
+        entry = [1.0, cell] if as_list else cell
+        result = SweepResult("t", ("a", "b"), [(0.5, entry)], {"seed": "none"})
+        with pytest.raises(TypeError, match="column 'b' holds a"):
+            _csv(result)
+
+    @pytest.mark.parametrize("block", [([1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0]), (1.0,)],
+                             ids=["longer-list", "shorter-list", "too-few-entries"])
+    def test_malformed_blocks_raise(self, block):
+        result = SweepResult("t", ("a", "b"), [block], {"seed": "none"})
+        with pytest.raises(ValueError):
+            _csv(result)
+
+    def test_rows_view(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("len(rows) expanded a block")
+
+        shared = [0.5, 1.5]
+        result = SweepResult("t", ("a", "b", "c"), [
+            (1, shared, "x"), ("s", 2.0, 3), (2, shared, ["p", "q"]), (4, [], []),
+        ], {})
+        expected = [(1, 0.5, "x"), (1, 1.5, "x"), ("s", 2.0, 3), (2, 0.5, "p"), (2, 1.5, "q")]
+        rows = result.rows
+        assert len(rows) == 5
+        assert list(rows) == expected and rows == expected
+        assert [rows[k] for k in range(-5, 5)] == expected * 2
+        assert rows[1:4] == expected[1:4]
+        with pytest.raises(IndexError):
+            rows[5]
+        with pytest.raises(TypeError):
+            rows[0] = (0, 0.0, "y")
+        assert len(SweepResult("t", ("a",), [(Unread(range(7)),)]).rows) == 7
 
     def test_format_contract(self):
         result = table1(1.0, 0.05, 100, 0.05)
