@@ -1,14 +1,8 @@
 """Command-line front end.
 
-Commands
---------
-fisher     Fisher information of one covariance model, by every applicable
-           method (closed form, numeric inversion, eigenvalue weighting).
-simulate   Seeded Monte Carlo trials of one estimator on one model/design.
-figure     Built-in studies fig2, fig345, fig6, fig7 (see experiments).
-table1     Six-cell strategy/regime comparison on the solvable model.
-delta-i    Information gap between full partitioning and weak-value
-           amplification.
+Commands: fisher, simulate, figure {fig2, fig345, fig6, fig7}, table1 and
+delta-i.  Each is its argv rules, one experiments call (fisher_table,
+simulate_tables, the studies) and the write of what that call returns.
 
 Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 I/O failure,
 5 numeric failure.  The class of the error decides, not where it was raised:
@@ -17,9 +11,10 @@ MemoryError is 5, any other EstlabError 3 and an OSError 4.  The library
 checks what its inputs mean, such as a covariance singular by construction
 (covariance.check_model) or a negative seed (partition.check_seed); this
 module checks only what lives in argv: finite float flags, an integer
-ESTLAB_SEED, the grid ranges and --config written in full.  Output CSVs are
-written atomically (temp file then rename); all randomness is traceable to
---seed, with the ESTLAB_SEED environment variable as fallback.
+ESTLAB_SEED, the grid ranges and --config written in full.  A command
+writes all its outputs or none: each goes to PATH.part first, and all are
+renamed into place only once every one is written.  All randomness is
+traceable to --seed, with the ESTLAB_SEED environment variable as fallback.
 """
 
 from __future__ import annotations
@@ -34,23 +29,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
+from .covariance import KINDS
 from .errors import EstlabError, NumericFailure
 from .estimators import ESTIMATOR_NAMES
 from .experiments import (
     SweepResult,
-    _metadata,
     delta_i_summary,
     fig2_surface,
     fig345_curves,
     fig6_decomposition,
     fig7_sweep,
+    fisher_table,
+    simulate_tables,
     table1,
     write_csv,
 )
-from .fisher import METHOD_NUMERIC_INVERSE, FisherReport, fi_eigen, fi_matched, fi_wva_solvable
-from .montecarlo import run_trials
-from .partition import SCHEME_BERNOULLI, SCHEME_DIRECT, SCHEME_PERIODIC, SCHEMES, make_design
+from .partition import SCHEME_BERNOULLI, SCHEME_DIRECT, SCHEME_PERIODIC, SCHEMES
 
 
 def _default_seed() -> int:
@@ -89,10 +83,7 @@ def _add_acn(parser: argparse.ArgumentParser, required: bool = False) -> None:
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model", choices=(KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE),
-        required=True, help="covariance model kind",
-    )
+    parser.add_argument("--model", choices=KINDS, required=True, help="covariance model kind")
     _add_acn(parser)
     parser.add_argument(
         "--eta", type=float, default=None, metavar="RATIO",
@@ -232,31 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_tokens(argv: list[str]) -> list[str]:
+# Built once, like build_parser: it reads --config, in full only, and
+# passes every other token through in order.  Its usage line would name
+# --config alone, so an error prints only the message.
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="estlab", usage=argparse.SUPPRESS, add_help=False, allow_abbrev=False
+    )
+    parser.add_argument("--config", metavar="PATH")
+    return parser
+
+
+def _load_config_tokens(argv: list[str] | None) -> list[str]:
     """Splice key=value file contents (if --config given) ahead of user flags."""
-    argv = list(argv)
-    path = None
-    cleaned: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                cleaned.append(tok)
-                i += 1
-                continue
-            path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            cleaned.append(tok)
-            i += 1
-    if path is None:
-        return argv
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is None:
+        return rest
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(known.config, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -264,10 +249,8 @@ def _load_config_tokens(argv: list[str]) -> list[str]:
             key, _, value = line.partition("=")
             tokens.extend([f"--{key.strip()}", value.strip()])
     # Insert after leading positionals so explicit flags override file values.
-    head = 0
-    while head < len(cleaned) and not cleaned[head].startswith("-"):
-        head += 1
-    return cleaned[:head] + tokens + cleaned[head:]
+    head = next((i for i, tok in enumerate(rest) if tok.startswith("-")), len(rest))
+    return rest[:head] + tokens + rest[head:]
 
 
 def _check_argv(args: argparse.Namespace) -> None:
@@ -293,77 +276,6 @@ def _grid(name: str, lo: float, hi: float, points: int, log: bool = False) -> np
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
-def _fisher_result(args: argparse.Namespace) -> SweepResult:
-    spec = CovSpec(args.model, args.a, args.c, args.n, eta=args.eta)
-    shift = args.mean_shift
-    cov = make_covariance(spec)
-    # First, as it rejects a zero shift, which the closed forms divide by.
-    fi, iv = fi_matched(cov, np.ones(spec.n), shift * shift)
-    numeric = FisherReport(float(fi), METHOD_NUMERIC_INVERSE,
-                           equal_weight_variance=float(1.0 / iv))
-    reports = []
-    # Full retention with Aw = shift is the direct strategy; white noise is
-    # the solvable model with variance a + c and no common offset.
-    if spec.kind != KIND_EXPONENTIAL:
-        a, c = (spec.a, spec.c) if spec.kind == KIND_SOLVABLE else (spec.a + spec.c, 0.0)
-        reports.append(fi_wva_solvable(a, c, spec.n, 1.0, shift))
-    reports += [numeric, fi_eigen(cov.spectrum(), mean_shift=shift)]
-    return SweepResult(
-        name="fisher",
-        headers=("model", "method", "value", "equal_weight_variance"),
-        blocks=[(
-            spec.kind, [r.method for r in reports], [r.value for r in reports],
-            [r.equal_weight_variance for r in reports],
-        )],
-        metadata=_metadata(
-            "fisher",
-            model=spec.kind, a=spec.a, c=spec.c, n=spec.n,
-            eta=spec.eta, mean_shift=shift,
-        ),
-    )
-
-
-def _simulate_results(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
-    spec = CovSpec(args.model, args.a, args.c, args.n, eta=args.eta)
-    design = make_design(
-        args.n, args.scheme, gamma=args.gamma, seed=args.seed, phi=args.phi
-    )
-    ensemble = run_trials(
-        spec, design, args.estimator,
-        d_true=args.d, trials=args.trials, seed=args.seed,
-    )
-    metadata = _metadata(
-        "simulate",
-        seed=args.seed,
-        model=spec.kind, a=spec.a, c=spec.c, n=spec.n, eta=spec.eta,
-        scheme=design.scheme, gamma=args.gamma, phi=args.phi,
-        estimator=args.estimator, d=args.d, trials=args.trials,
-        digest=ensemble.config_digest,
-    )
-    summary = SweepResult(
-        name="simulate",
-        headers=(
-            "estimator", "scheme", "trials", "seed", "d_true",
-            "empirical_mean", "empirical_variance",
-        ),
-        blocks=[(
-            args.estimator, design.scheme, ensemble.trials, ensemble.seed,
-            args.d, ensemble.empirical_mean, ensemble.empirical_variance,
-        )],
-        metadata=metadata,
-    )
-    outputs = [(summary, Path(args.output))]
-    if args.dump_estimates is not None:
-        dump = SweepResult(
-            name="simulate-estimates",
-            headers=("trial", "estimate"),
-            blocks=[(list(range(ensemble.trials)), ensemble.estimates.tolist())],
-            metadata=metadata,
-        )
-        outputs.append((dump, Path(args.dump_estimates)))
-    return outputs
-
-
 def _figure_result(args: argparse.Namespace) -> SweepResult:
     if args.which == "fig2":
         return fig2_surface(
@@ -387,40 +299,55 @@ def _figure_result(args: argparse.Namespace) -> SweepResult:
     )
 
 
-def _outputs(args: argparse.Namespace) -> list[tuple[SweepResult, Path]]:
+def _outputs(args: argparse.Namespace) -> list[tuple[SweepResult, str]]:
     """Run the parsed command: each result with the path it is written to."""
     _check_argv(args)
     if args.command == "simulate":
-        return _simulate_results(args)
+        tables = simulate_tables(
+            args.model, args.a, args.c, args.n, args.eta, args.scheme, args.gamma,
+            args.phi, args.estimator, args.d, args.trials, args.seed,
+            dump=args.dump_estimates is not None,
+        )
+        return list(zip(tables, (args.output, args.dump_estimates)))
     if args.command == "fisher":
-        result = _fisher_result(args)
+        result = fisher_table(args.model, args.a, args.c, args.n, args.eta, args.mean_shift)
     elif args.command == "figure":
         result = _figure_result(args)
     elif args.command == "table1":
         result = table1(args.a, args.c, args.n, args.gamma)
     else:
         result = delta_i_summary(args.a, args.c, args.n)
-    return [(result, Path(args.output))]
+    return [(result, args.output)]
 
 
-def _write_atomic(result: SweepResult, path: Path) -> None:
-    tmp = path.with_name(path.name + ".part")
+def _write_all(outputs: list[tuple[SweepResult, str]]) -> list[tuple[SweepResult, Path]]:
+    """Write every result to PATH.part, then rename each into place.
+
+    On any failure every .part file is removed.  A file named twice is
+    written once, with its last result.
+    """
+    targets = {os.path.realpath(path): (result, Path(path)) for result, path in outputs}
+    written = list(targets.values())
+    parts: list[Path] = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(result, fh)
-        os.replace(tmp, path)
+        for result, path in written:
+            parts.append(path.with_name(path.name + ".part"))
+            with open(parts[-1], "w", encoding="utf-8", newline="\n") as fh:
+                write_csv(result, fh)
+        for (_, path), part in zip(written, parts):
+            os.replace(part, path)
     except BaseException:
-        if tmp.exists():
-            tmp.unlink()
+        for part in parts:
+            part.unlink(missing_ok=True)
         raise
+    return written
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_load_config_tokens(list(argv)))
+        # The pre-parser reads sys.argv[1:] when argv is None.
+        args = parser.parse_args(_load_config_tokens(argv))
         # Only --config spelled in full is read; argparse would take any
         # prefix of it (--conf, or --c where no --c flag exists) and ignore it.
         if args.config is not None:
@@ -431,8 +358,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for result, path in _outputs(args):
-            _write_atomic(result, path)
+        for result, path in _write_all(_outputs(args)):
             print(
                 f"estlab: wrote {path} "
                 f"({len(result.rows)} rows; {_describe(result.metadata)})",

@@ -50,7 +50,7 @@ KIND_SOLVABLE = "solvable"
 KIND_EXPONENTIAL = "exponential"
 KIND_WHITE = "white"
 
-_KINDS = (KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE)
+KINDS = (KIND_SOLVABLE, KIND_EXPONENTIAL, KIND_WHITE)
 
 
 def check_model(kind: str, a: float, c: float, n: int) -> None:
@@ -60,7 +60,7 @@ def check_model(kind: str, a: float, c: float, n: int) -> None:
     model, with eigenvalues a + n*c and a, needs a > 0 and c > -a/n; the
     white and exponential models need c >= 0 and not a = c = 0.
     """
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise InvalidSpec(f"unknown covariance kind {kind!r}")
     # Comparisons with nan are false, so a nan n, a or c fails these tests.
     if not (n >= 1 and n % 1 == 0):

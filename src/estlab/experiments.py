@@ -1,14 +1,16 @@
-"""Named parameter sweeps comparing the three estimation strategies.
+"""Every result table estlab writes, and its CSV serialization.
 
-Each function returns a SweepResult, whose blocks hold a grid axis or a
+Each function returns SweepResults, whose blocks hold a grid axis or a
 per-curve constant once, and write_csv formats each of them once.  It
 writes a single metadata comment line, 17-significant-digit floats and LF
-line endings, so repeated runs are byte identical.  Each study takes every
-argument: the CLI holds the defaults.  The two-outcome studies evaluate
-fisher's closed forms over whole grids at once.
+line endings, so repeated runs are byte identical.  Each function takes
+every argument: the CLI holds the defaults.  The two-outcome studies
+evaluate fisher's closed forms over whole grids at once.  Every grid needs
+at least one point.
 
-Built-in studies:
-
+* ``fisher``  information of one model by every method that applies.
+* ``simulate``  seeded Monte Carlo of one estimator, and on request its
+  per-trial estimates.
 * ``table1``  six Fisher-information cells: {direct, wva, opm} x
   {uncorrelated, correlated} on the solvable model, each computed in closed
   form and by numeric inversion with an agreement flag.
@@ -39,7 +41,10 @@ from .covariance import (
 )
 from .errors import DegenerateDenominator, InvalidSpec
 from .fisher import (
+    METHOD_NUMERIC_INVERSE,
+    FisherReport,
     TwoOutcomeSpec,
+    fi_eigen,
     fi_matched,
     fi_opm_solvable,
     fi_two_outcome,
@@ -47,6 +52,7 @@ from .fisher import (
     optimal_alpha,
     two_outcome_variance,
 )
+from .montecarlo import run_trials
 from .partition import (
     SCHEME_BERNOULLI,
     SCHEME_PERIODIC,
@@ -162,6 +168,82 @@ def write_csv(result: SweepResult, fh) -> None:
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
+def _points(name: str, grid) -> np.ndarray:
+    """A study's grid as floats; an empty one is a configuration error."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise InvalidSpec(f"the {name} grid needs at least one point")
+    return grid
+
+
+# ---------------------------------------------------------------------------
+# fisher / simulate: one model
+# ---------------------------------------------------------------------------
+
+def _direct_closed(kind: str, a: float, c: float, n: int, shift: float = 1.0) -> FisherReport:
+    """Direct in closed form, full retention with Aw = shift; white noise is
+    the solvable model with variance a + c and no common offset."""
+    if kind == KIND_WHITE:
+        a, c = a + c, 0.0
+    return fi_wva_solvable(a, c, n, 1.0, shift)
+
+
+def fisher_table(
+    kind: str, a: float, c: float, n: int, eta: float | None, mean_shift: float
+) -> SweepResult:
+    """Rows: the closed form (solvable and white models), numeric inversion
+    (with fi_matched's equal-weight variance) and eigenvalue weighting."""
+    cov = make_covariance(CovSpec(kind, a, c, n, eta=eta))
+    # First, as it rejects a zero shift, which the closed forms divide by.
+    fi, iv = fi_matched(cov, np.ones(n), mean_shift * mean_shift)
+    reports = [] if kind == KIND_EXPONENTIAL else [_direct_closed(kind, a, c, n, mean_shift)]
+    reports += [
+        FisherReport(float(fi), METHOD_NUMERIC_INVERSE, equal_weight_variance=float(1.0 / iv)),
+        fi_eigen(cov.spectrum(), mean_shift=mean_shift),
+    ]
+    return SweepResult(
+        name="fisher",
+        headers=("model", "method", "value", "equal_weight_variance"),
+        blocks=[(
+            kind, [r.method for r in reports], [r.value for r in reports],
+            [r.equal_weight_variance for r in reports],
+        )],
+        metadata=_metadata("fisher", model=kind, a=a, c=c, n=n, eta=eta, mean_shift=mean_shift),
+    )
+
+
+def simulate_tables(
+    kind: str, a: float, c: float, n: int, eta: float | None, scheme: str,
+    gamma: float | None, phi: float | None, estimator: str, d: float, trials: int,
+    seed: int, dump: bool,
+) -> list[SweepResult]:
+    """The summary row of seeded Monte Carlo trials, then each trial's estimate if ``dump``."""
+    spec = CovSpec(kind, a, c, n, eta=eta)
+    design = make_design(n, scheme, gamma=gamma, seed=seed, phi=phi)
+    ensemble = run_trials(spec, design, estimator, d_true=d, trials=trials, seed=seed)
+    metadata = _metadata(
+        "simulate", seed=seed, model=kind, a=a, c=c, n=n, eta=eta, scheme=design.scheme,
+        gamma=gamma, phi=phi, estimator=estimator, d=d, trials=trials,
+        digest=ensemble.config_digest,
+    )
+    tables = [SweepResult(
+        name="simulate",
+        headers=("estimator", "scheme", "trials", "seed", "d_true",
+                 "empirical_mean", "empirical_variance"),
+        blocks=[(estimator, design.scheme, ensemble.trials, ensemble.seed,
+                 d, ensemble.empirical_mean, ensemble.empirical_variance)],
+        metadata=metadata,
+    )]
+    if dump:
+        tables.append(SweepResult(
+            name="simulate-estimates",
+            headers=("trial", "estimate"),
+            blocks=[(list(range(ensemble.trials)), ensemble.estimates.tolist())],
+            metadata=metadata,
+        ))
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
@@ -183,14 +265,12 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     # Factored last, so invalid inputs are reported before a numeric failure.
     covs = [make_covariance(CovSpec(kind, a, c, n)) for kind in (KIND_WHITE, KIND_SOLVABLE)]
 
-    # Rows are (direct, wva, opm) x (uncorrelated, correlated).  Full
-    # retention with Aw = 1 is the direct strategy; white noise is the
-    # solvable model with variance a + c and no common offset.  With
+    # Rows are (direct, wva, opm) x (uncorrelated, correlated).  With
     # Aw^2 = 1/gamma, post-selection on white noise is the direct strategy:
     # the gamma*n retained slots, amplified by 1/gamma, carry n/(a + c).
-    direct_white = fi_wva_solvable(a + c, 0.0, n, 1.0, 1.0).value
+    direct_white = _direct_closed(KIND_WHITE, a, c, n).value
     closed = [
-        direct_white, fi_wva_solvable(a, c, n, 1.0, 1.0).value,
+        direct_white, _direct_closed(KIND_SOLVABLE, a, c, n).value,
         direct_white, fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
         direct_white, fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
     ]
@@ -222,8 +302,8 @@ def fig2_surface(x_grid, r_grid) -> SweepResult:
     var1 = x the cell holds 1/(I*sqrt(x)).  The |r| = 1 boundary is excluded
     (information diverges there).
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    r_grid = np.asarray(r_grid, dtype=float)
+    x_grid = _points("x", x_grid)
+    r_grid = _points("r", r_grid)
     if (np.abs(r_grid) > 0.999).any():
         raise InvalidSpec("fig2 grid must keep |r| <= 0.999")
     info = fi_two_outcome(TwoOutcomeSpec.from_xr(x_grid[:, None], r_grid))
@@ -259,7 +339,7 @@ def fig345_curves(alpha_grid) -> SweepResult:
     variance.  The fully degenerate curve (r = 1, x = 1) is flat; its
     alpha_star is reported as 0.5 by symmetry.
     """
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    alpha_grid = _points("alpha", alpha_grid)
     alpha_cells = alpha_grid.tolist()
     blocks = []
     for x, r in DEFAULT_CURVE_SPECS:
@@ -302,7 +382,7 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
     """
     if n < 2 or c_over_a < 0.0:
         raise InvalidSpec(f"fig6 needs n >= 2 and c_over_a >= 0, got {n}, {c_over_a}")
-    phi_grid = np.asarray(phi_grid, dtype=float)
+    phi_grid = _points("phi", phi_grid)
     a = 1.0
     c = c_over_a * a
     unit = n / a
@@ -385,7 +465,7 @@ def fig7_sweep(
     most BUDGET // n etas share one covariance chain, at O(n) per eta, so
     the work arrays stay near BUDGET cells however large n is.
     """
-    eta_grid = np.asarray(eta_grid, dtype=float).ravel()
+    eta_grid = _points("eta", eta_grid).ravel()
     check_model(KIND_EXPONENTIAL, a, c, n)
     seed = check_seed(seed)
 

@@ -31,6 +31,22 @@ def read_csv(path):
     return lines[0], headers, rows
 
 
+def _config(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _csv_text(result):
+    buf = io.StringIO()
+    write_csv(result, buf)
+    return buf.getvalue()
+
+
+SIMULATE_SMALL = ["simulate", "--model", "white", "--n", "4", "--estimator", "equal",
+                  "--trials", "3", "--seed", "1"]
+
+
 class TestParsing:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -638,6 +654,52 @@ class TestConfigFile:
         assert (tmp_path / "s.csv").read_text().splitlines()[0].endswith(" seed=0")
         capsys.readouterr()
 
+    def test_equals_form(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "a=2\nc=0.1\nn=50\ngamma=0.1\n")
+        out = tmp_path / "t.csv"
+        assert main(["table1", f"--config={cfg}", "-o", str(out)]) == 0
+        assert out.read_text() == _csv_text(table1(2.0, 0.1, 50, 0.1))
+        capsys.readouterr()
+
+    def test_last_of_two_config_flags_wins(self, tmp_path, capsys):
+        first = _config(tmp_path, "n=50\ngamma=0.1\n", "first.cfg")
+        last = _config(tmp_path, "n=20\ngamma=0.25\n", "last.cfg")
+        out = tmp_path / "t.csv"
+        argv = ["table1", "--config", str(first), "--config", str(last), "-o", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == _csv_text(table1(1.0, 0.05, 20, 0.25))
+        capsys.readouterr()
+
+    def test_file_supplies_a_required_flag(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "model=white\nn=10\n")
+        out, plain = tmp_path / "f.csv", tmp_path / "plain.csv"
+        assert main(["fisher", "--config", str(cfg), "-o", str(out)]) == 0
+        assert main(["fisher", "--model", "white", "--n", "10", "-o", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        capsys.readouterr()
+
+    def test_comments_blank_lines_and_spaces_around_equals(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "# run at n=50\n\n  a = 2 \nc= 0.1\n# gamma=0.5\n"
+                      "gamma =0.1\n\nn=50\n")
+        out = tmp_path / "t.csv"
+        assert main(["table1", "--config", str(cfg), "-o", str(out)]) == 0
+        assert out.read_text() == _csv_text(table1(2.0, 0.1, 50, 0.1))
+        capsys.readouterr()
+
+    def test_explicit_flag_before_config_overrides_the_file(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "n=50\ngamma=0.1\n")
+        out = tmp_path / "t.csv"
+        assert main(["table1", "--n", "20", "--config", str(cfg), "-o", str(out)]) == 0
+        assert out.read_text() == _csv_text(table1(1.0, 0.05, 20, 0.1))
+        capsys.readouterr()
+
+    def test_config_followed_by_a_flag_is_usage_error(self, tmp_path, capsys):
+        # A path that starts with "-" is written --config=PATH.
+        out = tmp_path / "x.csv"
+        assert main(["fisher", "--model", "white", "--config", "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "--config" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
             ["table1", "--config", str(tmp_path / "nope.cfg"),
@@ -659,6 +721,26 @@ class TestIoFailures:
         target = tmp_path / "missing" / "t.csv"
         main(["table1", "-o", str(target), "--n", "100"])
         assert not list(tmp_path.glob("**/*.part"))
+        capsys.readouterr()
+
+
+    def test_no_output_written_when_another_fails(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(SIMULATE_SMALL + ["-o", str(out),
+                                      "--dump-estimates", str(tmp_path / "missing" / "x.csv")])
+        assert code == 4
+        assert not out.exists()
+        assert not list(tmp_path.glob("**/*.part"))
+        capsys.readouterr()
+
+    def test_dump_to_the_output_path_keeps_the_dump(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(SIMULATE_SMALL + ["-o", str(out), "--dump-estimates", str(out)])
+        assert code == 0
+        _, headers, rows = read_csv(out)
+        assert headers == ["trial", "estimate"]
+        assert len(rows) == 3
+        assert not list(tmp_path.glob("*.part"))
         capsys.readouterr()
 
 

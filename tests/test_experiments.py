@@ -594,6 +594,18 @@ _EXAMPLES = {
 }
 
 
+@pytest.mark.parametrize("call,grid", [
+    (lambda: fig2_surface([], [0.0]), "x"),
+    (lambda: fig2_surface([1.0], []), "r"),
+    (lambda: fig345_curves([]), "alpha"),
+    (lambda: fig6_decomposition(10, 0.5, []), "phi"),
+    (lambda: fig7_sweep(100, 1.0, 0.05, 0.05, [], "periodic", 1, 0), "eta"),
+], ids=["fig2-x", "fig2-r", "fig345", "fig6", "fig7"])
+def test_empty_grid_is_invalid_spec(call, grid):
+    with pytest.raises(InvalidSpec, match=f"the {grid} grid"):
+        call()
+
+
 class TestCsvSerialization:
     @settings(max_examples=300, deadline=None)
     @given(result=_tables())

@@ -6,7 +6,7 @@ by the benchmark harness in perfbench/.  The package ``__init__`` does not
 count: re-exporting a name is not using it.  Likewise every public method or
 property of a public class must be read as an attribute (``obj.name``) in
 one of those modules.  A name that only its own tests call belongs in the
-tests.
+tests.  And no module imports another's underscore-prefixed (private) name.
 """
 
 import ast
@@ -89,3 +89,24 @@ def test_every_public_src_name_is_used_outside_its_definition():
         for name in _defined(tree) - used
     )
     assert not unused, f"public names used by nothing outside their tests: {unused}"
+
+
+def _private_imports(tree: ast.Module) -> set[str]:
+    """Private names this module imports from estlab (``from .x import _y``); dunders are not private."""
+    return {
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "estlab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+
+
+def test_no_module_imports_a_private_name_of_another():
+    reached = sorted(
+        f"{path.stem} imports {name}"
+        for path in SRC
+        for name in _private_imports(_tree(path))
+    )
+    assert not reached, f"private names imported across modules: {reached}"
