@@ -102,9 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"estlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "fisher", help="Fisher information of one covariance model"
-    )
+    p = sub.add_parser("fisher", help="Fisher information of one covariance model")
     _add_model(p)
     p.add_argument(
         "--mean-shift", type=float, default=1.0, metavar="A",
@@ -112,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
 
-    p = sub.add_parser(
-        "simulate", help="seeded Monte Carlo trials of one estimator"
-    )
+    p = sub.add_parser("simulate", help="seeded Monte Carlo trials of one estimator")
     _add_model(p)
     p.add_argument(
         "--scheme", choices=SCHEMES, default=SCHEME_DIRECT,
@@ -178,9 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     f6.add_argument("--phi-points", type=int, default=100, help="phi grid size")
     _add_common(f6)
 
-    f7 = fig.add_parser(
-        "fig7", help="strategies versus correlation time (exponential model)"
-    )
+    f7 = fig.add_parser("fig7", help="strategies versus correlation time (exponential model)")
     _add_acn(f7)
     f7.add_argument(
         "--gamma", type=float, default=0.005,
@@ -204,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(f7)
 
-    p = sub.add_parser(
-        "table1", help="six-cell strategy/regime comparison (solvable model)"
-    )
+    p = sub.add_parser("table1", help="six-cell strategy/regime comparison (solvable model)")
     _add_acn(p)
     p.add_argument(
         "--gamma", type=float, default=0.005,
@@ -214,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
 
-    p = sub.add_parser(
-        "delta-i", help="information gap between full partitioning and WVA"
-    )
+    p = sub.add_parser("delta-i", help="information gap between full partitioning and WVA")
     _add_acn(p, required=True)
     _add_common(p)
 
@@ -359,11 +349,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         for result, path in _write_all(_outputs(args)):
-            print(
-                f"estlab: wrote {path} "
-                f"({len(result.rows)} rows; {_describe(result.metadata)})",
-                file=sys.stderr,
-            )
+            described = " ".join(f"{k}={v}" for k, v in result.metadata.items())
+            print(f"estlab: wrote {path} ({len(result.rows)} rows; {described})", file=sys.stderr)
     except (NumericFailure, FloatingPointError, MemoryError) as exc:
         print(f"estlab: numeric failure: {exc}", file=sys.stderr)
         return 5
@@ -374,10 +361,6 @@ def main(argv=None) -> int:
         print(f"estlab: I/O failure: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-def _describe(metadata: dict[str, str]) -> str:
-    return " ".join(f"{k}={v}" for k, v in metadata.items())
 
 
 def console_main() -> None:
