@@ -21,17 +21,21 @@ estimator weight and Monte Carlo loading in estlab is one of its
 * ``form(U)``      u'C u for each column,
 * ``loading(U)``   G'U for the Cholesky factor G of C (C = G G'),
 * ``restrict(idx)``  the covariance of the retained slots idx (the rule
-                     ``subset_index``),
+                     ``subset_index``); given a list of index sets, one
+                     chain with one segment per set,
 * ``spectrum()``   eigenvalues of C with the flat-vector weights, for every
                    model: closed form at eta = 0 and eta = inf.
 
 A retained subset of a chain is again a chain, with per-gap correlations
-phi_k = exp(-dt_k/eta).  C is diagonal plus semiseparable, so its Cholesky
-factor costs O(n) to build and to apply (the one-term celerite
-factorization, Foreman-Mackey et al. 2017), every contraction reads C only
-through that factor, and no operation builds an n x n array.  The dense
-oracle in tests/conftest.py (Cholesky and eigh on a materialized matrix) is
-the reference the tests hold this operator to.
+phi_k = exp(-dt_k/eta).  A chain may be cut into segments, with phi = 0
+across each segment start at every eta, inf included: C is then block
+diagonal, and ``quad`` and ``form`` return one value per segment, each
+bit for bit that of the segment's own chain.  C is diagonal plus
+semiseparable, so its Cholesky factor costs O(n) to build and to apply
+(the one-term celerite factorization, Foreman-Mackey et al. 2017), every
+contraction reads C only through that factor, and no operation builds an
+n x n array.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
+materialized matrix) is the reference the tests hold this operator to.
 """
 
 from __future__ import annotations
@@ -156,6 +160,9 @@ class Covariance(Protocol):
 
     def restrict(self, idx) -> "Covariance": ...
 
+    @property
+    def segments(self) -> tuple[slice, ...] | None: ...
+
     def spectrum(self) -> WeightSpectrum: ...
 
 
@@ -169,17 +176,28 @@ def _columns(U, dim: int) -> np.ndarray:
     return U.reshape(dim, -1)
 
 
-def _e_terms(a: float, c: float, fresh: list, kept: list) -> list:
+def _e_terms(a: float, c: float, fresh: list, kept: list, tail: int) -> list:
     """E_0 .. E_{n-1} of one chain (see Chain); fresh = 1 - phi^2, kept = a phi^2.
 
     The recurrence is nonlinear, so it runs as a scalar loop, over Python
     floats: a step costs far less than one over numpy rows of a few etas.
+    From step ``tail`` on fresh and kept are constant, so each step applies
+    the same map to E: once a step returns its input, every later E is that
+    same float, and the loop stops there.
     """
     e = 1.0
     terms = [e]
-    for f, k in zip(fresh, kept):
+    for f, k in zip(fresh[:tail], kept[:tail]):
         e = f + k * (e / (a + c * e))
         terms.append(e)
+    if tail < len(fresh):
+        f, k = fresh[tail], kept[tail]
+        for _ in range(tail, len(fresh)):
+            e, last = f + k * (e / (a + c * e)), e
+            if e == last:
+                break
+            terms.append(e)
+        terms += [e] * (len(fresh) + 1 - len(terms))
     return terms
 
 
@@ -234,9 +252,16 @@ class Chain:
     ``eta`` may be a 1-D grid: every contraction then returns one leading
     axis entry per eta.  Work arrays are laid out (eta, column, slot), so
     sums over the slots are contiguous and pairwise.
+
+    ``starts``, the first slot of each segment (0 first, then increasing),
+    cuts the chain into independent segments: phi_i = 0 at every start, so
+    D and L restart there, and the times need only increase within a
+    segment.  ``quad`` and ``form`` then sum each segment's slice by itself,
+    a new axis after eta, and ``segments`` holds those slices (None for an
+    unsegmented chain).
     """
 
-    def __init__(self, a: float, c: float, eta, times) -> None:
+    def __init__(self, a: float, c: float, eta, times, starts=None) -> None:
         self.a = float(a)
         self.c = float(c)
         self.eta = np.asarray(eta, dtype=float)
@@ -245,22 +270,33 @@ class Chain:
             raise InvalidSpec("eta must be a scalar or grid, all >= 0 (inf allowed)")
         if self.times.ndim != 1 or self.times.size == 0:
             raise InvalidSpec("sample times must be a non-empty vector")
+        self._starts = np.asarray([0] if starts is None else starts, dtype=np.intp)
+        bounds = np.append(self._starts, self.dim).tolist()
+        if self._starts.ndim != 1 or bounds[0] != 0 or not (np.diff(bounds) > 0).all():
+            raise InvalidSpec("segment starts must be 0 and then increasing slots of the chain")
+        self.segments = None if starts is None else tuple(map(slice, bounds[:-1], bounds[1:]))
+        cuts = self._starts[1:] - 1  # the gaps across a segment start
         gaps = np.diff(self.times)
+        gaps[cuts] = 1.0  # time may step back at a cut, whose phi is set to 0 below
         if not (gaps > 0.0).all():
             raise InvalidSpec("sample times must be strictly increasing")
-        # (len(eta), n-1): lag 0 at eta = inf, inf at eta = 0.
+        # (len(eta), n-1): lag 0 at eta = inf, inf at eta = 0 and across a cut.
         with np.errstate(divide="ignore"):
             lag = gaps / self.eta.reshape(-1, 1)
+        lag[:, cuts] = np.inf
+        # Per eta, the first gap from which every lag is the same: 0 when equally spaced.
+        same = lag[:, 1:] == lag[:, :-1]
+        tails = same.shape[1] - np.cumprod(same[:, ::-1], axis=1).sum(axis=1)
         phi = np.exp(-lag)
         one_minus = -np.expm1(-lag)
         fresh = -np.expm1(-2.0 * lag)
-        del lag
+        del lag, same
         kept = phi * phi
         kept *= self.a
         e = np.empty((self.eta.size, self.dim))
         for g in range(self.eta.size):
             try:
-                e[g] = _e_terms(self.a, self.c, fresh[g].tolist(), kept[g].tolist())
+                e[g] = _e_terms(self.a, self.c, fresh[g].tolist(), kept[g].tolist(), tails[g])
             except ZeroDivisionError:
                 e[g] = np.nan  # a zero pivot, which the check below rejects
         del fresh, kept
@@ -299,18 +335,25 @@ class Chain:
         u = 1 every term of y is non-negative and nothing cancels as phi -> 1.
         """
         y = np.empty((self.eta.size,) + U.shape[1:])
-        y[..., 0] = U[..., 0]
         np.multiply(self._one_minus, U[..., :-1], out=y[..., 1:])
         y[..., 1:] += np.diff(U, axis=-1)
+        y[..., self._starts] = U[..., self._starts]  # exactly u where a segment starts
         return _bidiagonal_solve(self._gain, y)
+
+    def _sums(self, terms: np.ndarray, U) -> np.ndarray:
+        """Slot sums of (eta, column, slot) terms as eta.shape [+ segments] + U's columns."""
+        columns = np.shape(U)[1:]
+        if self.segments is None:
+            return terms.sum(axis=-1).reshape(self.eta.shape + columns)
+        sums = np.stack([terms[..., s].sum(axis=-1) for s in self.segments], axis=1)
+        return sums.reshape(self.eta.shape + (len(self.segments),) + columns)
 
     def quad(self, U) -> np.ndarray:
         """u'C^-1 u = sum_i y_i^2 / D_i with y = L^-1 u: positive terms only."""
-        shape = self.eta.shape + np.shape(U)[1:]
         y = self._forward(self._operand(U))
         y *= y
         y /= self._pivot
-        return y.sum(axis=-1).reshape(shape)
+        return self._sums(y, U)
 
     def solve(self, U) -> np.ndarray:
         """C^-1 U = A' B'^-1 z with z = D^-1 L^-1 U.
@@ -347,15 +390,22 @@ class Chain:
 
     def form(self, U) -> np.ndarray:
         """u'C u = sum_i D_i v_i^2 with v = L'u: positive terms only."""
-        shape = self.eta.shape + np.shape(U)[1:]
         v = self._lt(self._operand(U))
         v *= v
         v *= self._pivot
-        return v.sum(axis=-1).reshape(shape)
+        return self._sums(v, U)
 
     def restrict(self, idx) -> "Chain":
-        """The retained slots idx (strictly increasing): again a chain."""
-        return Chain(self.a, self.c, self.eta, self.times[subset_index(idx, self.dim)])
+        """The retained slots idx (strictly increasing): again a chain.
+
+        A list or tuple of index sets gives one chain with one segment per
+        set, in order, even for one set; the sets may share slots.
+        """
+        if not (isinstance(idx, (list, tuple)) and idx and np.ndim(idx[0]) == 1):
+            return Chain(self.a, self.c, self.eta, self.times[subset_index(idx, self.dim)])
+        sets = [subset_index(s, self.dim) for s in idx]
+        starts = np.cumsum([0] + [s.size for s in sets[:-1]])
+        return Chain(self.a, self.c, self.eta, self.times[np.concatenate(sets)], starts)
 
     def spectrum(self) -> WeightSpectrum:
         """Eigenvalues of C with the weights of the flat vector in each mode.
@@ -369,8 +419,8 @@ class Chain:
         which is free of cancellation and second order in the vector error,
         where the eigenvalues eigh_tridiagonal returns lose digits as rho -> 1.
         """
-        if self.eta.ndim:
-            raise InvalidSpec("spectrum needs a single eta, not a grid")
+        if self.eta.ndim or self.segments is not None:
+            raise InvalidSpec("spectrum needs a single eta and an unsegmented chain")
         if self.eta == 0.0 or np.isinf(self.eta):
             sigmasq = np.full(self.dim, self.a + self.c if self.eta == 0.0 else self.a)
             if np.isinf(self.eta):

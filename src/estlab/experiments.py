@@ -449,6 +449,18 @@ def retention_designs(
 BUDGET = 2**20
 
 
+def _packs(sets: list[np.ndarray], cap: int) -> list[list[np.ndarray]]:
+    """The sets in order, in runs of at most ``cap`` slots in all; a larger set runs alone."""
+    packs, size = [], cap
+    for s in sets:
+        if size + s.size > cap:
+            packs.append([])
+            size = 0
+        packs[-1].append(s)
+        size += s.size
+    return packs
+
+
 def fig7_sweep(
     n: int, a: float, c: float, gamma: float, eta_grid, scheme: str, reps: int, seed: int
 ) -> SweepResult:
@@ -463,7 +475,12 @@ def fig7_sweep(
     idealized Aw^2 = 1/gamma and averages the weak-value columns over
     ``reps`` seeded retention patterns (fixed across eta).  Chunks of at
     most BUDGET // n etas share one covariance chain, at O(n) per eta, so
-    the work arrays stay near BUDGET cells however large n is.
+    the work arrays stay near BUDGET cells however large n is.  Per chunk,
+    the retention patterns (the periodic one alone, or every bernoulli one)
+    share segmented chains of one segment per pattern, each holding at
+    most BUDGET // 16 // etas slots (a sixteenth of the chunk's cells)
+    unless one pattern alone holds more, so a few chains cover any number
+    of patterns in bounded memory.
     """
     eta_grid = _points("eta", eta_grid).ravel()
     check_model(KIND_EXPONENTIAL, a, c, n)
@@ -471,6 +488,7 @@ def fig7_sweep(
 
     designs = retention_designs(n, gamma, scheme, reps, seed)
     retained_sets = [d.channel_slots("retained") for d in designs]
+    aw2 = n / retained_sets[0].size if scheme == SCHEME_PERIODIC else 1.0 / gamma
 
     ones_and_g = np.column_stack([np.ones(n), make_design(n, "alternating").mu_prime])
     step = max(1, BUDGET // n)
@@ -478,15 +496,14 @@ def fig7_sweep(
     for k in range(0, eta_grid.size, step):
         cov = Chain(a, c, eta_grid[k:k + step], np.arange(n))
         fi, iv = fi_matched(cov, ones_and_g)
-        # One (fi, iv) pair of per-eta arrays for each retention pattern.
+        # One (eta, pattern) pair of (fi, iv) arrays per pack of patterns.
         wva = [
-            fi_matched(
-                cov.restrict(retained), np.ones(retained.size),
-                n / retained.size if scheme == SCHEME_PERIODIC else 1.0 / gamma,
-            )
-            for retained in retained_sets
+            fi_matched(cov.restrict(pack), np.ones(sum(s.size for s in pack)), aw2)
+            for pack in _packs(retained_sets, BUDGET // 16 // cov.eta.size)
         ]
-        chunks.append(np.vstack([fi.T, iv.T, np.mean(wva, axis=0)]))
+        # The mean over a contiguous (pattern, 2, eta) array rounds as it always has.
+        per_pattern = np.concatenate([np.stack([f.T, i.T], axis=1) for f, i in wva])
+        chunks.append(np.vstack([fi.T, iv.T, np.mean(per_pattern, axis=0)]))
         del cov  # freed before the next chunk's chain is built
     fi_direct, fi_bgsub, iv_direct, iv_bgsub, fi_wva, iv_wva = np.hstack(chunks).tolist()
     return SweepResult(

@@ -94,14 +94,18 @@ def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.
     w = mu/|mu|^2, the weights of equal, wva and bgsub, with one entry per
     eta and per column of ``mu``.  ``scale`` is a channel's Aw^2, kept
     outside the contractions: quad(sqrt(s)*u) need not round like s*quad(u).
+    On a segmented chain each segment's slice of ``mu`` is a design of its
+    own, with its own |mu|^2, and there is one entry per segment too.
     """
     if not 0.0 < scale < math.inf:
         raise InvalidSpec(f"scale (Aw^2) must be positive and finite, got {scale!r}")
     mu = np.asarray(mu, dtype=float)
-    if not np.any(mu, axis=0).all():
+    parts = [mu] if cov.segments is None else [mu[s] for s in cov.segments]
+    if not all(np.any(part, axis=0).all() for part in parts):
         raise InvalidSpec("mean coefficients must not be the zero vector")
     with np.errstate(over="ignore"):
-        norm = (mu**2).sum(axis=0)
+        norm = np.array([(part**2).sum(axis=0) for part in parts])
+        norm = norm[0] if cov.segments is None else norm
         quartic = norm * norm
     if not ((quartic >= np.finfo(float).tiny) & (quartic < math.inf)).all():
         raise InvalidSpec(f"the squared norm of the mean coefficients, {norm!r}, must square "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import block_diag, cho_solve
 
 from estlab.covariance import (
     KIND_SOLVABLE,
@@ -210,11 +210,22 @@ def _columns(U, dim: int) -> np.ndarray:
 
 
 class Dense:
-    """The covariance operations on a materialized SymMatrix, for any SPD C."""
+    """The covariance operations on a materialized SymMatrix, for any SPD C.
 
-    def __init__(self, matrix: SymMatrix) -> None:
+    With ``segments`` (slot slices, as ``Chain.segments``) C is block
+    diagonal, and ``quad`` and ``form`` contract each segment's block alone.
+    """
+
+    def __init__(self, matrix: SymMatrix, segments=None) -> None:
         self.matrix = matrix
+        self.segments = segments
         self._lower = None
+
+    def _parts(self, shape: tuple) -> tuple[list[slice], tuple]:
+        """The slots of each segment, and the shape of quad's and form's result."""
+        if self.segments is None:
+            return [slice(None)], shape
+        return list(self.segments), (len(self.segments),) + shape
 
     @property
     def dim(self) -> int:
@@ -234,23 +245,31 @@ class Dense:
         return (self.lower.T @ _columns(U, self.dim)).reshape(np.shape(U))
 
     def quad(self, U) -> np.ndarray:
-        shape = np.shape(U)[1:]
+        parts, shape = self._parts(np.shape(U)[1:])
         U = _columns(U, self.dim)
         X = self.solve(U)
-        return np.array([u @ x for u, x in zip(U.T, X.T)]).reshape(shape)
+        return np.array([[u[s] @ x[s] for u, x in zip(U.T, X.T)] for s in parts]).reshape(shape)
 
     def form(self, U) -> np.ndarray:
-        shape = np.shape(U)[1:]
+        parts, shape = self._parts(np.shape(U)[1:])
         U = _columns(U, self.dim)
         entries = self.matrix.entries
-        return np.array([(entries * np.outer(u, u)).sum() for u in U.T]).reshape(shape)
+        return np.array([
+            [(entries[s, s] * np.outer(u[s], u[s])).sum() for u in U.T] for s in parts
+        ]).reshape(shape)
 
     def exact_form(self, u) -> float:
         """u'C u as the correctly rounded sum of the n^2 products (math.fsum)."""
         return math.fsum((self.matrix.entries * np.outer(u, u)).ravel())
 
     def restrict(self, idx) -> "Dense":
-        return Dense(submatrix(self.matrix, idx))
+        """The retained slots idx; a list of index sets gives the block
+        diagonal of their blocks, one segment per set."""
+        if not (isinstance(idx, list) and idx and np.ndim(idx[0]) == 1):
+            return Dense(submatrix(self.matrix, idx))
+        blocks = [submatrix(self.matrix, s).entries for s in idx]
+        bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+        return Dense(SymMatrix(block_diag(*blocks)), tuple(map(slice, bounds[:-1], bounds[1:])))
 
     def spectrum(self) -> WeightSpectrum:
         eig = eigendecompose(self.matrix)

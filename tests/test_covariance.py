@@ -1,13 +1,14 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Chain, CovSpec, make_covariance
+from estlab.covariance import Chain, CovSpec, _e_terms, make_covariance
 from estlab.errors import InvalidSpec, NotPositiveDefinite
-from estlab.fisher import fi_eigen
+from estlab.fisher import fi_eigen, fi_matched
 
 from conftest import Dense, build, chain_matrix
 
@@ -150,6 +151,99 @@ def test_eta_grid_is_the_per_eta_results_stacked():
     assert batched.restrict([0, 5, 9]).quad(np.ones(3)).shape == (5,)
 
 
+# An eta grid of one to three points from 0, inf and the log-uniform etas.
+eta_grids = st.lists(st.one_of(etas, st.just(math.inf)), min_size=1, max_size=3)
+
+
+@st.composite
+def _segment_sets(draw, n: int) -> list[list[int]]:
+    """1-40 strictly increasing index sets of slots below n; they may overlap."""
+    return [
+        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 12))))
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 120),
+    a=st.floats(0.05, 20.0),
+    c=st.floats(0.0, 1.0),
+    eta=eta_grids,
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(n=30, a=1.0, c=0.4, eta=[0.0, math.inf], seed=1, data=None)
+def test_segments_equal_separate_chains(n, a, c, eta, seed, data):
+    # Exactly: every segment's quad, form and fi_matched is its own chain's,
+    # and solve and loading are the separate chains' results, concatenated.
+    sets = [[3], list(range(0, n, 2)), [n - 1], list(range(n))] if data is None else (
+        data.draw(_segment_sets(n), label="sets"))
+    whole = Chain(a, c, eta, np.arange(n) * 0.7)
+    segmented = whole.restrict(sets)
+    separate = [whole.restrict(s) for s in sets]
+    assert len(segmented.segments) == len(sets)
+    U = np.random.default_rng(seed).normal(size=(segmented.dim, 2))
+    U[:, 0] = np.abs(U[:, 0]) + 0.5  # a mean vector nonzero on every segment
+    parts = [U[s] for s in segmented.segments]
+    for op in ("quad", "form"):
+        got = getattr(segmented, op)(U)
+        assert got.shape == (len(eta), len(sets), 2)
+        for k, (chain, part) in enumerate(zip(separate, parts)):
+            assert np.array_equal(got[:, k], getattr(chain, op)(part))
+    for op in ("solve", "loading"):
+        want = np.concatenate([getattr(chain, op)(part) for chain, part in zip(separate, parts)],
+                              axis=1)
+        assert np.array_equal(getattr(segmented, op)(U), want)
+    for mu in (U, U[:, 0]):
+        fi, iv = fi_matched(segmented, mu, 1.7)
+        for k, (chain, s) in enumerate(zip(separate, segmented.segments)):
+            want_fi, want_iv = fi_matched(chain, mu[s], 1.7)
+            assert np.array_equal(fi[:, k], want_fi) and np.array_equal(iv[:, k], want_iv)
+    # At a single eta the eta axis drops, as for an unsegmented chain.
+    single = Chain(a, c, eta[0], np.arange(n)).restrict(sets)
+    assert single.quad(U[:, 0]).shape == (len(sets),)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 200),
+    a=st.floats(0.05, 20.0),
+    c=st.floats(0.0, 1.0),
+    eta=st.one_of(etas, st.just(math.inf)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_segmented_chain_matches_block_diagonal_dense(n, a, c, eta, seed, data):
+    sets = data.draw(_segment_sets(n), label="sets")
+    chain = Chain(a, c, eta, np.arange(n)).restrict(sets)
+    dense = Dense(chain_matrix(a, c, eta, n)).restrict(sets)
+    assert chain.segments == dense.segments
+    _assert_factor_matches_dense(chain, dense, seed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    a=st.floats(0.05, 20.0),
+    c=st.floats(0.0, 1.0),
+    eta=st.one_of(etas, st.just(math.inf)),
+    prefix=st.lists(st.floats(0.1, 10.0), max_size=20),
+    n=st.integers(0, 3000),
+)
+def test_riccati_stop_at_the_fixed_point_is_exact(a, c, eta, prefix, n):
+    # Irregular gaps, then n equal ones: stopping once E repeats on the equal
+    # gaps gives the floats of the loop run to the end, and so every bit of
+    # every contraction.
+    times = np.cumsum([0.0, *prefix, *[1.0] * n])
+    chain = Chain(a, c, [eta], times)
+    with patch("estlab.covariance._e_terms",
+               lambda a, c, fresh, kept, tail: _e_terms(a, c, fresh, kept, len(fresh))):
+        whole = Chain(a, c, [eta], times)
+    U = _columns(times.size, seed=n)
+    for op in ("quad", "form", "solve", "loading"):
+        assert np.array_equal(getattr(chain, op)(U), getattr(whole, op)(U))
+
+
 def _alternating_form(a: float, eta: float, n: int) -> float:
     """a*n + g'Kg for alternating signs g, c = 1, in positive terms only.
 
@@ -237,6 +331,21 @@ def test_validation():
         cov.restrict([2, 1])
     with pytest.raises(InvalidSpec, match=r"retained indices must lie in \[0, 3\]"):
         cov.restrict([0, 4])
+    # Every set of a segmented restriction obeys the same rule.
+    with pytest.raises(InvalidSpec, match="must be a non-empty vector"):
+        cov.restrict([[0, 1], []])
+    with pytest.raises(InvalidSpec, match="retained indices must be strictly increasing"):
+        cov.restrict([[0, 1], [3, 3]])
+    with pytest.raises(InvalidSpec, match="retained indices must be strictly increasing"):
+        cov.restrict([[2, 1], [0]])
+    with pytest.raises(InvalidSpec, match="segment starts"):
+        Chain(1.0, 0.1, 1.0, np.arange(4), starts=[1, 2])
+    with pytest.raises(InvalidSpec, match="segment starts"):
+        Chain(1.0, 0.1, 1.0, np.arange(4), starts=[0, 2, 2])
+    with pytest.raises(InvalidSpec, match="sample times must be strictly increasing"):
+        Chain(1.0, 0.1, 1.0, [0.0, 1.0, 3.0, 2.0], starts=[0, 2])
+    with pytest.raises(InvalidSpec):
+        cov.restrict([[0, 1], [2]]).spectrum()
     with pytest.raises(InvalidSpec):
         cov.spectrum()
     # eta = inf has no tridiagonal K^-1: its spectrum is the closed form.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from estlab import experiments
 from estlab.cli import main
-from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, CovSpec, make_covariance
+from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, Chain, CovSpec, make_covariance
 from estlab.errors import InvalidSpec
 from estlab.estimators import estimator_weights
 from estlab.experiments import (
@@ -475,6 +475,34 @@ class TestFig7:
             chunked = _fig7(n=n, gamma=0.05, eta_grid=eta_grid, scheme=scheme, reps=4, seed=3)
             assert chunks == sizes
             assert _csv(chunked) == whole
+        # The 4 patterns hold 9, 8, 18 and 9 slots.  One chunk of all 11 etas
+        # with 20-slot segmented chains splits them in three, bytes unchanged.
+        packs = []
+        restrict = chain.restrict
+        monkeypatch.setattr(chain, "restrict",
+                            lambda self, sets: packs.append(len(sets)) or restrict(self, sets))
+        monkeypatch.setattr(experiments, "BUDGET", 16 * 20 * 11)
+        chunks.clear()
+        chunked = _fig7(n=n, gamma=0.05, eta_grid=eta_grid, scheme=scheme, reps=4, seed=3)
+        assert chunks == [11]
+        assert packs == ([2, 1, 1] if scheme == "bernoulli" else [1])
+        assert _csv(chunked) == whole
+
+    def test_chain_count_does_not_grow_with_reps(self, monkeypatch):
+        # One chain of the n slots and one segmented chain of every pattern.
+        segments = []
+        original = Chain.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            segments.append(None if self.segments is None else len(self.segments))
+
+        monkeypatch.setattr(Chain, "__init__", counting)
+        for reps in (4, 64):
+            segments.clear()
+            _fig7(n=200, gamma=0.1, eta_grid=[0.1, 10.0, 1e4], scheme="bernoulli", reps=reps,
+                  seed=9)
+            assert segments == [None, reps]
 
     def test_memory_is_linear_in_n(self):
         n = 20_000

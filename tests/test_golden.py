@@ -32,6 +32,8 @@ CASES = {
     "fig6": ["figure", "fig6", "--n", "40", "--c-over-a", "0.3", "--phi-points", "12"],
     "fig7": ["figure", "fig7", "--scheme", "periodic", "--n", "300", "--gamma", "0.05",
              "--eta-points", "6"],
+    "fig7-bernoulli": ["figure", "fig7", "--scheme", "bernoulli", "--n", "1000", "--reps", "32",
+                       "--seed", "7", "--eta-points", "12"],
     "delta-i": ["delta-i", "--a", "1", "--c", "0.05", "--n", "1000"],
     "fisher-solvable": ["fisher", "--model", "solvable", "--a", "0.8", "--c", "0.05",
                         "--n", "50"],
