@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .covariance import Chain, CovSpec, WeightSpectrum, make_covariance
 from .errors import EstlabError
 from .fisher import (
-    FisherReport,
     TwoOutcomeSpec,
     fi_eigen,
     fi_matched,
@@ -33,7 +32,6 @@ __all__ = [
     "Chain",
     "CovSpec",
     "EstlabError",
-    "FisherReport",
     "PartitionDesign",
     "SpinModel",
     "TrialEnsemble",

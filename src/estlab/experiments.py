@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -41,8 +40,6 @@ from .covariance import (
 )
 from .errors import DegenerateDenominator, InvalidSpec
 from .fisher import (
-    METHOD_NUMERIC_INVERSE,
-    FisherReport,
     TwoOutcomeSpec,
     fi_eigen,
     fi_matched,
@@ -72,8 +69,8 @@ def _block_length(block: tuple) -> int:
     return lengths.pop() if lengths else 1
 
 
-class Rows(Sequence):
-    """The row tuples of a result's blocks, read-only; len() expands no block."""
+class Rows:
+    """The row tuples of a result's blocks, to iterate; len() expands no block."""
 
     def __init__(self, blocks: list[tuple]) -> None:
         self._blocks = blocks
@@ -86,22 +83,15 @@ class Rows(Sequence):
             length = _block_length(block)
             yield from zip(*(e if isinstance(e, list) else repeat(e, length) for e in block))
 
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (Rows, list)) and list(self) == list(other)
-
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Blocks of rows; metadata records parameters, seed and build.
+    """Blocks of rows; metadata records the name, parameters, seed and build.
 
     A block has one entry per header: a list (one cell per row, and perhaps
     shared with other blocks) or a scalar (the cell of every row).
     """
 
-    name: str
     headers: tuple[str, ...]
     blocks: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
@@ -180,9 +170,11 @@ def _points(name: str, grid) -> np.ndarray:
 # fisher / simulate: one model
 # ---------------------------------------------------------------------------
 
-def _direct_closed(kind: str, a: float, c: float, n: int, shift: float = 1.0) -> FisherReport:
-    """Direct in closed form, full retention with Aw = shift; white noise is
-    the solvable model with variance a + c and no common offset."""
+def _direct_closed(
+    kind: str, a: float, c: float, n: int, shift: float = 1.0
+) -> tuple[float, float]:
+    """(fi, var) of direct in closed form, full retention with Aw = shift; white
+    noise is the solvable model with variance a + c and no common offset."""
     if kind == KIND_WHITE:
         a, c = a + c, 0.0
     return fi_wva_solvable(a, c, n, 1.0, shift)
@@ -191,23 +183,17 @@ def _direct_closed(kind: str, a: float, c: float, n: int, shift: float = 1.0) ->
 def fisher_table(
     kind: str, a: float, c: float, n: int, eta: float | None, mean_shift: float
 ) -> SweepResult:
-    """Rows: the closed form (solvable and white models), numeric inversion
-    (with fi_matched's equal-weight variance) and eigenvalue weighting."""
+    """Rows by method: closed_form (solvable and white models), numeric_inverse
+    (with fi_matched's equal-weight variance) and eigen_weighted."""
     cov = make_covariance(CovSpec(kind, a, c, n, eta=eta))
-    # First, as it rejects a zero shift, which the closed forms divide by.
     fi, iv = fi_matched(cov, np.ones(n), mean_shift * mean_shift)
-    reports = [] if kind == KIND_EXPONENTIAL else [_direct_closed(kind, a, c, n, mean_shift)]
-    reports += [
-        FisherReport(float(fi), METHOD_NUMERIC_INVERSE, equal_weight_variance=float(1.0 / iv)),
-        fi_eigen(cov.spectrum(), mean_shift=mean_shift),
-    ]
+    methods = {} if kind == KIND_EXPONENTIAL else {
+        "closed_form": _direct_closed(kind, a, c, n, mean_shift)}
+    methods["numeric_inverse"] = float(fi), float(1.0 / iv)
+    methods["eigen_weighted"] = fi_eigen(cov.spectrum(), mean_shift=mean_shift)
     return SweepResult(
-        name="fisher",
         headers=("model", "method", "value", "equal_weight_variance"),
-        blocks=[(
-            kind, [r.method for r in reports], [r.value for r in reports],
-            [r.equal_weight_variance for r in reports],
-        )],
+        blocks=[(kind, list(methods), *map(list, zip(*methods.values())))],
         metadata=_metadata("fisher", model=kind, a=a, c=c, n=n, eta=eta, mean_shift=mean_shift),
     )
 
@@ -227,7 +213,6 @@ def simulate_tables(
         digest=ensemble.config_digest,
     )
     tables = [SweepResult(
-        name="simulate",
         headers=("estimator", "scheme", "trials", "seed", "d_true",
                  "empirical_mean", "empirical_variance"),
         blocks=[(estimator, design.scheme, ensemble.trials, ensemble.seed,
@@ -236,7 +221,6 @@ def simulate_tables(
     )]
     if dump:
         tables.append(SweepResult(
-            name="simulate-estimates",
             headers=("trial", "estimate"),
             blocks=[(list(range(ensemble.trials)), ensemble.estimates.tolist())],
             metadata=metadata,
@@ -268,11 +252,11 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     # Rows are (direct, wva, opm) x (uncorrelated, correlated).  With
     # Aw^2 = 1/gamma, post-selection on white noise is the direct strategy:
     # the gamma*n retained slots, amplified by 1/gamma, carry n/(a + c).
-    direct_white = _direct_closed(KIND_WHITE, a, c, n).value
+    direct_white = _direct_closed(KIND_WHITE, a, c, n)[0]
     closed = [
-        direct_white, _direct_closed(KIND_SOLVABLE, a, c, n).value,
-        direct_white, fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2)).value,
-        direct_white, fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma)).value,
+        direct_white, _direct_closed(KIND_SOLVABLE, a, c, n)[0],
+        direct_white, fi_wva_solvable(a, c, n, gamma, math.sqrt(aw2))[0],
+        direct_white, fi_opm_solvable(a, c, n, gamma, *spin_coefficients(gamma))[0],
     ]
     numeric = [
         *(fi_matched(cov, np.ones(n))[0] for cov in covs),
@@ -281,7 +265,6 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     ]
     rel = [abs(x - y) / abs(x) for x, y in zip(closed, numeric)]
     return SweepResult(
-        name="table1",
         headers=("strategy", "regime", "closed_form", "numeric", "rel_err", "agree"),
         blocks=[(
             ["direct", "direct", "wva", "wva", "opm", "opm"], ["uncorrelated", "correlated"] * 3,
@@ -310,7 +293,6 @@ def fig2_surface(x_grid, r_grid) -> SweepResult:
     scaled = 1.0 / (info * np.sqrt(x_grid)[:, None])
     r_cells = r_grid.tolist()
     return SweepResult(
-        name="fig2",
         headers=("x", "r", "inverse_fi_scaled"),
         blocks=[(x, r_cells, values) for x, values in zip(x_grid.tolist(), scaled.tolist())],
         metadata=_metadata(
@@ -355,7 +337,6 @@ def fig345_curves(alpha_grid) -> SweepResult:
             float(alpha_star), float(minimum),
         ))
     return SweepResult(
-        name="fig345",
         headers=("x", "r", "alpha", "variance", "alpha_star", "min_variance"),
         blocks=blocks,
         metadata=_metadata(
@@ -393,16 +374,15 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
         [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
     )
     numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)), mu_prime)
-    reports = [fi_opm_solvable(a, c, n, m.gamma, m.aw, m.awp) for m in models]
+    totals, _, terms = zip(*(fi_opm_solvable(a, c, n, m.gamma, m.aw, m.awp) for m in models))
     return SweepResult(
-        name="fig6",
         headers=(
             "phi", "gamma", "n_retained", "i1", "i2", "i3", "total", "total_numeric",
         ),
         blocks=[(
             phi_grid.tolist(), [m.gamma for m in models], retained,
-            *([report.terms[k] / unit for report in reports] for k in range(3)),
-            [report.value / unit for report in reports], (numeric / unit).tolist(),
+            *([term / unit for term in column] for column in zip(*terms)),
+            [total / unit for total in totals], (numeric / unit).tolist(),
         )],
         metadata=_metadata(
             "fig6", n=n, c_over_a=c_over_a, phi_points=phi_grid.size
@@ -507,7 +487,6 @@ def fig7_sweep(
         del cov  # freed before the next chunk's chain is built
     fi_direct, fi_bgsub, iv_direct, iv_bgsub, fi_wva, iv_wva = np.hstack(chunks).tolist()
     return SweepResult(
-        name="fig7",
         headers=(
             "eta",
             "fi_direct",
@@ -554,7 +533,6 @@ def delta_i_summary(a: float, c: float, n: int) -> SweepResult:
     exact = delta_i(a, c, n)
     approx = 1.0 / (a + a / n)
     return SweepResult(
-        name="delta_i",
         headers=("a", "c", "n", "delta_i_exact", "delta_i_small_c_approx"),
         blocks=[(a, c, n, exact, approx)],
         metadata=_metadata("delta_i", a=a, c=c, n=n),

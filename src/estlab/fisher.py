@@ -12,7 +12,16 @@ mu_prime = (Aw on channel 1, Awp on channel 2), and I splits into three
 block terms I1 (channel 1 alone), I2 (channel 2 alone) and I3 (their
 cross-correlations).  Every study reads its numeric contractions from
 ``fi_matched``.  The closed forms for the solvable model C = a*I + c*J,
-where every contraction is exact, return a FisherReport like fi_eigen.
+where every contraction is exact, and the eigenvalue-weighted information
+``fi_eigen`` return (fi, var): the information and the variance of the
+matched plain average of the same design, two finite positive floats.
+
+One rule holds for every squared coefficient: Aw, the mean shift and the
+squared norm of the mean coefficients must each square to a finite normal
+float (``fi_matched``'s scale is Aw^2 itself).  A subnormal square has lost
+digits and an infinite one is no answer, so breaking the rule is
+InvalidSpec.  A valid input whose closed form still leaves the positive
+floats (a subnormal a, say) is InvalidSpectrum.
 
 The mean-shift magnitude <A> defaults to 1 throughout; amplification in the
 partitioned strategies is carried entirely by (Aw, Awp, gamma).
@@ -21,6 +30,7 @@ partitioned strategies is carried entirely by (Aw, Awp, gamma).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +38,20 @@ import numpy as np
 from .covariance import KIND_SOLVABLE, Covariance, WeightSpectrum, check_model
 from .errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
 
-METHOD_CLOSED_FORM = "closed_form"
-METHOD_NUMERIC_INVERSE = "numeric_inverse"
-METHOD_EIGEN_WEIGHTED = "eigen_weighted"
+
+def _check_square(name: str, *squares: float) -> None:
+    """InvalidSpec unless each of ``squares``, squares of ``name``, is a finite normal float."""
+    for square in squares:
+        if not sys.float_info.min <= square < math.inf:
+            raise InvalidSpec(f"{name} must be finite and nonzero, and must square to a "
+                              f"finite normal float; its square is {square!r}")
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    """Fisher information with provenance and optional decomposition.
-
-    ``terms`` holds the (I1, I2, I3) block split for two-channel designs;
-    ``equal_weight_variance`` is the variance of the matched-coefficient
-    plain average (sum of mu_prime[i]*s[i] over sum of mu_prime[i]^2), the
-    simplest unbiased estimator for the same design.
-    """
-
-    value: float
-    method: str
-    terms: tuple[float, float, float] | None = None
-    equal_weight_variance: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise InvalidSpectrum(f"Fisher information must be positive, got {self.value}")
-        if self.terms is not None:
-            total = self.terms[0] + self.terms[1] + self.terms[2]
-            if abs(total - self.value) > 1e-9 * abs(self.value):
-                raise InvalidSpectrum(
-                    f"term decomposition sums to {total}, expected {self.value}"
-                )
+def _answer(fi: float, var: float) -> tuple[float, float]:
+    """(fi, var), or InvalidSpectrum unless both are finite and positive."""
+    if not (0.0 < fi < math.inf and 0.0 < var < math.inf):
+        raise InvalidSpectrum(f"fi = {fi!r} and var = {var!r} must be finite and positive")
+    return fi, var
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,7 @@ def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.
     On a segmented chain each segment's slice of ``mu`` is a design of its
     own, with its own |mu|^2, and there is one entry per segment too.
     """
-    if not 0.0 < scale < math.inf:
-        raise InvalidSpec(f"scale (Aw^2) must be positive and finite, got {scale!r}")
+    _check_square("the root of scale", scale)
     mu = np.asarray(mu, dtype=float)
     parts = [mu] if cov.segments is None else [mu[s] for s in cov.segments]
     if not all(np.any(part, axis=0).all() for part in parts):
@@ -107,30 +101,25 @@ def fi_matched(cov: Covariance, mu, scale: float = 1.0) -> tuple[np.ndarray, np.
         norm = np.array([(part**2).sum(axis=0) for part in parts])
         norm = norm[0] if cov.segments is None else norm
         quartic = norm * norm
-    if not ((quartic >= np.finfo(float).tiny) & (quartic < math.inf)).all():
-        raise InvalidSpec(f"the squared norm of the mean coefficients, {norm!r}, must square "
-                          "to a finite normal float; a subnormal square loses digits of iv")
+    _check_square("the squared norm of the mean coefficients", *quartic.ravel().tolist())
     return scale * cov.quad(mu), scale * norm * norm / cov.form(mu)
 
 
-def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> FisherReport:
-    """Information as the weighted average of inverse eigenvalues.
+def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> tuple[float, float]:
+    """(fi, var): information as the weighted average of inverse eigenvalues.
 
-    value = mean_shift^2 * N * sum_k w_k / sigma^2_k, equal to the direct
-    numeric contraction of the same covariance; N is the spectrum's number
-    of modes.
+    fi = mean_shift^2 * N * sum_k w_k / sigma^2_k, equal to the direct
+    numeric contraction of the same covariance, and var = sum_k w_k sigma^2_k
+    / (N mean_shift^2), that of the plain average over mean_shift; N is the
+    spectrum's number of modes.
     """
-    if mean_shift == 0.0:
-        raise InvalidSpec("mean shift must be nonzero")
     n = spectrum.sigmasq.size
     scale = mean_shift * mean_shift
-    value = scale * n * float((spectrum.weights / spectrum.sigmasq).sum())
-    ew_var = float((spectrum.weights * spectrum.sigmasq).sum()) / (n * scale)
-    return FisherReport(
-        value=value,
-        method=METHOD_EIGEN_WEIGHTED,
-        equal_weight_variance=ew_var,
-    )
+    _check_square("mean_shift", scale)
+    with np.errstate(over="ignore"):  # an infinite fi is _answer's to reject
+        value = scale * n * float((spectrum.weights / spectrum.sigmasq).sum())
+        var = float((spectrum.weights * spectrum.sigmasq).sum()) / (n * scale)
+    return _answer(value, var)
 
 
 def fi_two_outcome(spec: TwoOutcomeSpec) -> float | np.ndarray:
@@ -161,63 +150,66 @@ def optimal_alpha(spec: TwoOutcomeSpec) -> float:
     return (spec.var2 - spec.cov) / denom
 
 
-def fi_wva_solvable(a: float, c: float, n: int, gamma: float, aw: float) -> FisherReport:
-    """Post-selected information on the solvable model: Aw^2 * gN / (a + gNc).
+def fi_wva_solvable(
+    a: float, c: float, n: int, gamma: float, aw: float
+) -> tuple[float, float]:
+    """(fi, var) of post-selection on the solvable model: fi = Aw^2 * gN / (a + gNc).
 
     Any retained subset of the solvable model keeps the same structure, so
     only the retained count gamma*n enters.  With the idealized convention
     Aw^2 = 1/gamma this equals N / (a + gamma*N*c): post-selection shrinks
-    the correlated variance by the retention probability.  The equal-weight
-    variance is that of the retained-slot average over Aw, (a/(gN) + c)/Aw^2.
+    the correlated variance by the retention probability.  var is that of
+    the retained-slot average over Aw, (a/(gN) + c)/Aw^2.
     """
     check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma <= 1.0:
         raise InvalidSpec(f"gamma must lie in (0, 1], got {gamma}")
-    if not (math.isfinite(aw) and aw != 0.0):
-        raise InvalidSpec(f"Aw must be finite and nonzero, got {aw}")
+    aw2 = aw * aw
+    _check_square("Aw", aw2)
     retained = gamma * n
     denom = a + retained * c
     # For c one ulp above -a/n, n*c can round to -a.
     if denom <= 0.0:
         raise InvalidSpec("retained covariance a + gamma*n*c must be positive")
-    return FisherReport(
-        value=aw * aw * retained / denom,
-        method=METHOD_CLOSED_FORM,
-        equal_weight_variance=(a / retained + c) / (aw * aw),
-    )
+    return _answer(aw2 * retained / denom, (a / retained + c) / aw2)
 
 
 def fi_opm_solvable(
     a: float, c: float, n: int, gamma: float, aw: float, awp: float
-) -> FisherReport:
-    """Exact two-channel information on the solvable model, with block terms.
+) -> tuple[float, float, tuple[float, float, float]]:
+    """(fi, var, (I1, I2, I3)): exact two-channel information on the solvable model.
 
-    value = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a
-          = (a*N*[g*Aw^2 + (1-g)*Awp^2] + c*g*(1-g)*N^2*(Aw - Awp)^2)
-            / (a^2 + N*a*c)
+    fi = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a
+       = (a*N*[g*Aw^2 + (1-g)*Awp^2] + c*g*(1-g)*N^2*(Aw - Awp)^2)
+         / (a^2 + N*a*c)
 
-    and ``terms`` splits the second form into (I1, I2, I3).  For the
-    overlap-model coefficients this collapses to N/a at every gamma: using
-    both channels and their cross-correlation removes the correlated noise
-    entirely.
+    with the block terms (I1, I2, I3) splitting the second form, and var
+    that of the matched plain average.  For the overlap-model coefficients
+    fi collapses to N/a at every gamma: using both channels and their
+    cross-correlation removes the correlated noise entirely.
     """
     check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma < 1.0:
         raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
     n1 = gamma * n
     n2 = (1.0 - gamma) * n
+    sum_mu2 = n1 * aw * aw + n2 * awp * awp
+    _check_square("the squared norm of the mean coefficients", sum_mu2 * sum_mu2)
     denom = a * a + n * a * c
+    # a*a underflows for a below about 1e-154, and for c one ulp above
+    # -a/n, n*c can round to -a.
+    if not (denom > 0.0 and a + n * c > 0.0):
+        raise InvalidSpectrum(f"a*a + n*a*c = {denom!r} and a + n*c = {a + n * c!r} "
+                              "must both be positive")
     i1 = aw * aw * n1 * (a + c * n2) / denom
     i2 = awp * awp * n2 * (a + c * n1) / denom
     i3 = -2.0 * c * aw * awp * n1 * n2 / denom
-    sum_mu2 = n1 * aw * aw + n2 * awp * awp
     sum_mu = n1 * aw + n2 * awp
     ew_var = (a * sum_mu2 + c * sum_mu * sum_mu) / (sum_mu2 * sum_mu2)
-    return FisherReport(
-        # Sherman-Morrison.  As c -> -a/n the block terms grow without bound
-        # and cancel, while for c < 0 both terms here are positive.
-        value=(sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a,
-        method=METHOD_CLOSED_FORM,
-        terms=(i1, i2, i3),
-        equal_weight_variance=ew_var,
-    )
+    # Sherman-Morrison.  For c < 0 both of its terms are positive, while the
+    # block terms grow without bound and cancel as c -> -a/n.  For c >= 0
+    # the value cancels instead, so the block terms must agree with it.
+    value = (sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a
+    if c >= 0.0 and not abs(i1 + i2 + i3 - value) <= 1e-9 * value:
+        raise InvalidSpectrum(f"term decomposition sums to {i1 + i2 + i3}, expected {value}")
+    return *_answer(value, ew_var), (i1, i2, i3)

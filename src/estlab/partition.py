@@ -61,9 +61,8 @@ def check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class SpinModel:
-    """Weak values and retention probability for overlap angle phi in (0, pi)."""
+    """Weak values and retention probability of one overlap angle phi in (0, pi)."""
 
-    phi: float
     aw: float
     awp: float
     gamma: float
@@ -76,12 +75,7 @@ def spin_model(phi: float) -> SpinModel:
     half = 0.5 * phi
     sin_h = math.sin(half)
     cos_h = math.cos(half)
-    return SpinModel(
-        phi=phi,
-        aw=-cos_h / sin_h,
-        awp=sin_h / cos_h,
-        gamma=sin_h * sin_h,
-    )
+    return SpinModel(aw=-cos_h / sin_h, awp=sin_h / cos_h, gamma=sin_h * sin_h)
 
 
 def spin_coefficients(gamma: float) -> tuple[float, float]:
@@ -162,14 +156,7 @@ def make_design(
             raise InvalidSpec("phi does not apply to the direct scheme")
         if n < 1:
             raise InvalidSpec("direct design requires n >= 1")
-        return PartitionDesign(
-            n=n,
-            scheme=scheme,
-            channels=(CHANNEL_RETAINED,),
-            assignment=np.zeros(n, dtype=np.intp),
-            coefficients=np.array([1.0]),
-        )
-    if n < 2:
+    elif n < 2:
         raise InvalidSpec("partition designs require n >= 2")
     coeffs = None
     if phi is not None:
@@ -178,50 +165,37 @@ def make_design(
         if gamma is None:
             gamma = model.gamma
 
-    if scheme == SCHEME_ALTERNATING:
-        return PartitionDesign(
-            n=n,
-            scheme=scheme,
-            channels=(CHANNEL_PLUS, CHANNEL_MINUS),
-            assignment=(np.arange(n) % 2).astype(np.intp),
-            coefficients=np.asarray(coeffs or (1.0, -1.0), dtype=float),
-        )
-
-    if gamma is None or not 0.0 < gamma < 1.0:
-        raise InvalidSpec(
-            f"{scheme} scheme requires gamma strictly inside (0, 1), got {gamma}"
-        )
-
-    if scheme == SCHEME_BERNOULLI:
-        rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
-        retained_mask = rng.random(n) < gamma
-        assignment = np.where(retained_mask, 0, 1).astype(np.intp)
-    elif scheme == SCHEME_PERIODIC:
-        # Capped at n, where slot 0 alone is retained, so 1/gamma = inf cannot
-        # overflow int(); gamma < 1 and n >= 2 keep the period at least 1.
-        period = int(round(min(1.0 / gamma, n)))
-        assignment = np.where(np.arange(n) % period == 0, 0, 1).astype(np.intp)
+    channels = (CHANNEL_RETAINED, CHANNEL_REJECTED)
+    slots = np.arange(n)
+    if scheme == SCHEME_DIRECT:
+        channels, assignment, coeffs = channels[:1], np.zeros(n, dtype=np.intp), (1.0,)
+    elif scheme == SCHEME_ALTERNATING:
+        channels, assignment = (CHANNEL_PLUS, CHANNEL_MINUS), slots % 2
+        coeffs = coeffs or (1.0, -1.0)
     else:
-        n1 = int(round(gamma * n))
-        if not 1 <= n1 <= n - 1:
+        if gamma is None or not 0.0 < gamma < 1.0:
             raise InvalidSpec(
-                f"gamma={gamma} leaves an empty channel for n={n} contiguous blocks"
+                f"{scheme} scheme requires gamma strictly inside (0, 1), got {gamma}"
             )
-        assignment = np.where(np.arange(n) < n1, 0, 1).astype(np.intp)
-
-    if coeffs is None:
-        if scheme == SCHEME_BLOCKS:
+        if scheme == SCHEME_BERNOULLI:
+            rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
+            retained = rng.random(n) < gamma
+        elif scheme == SCHEME_PERIODIC:
+            # Capped at n, where slot 0 alone is retained, so 1/gamma = inf cannot
+            # overflow int(); gamma < 1 and n >= 2 keep the period at least 1.
+            retained = slots % int(round(min(1.0 / gamma, n))) == 0
+        else:
+            n1 = int(round(gamma * n))
+            if not 1 <= n1 <= n - 1:
+                raise InvalidSpec(
+                    f"gamma={gamma} leaves an empty channel for n={n} contiguous blocks"
+                )
+            retained = slots < n1
             # Coefficients at the realized fraction keep the layout an exact
             # overlap-model partition even when gamma*n is not an integer.
-            realized = assignment.tolist().count(0) / n
-            coeffs = spin_coefficients(realized)
-        else:
-            coeffs = (math.sqrt(1.0 / gamma), 0.0)
+            coeffs = coeffs or spin_coefficients(n1 / n)
+        assignment = np.where(retained, 0, 1)
+        coeffs = coeffs or (math.sqrt(1.0 / gamma), 0.0)
 
-    return PartitionDesign(
-        n=n,
-        scheme=scheme,
-        channels=(CHANNEL_RETAINED, CHANNEL_REJECTED),
-        assignment=assignment,
-        coefficients=np.asarray(coeffs, dtype=float),
-    )
+    return PartitionDesign(n=n, scheme=scheme, channels=channels, assignment=assignment,
+                           coefficients=np.asarray(coeffs, dtype=float))

@@ -94,7 +94,7 @@ def test_criterion_3_phi_independence():
     worst_numeric = 0.0
     for phi in np.linspace(0.01, math.pi - 0.01, 100):
         model = spin_model(float(phi))
-        closed = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp).value
+        closed = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)[0]
         worst_closed = max(worst_closed, abs(closed - target) / target)
         n1 = min(max(int(round(model.gamma * n)), 1), n - 1)
         design = make_design(n, "blocks", gamma=n1 / n)

@@ -192,6 +192,8 @@ class TestValidation:
         ["fisher", "--model", "exponential", "--eta", "3", "--n", "10", "--mean-shift", "0"],
         # The squared shift underflows to 0 (once a ZeroDivisionError, exit 1).
         ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "1e-200"],
+        # The squared shift is subnormal (once exit 0, with inf variances).
+        ["fisher", "--model", "solvable", "--n", "10", "--mean-shift", "1e-160"],
         ["table1", "--gamma", "1.5"],
         ["table1", "--n", "1"],
         ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
@@ -210,7 +212,7 @@ class TestValidation:
             "fig2-x-min", "fig2-x-reversed", "fig2-r-max", "fig2-r-reversed",
             "fig345-alpha-points", "fig345-alpha-reversed", "fig6-phi-points",
             "fig6-n", "fig6-c-over-a", "fisher-mean-shift", "fisher-mean-shift-exponential",
-            "fisher-mean-shift-underflow", "table1-gamma",
+            "fisher-mean-shift-underflow", "fisher-mean-shift-subnormal", "table1-gamma",
             "table1-n", "simulate-trials", "simulate-direct-gamma", "simulate-direct-phi",
             "simulate-alternating-gamma", "delta-i-a", "delta-i-c", "delta-i-n"])
     def test_rejected_configuration_exit_code(self, argv, tmp_path, capsys):

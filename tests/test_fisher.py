@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from estlab.covariance import Chain, CovSpec, make_covariance
+from estlab.covariance import Chain, CovSpec, WeightSpectrum, check_model, make_covariance
 from estlab.errors import (
-    DegenerateDenominator, InvalidSpec, InvalidSpectrum, NotPositiveDefinite,
+    DegenerateDenominator, EstlabError, InvalidSpec, InvalidSpectrum, NotPositiveDefinite,
 )
 from estlab.fisher import (
-    FisherReport,
     TwoOutcomeSpec,
     fi_eigen,
     fi_matched,
@@ -21,7 +20,7 @@ from estlab.fisher import (
     two_outcome_variance,
 )
 from estlab.matkernel import SymMatrix
-from estlab.partition import CHANNEL_RETAINED, make_design, spin_model
+from estlab.partition import CHANNEL_RETAINED, make_design, spin_coefficients, spin_model
 
 from conftest import Dense, block_terms, build, chain_matrix, random_spd
 
@@ -29,20 +28,6 @@ from conftest import Dense, block_terms, build, chain_matrix, random_spd
 def direct(cov, mean_shift=1.0):
     """(fi, iv) of the direct strategy: every slot, mean coefficient mean_shift."""
     return fi_matched(cov, np.ones(cov.dim), mean_shift * mean_shift)
-
-
-class TestFisherReport:
-    def test_rejects_non_positive_value(self):
-        with pytest.raises(InvalidSpectrum):
-            FisherReport(value=0.0, method="closed_form")
-
-    def test_rejects_inconsistent_terms(self):
-        with pytest.raises(InvalidSpectrum):
-            FisherReport(value=1.0, method="closed_form", terms=(0.5, 0.5, 0.5))
-
-    def test_accepts_consistent_terms(self):
-        rep = FisherReport(value=1.0, method="closed_form", terms=(0.25, 0.25, 0.5))
-        assert rep.terms == (0.25, 0.25, 0.5)
 
 
 class TestDirectNumeric:
@@ -76,15 +61,15 @@ class TestDirectNumeric:
 class TestEigenWeighted:
     def test_solvable_example(self):
         ws = make_covariance(CovSpec("solvable", 1.0, 2.0, 3)).spectrum()
-        assert fi_eigen(ws).value == pytest.approx(3.0 / 7.0, rel=1e-12)
+        assert fi_eigen(ws)[0] == pytest.approx(3.0 / 7.0, rel=1e-12)
 
     def test_white(self):
         ws = make_covariance(CovSpec("solvable", 2.0, 0.0, 8)).spectrum()
-        assert fi_eigen(ws).value == pytest.approx(4.0, rel=1e-12)
+        assert fi_eigen(ws)[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_direct_on_random_spd(self):
         m = random_spd(24, seed=5)
-        eigen = fi_eigen(Dense(m).spectrum()).value
+        eigen = fi_eigen(Dense(m).spectrum())[0]
         assert eigen == pytest.approx(direct(Dense(m))[0], rel=1e-8)
 
     def test_mean_shift_is_keyword_only(self):
@@ -93,8 +78,8 @@ class TestEigenWeighted:
         spectrum = Dense(random_spd(24, seed=5)).spectrum()
         with pytest.raises(TypeError):
             fi_eigen(spectrum, 24)
-        shifted = fi_eigen(spectrum, mean_shift=3.0).value
-        assert shifted == pytest.approx(9.0 * fi_eigen(spectrum).value, rel=1e-12)
+        shifted = fi_eigen(spectrum, mean_shift=3.0)[0]
+        assert shifted == pytest.approx(9.0 * fi_eigen(spectrum)[0], rel=1e-12)
 
 
 class TestTwoOutcome:
@@ -187,9 +172,9 @@ class TestPartitioned:
         m = build(CovSpec("solvable", a, c, n))
         value, _ = fi_matched(Dense(m), design.mu_prime)
         aw, awp = design.coefficients
-        closed = fi_opm_solvable(a, c, n, 0.3, aw, awp)
-        assert value == pytest.approx(closed.value, rel=1e-10)
-        for t_num, t_closed in zip(block_terms(Dense(m), design), closed.terms):
+        closed, _, terms = fi_opm_solvable(a, c, n, 0.3, aw, awp)
+        assert value == pytest.approx(closed, rel=1e-10)
+        for t_num, t_closed in zip(block_terms(Dense(m), design), terms):
             assert t_num == pytest.approx(t_closed, rel=1e-9)
 
     def test_terms_sum_to_value(self):
@@ -288,16 +273,15 @@ class TestMatched:
 
 class TestWvaSolvable:
     def test_no_postselection_is_direct(self):
-        rep = fi_wva_solvable(1.0, 0.3, 50, 1.0, 1.0)
-        assert rep.method == "closed_form"
-        assert rep.value == pytest.approx(50 / (1 + 50 * 0.3), rel=1e-12)
-        assert rep.equal_weight_variance == pytest.approx((1 / 50 + 0.3), rel=1e-12)
+        fi, var = fi_wva_solvable(1.0, 0.3, 50, 1.0, 1.0)
+        assert fi == pytest.approx(50 / (1 + 50 * 0.3), rel=1e-12)
+        assert var == pytest.approx((1 / 50 + 0.3), rel=1e-12)
 
     def test_benchmark_point(self):
-        rep = fi_wva_solvable(1.0, 0.05, 1000, 0.005, math.sqrt(1 / 0.005))
-        assert rep.value == pytest.approx(800.0, rel=1e-12)
+        fi, var = fi_wva_solvable(1.0, 0.05, 1000, 0.005, math.sqrt(1 / 0.005))
+        assert fi == pytest.approx(800.0, rel=1e-12)
         # The retained-slot average over Aw: (a/(gamma*N) + c) * gamma.
-        assert rep.equal_weight_variance == pytest.approx(0.25 * 0.005, rel=1e-12)
+        assert var == pytest.approx(0.25 * 0.005, rel=1e-12)
 
     def test_equal_weight_variance_matches_dense_contraction(self):
         # Aw * (1/m) * sum of the m retained samples has variance 1'C'1 / (m Aw)^2.
@@ -305,9 +289,9 @@ class TestWvaSolvable:
         aw = math.sqrt(1.0 / gamma)
         m = round(gamma * n)
         fi, iv = direct(make_covariance(CovSpec("solvable", a, c, m)), aw)
-        rep = fi_wva_solvable(a, c, n, gamma, aw)
-        assert rep.value == pytest.approx(fi, rel=1e-12)
-        assert rep.equal_weight_variance == pytest.approx(1.0 / iv, rel=1e-12)
+        closed, var = fi_wva_solvable(a, c, n, gamma, aw)
+        assert closed == pytest.approx(fi, rel=1e-12)
+        assert var == pytest.approx(1.0 / iv, rel=1e-12)
 
     def test_bound_by_uncorrelated_information(self):
         # With Aw^2 = 1/gamma and at least one retained sample on average,
@@ -315,15 +299,15 @@ class TestWvaSolvable:
         a, c, n = 1.0, 0.05, 1000
         bound = n / (a + c)
         for gamma in np.linspace(1.0 / n, 1.0, 57):
-            value = fi_wva_solvable(a, c, n, float(gamma), math.sqrt(1.0 / gamma)).value
+            value = fi_wva_solvable(a, c, n, float(gamma), math.sqrt(1.0 / gamma))[0]
             assert value <= bound * (1 + 1e-12)
 
     def test_direction_of_effect(self):
         # c > 0: smaller gamma raises the information; c < 0: lowers it.
         gammas = np.linspace(0.01, 1.0, 25)
-        up = [fi_wva_solvable(1.0, 0.2, 100, g, math.sqrt(1 / g)).value for g in gammas]
+        up = [fi_wva_solvable(1.0, 0.2, 100, g, math.sqrt(1 / g))[0] for g in gammas]
         assert (np.diff(up) < 0).all()
-        down = [fi_wva_solvable(1.0, -0.005, 100, g, math.sqrt(1 / g)).value for g in gammas]
+        down = [fi_wva_solvable(1.0, -0.005, 100, g, math.sqrt(1 / g))[0] for g in gammas]
         assert (np.diff(down) > 0).all()
 
     def test_invalid_gamma(self):
@@ -340,13 +324,13 @@ class TestWvaSolvable:
 class TestOpmSolvable:
     def test_spin_model_collapses_to_white_floor(self):
         model = spin_model(1.0)
-        rep = fi_opm_solvable(1.0, 0.5, 100, model.gamma, model.aw, model.awp)
-        assert rep.value == pytest.approx(100.0, rel=1e-12)
+        fi, _, _ = fi_opm_solvable(1.0, 0.5, 100, model.gamma, model.aw, model.awp)
+        assert fi == pytest.approx(100.0, rel=1e-12)
 
     def test_gamma_to_one_limit_is_direct(self):
         a, c, n = 1.0, 0.2, 40
-        rep = fi_opm_solvable(a, c, n, 1.0 - 1e-12, 1.0, 0.0)
-        assert rep.value == pytest.approx(n / (a + n * c), rel=1e-8)
+        fi, _, _ = fi_opm_solvable(a, c, n, 1.0 - 1e-12, 1.0, 0.0)
+        assert fi == pytest.approx(n / (a + n * c), rel=1e-8)
 
     def test_gamma_domain(self):
         with pytest.raises(InvalidSpec):
@@ -355,10 +339,10 @@ class TestOpmSolvable:
     def test_balanced_angle_term_values(self):
         # a=1, c=0.5, n=100 at phi = pi/2: terms are 1300/51, 1300/51, 2500/51.
         model = spin_model(math.pi / 2)
-        rep = fi_opm_solvable(1.0, 0.5, 100, model.gamma, model.aw, model.awp)
-        assert rep.terms[0] == pytest.approx(1300.0 / 51.0, rel=1e-12)
-        assert rep.terms[1] == pytest.approx(1300.0 / 51.0, rel=1e-12)
-        assert rep.terms[2] == pytest.approx(2500.0 / 51.0, rel=1e-12)
+        _, _, terms = fi_opm_solvable(1.0, 0.5, 100, model.gamma, model.aw, model.awp)
+        assert terms[0] == pytest.approx(1300.0 / 51.0, rel=1e-12)
+        assert terms[1] == pytest.approx(1300.0 / 51.0, rel=1e-12)
+        assert terms[2] == pytest.approx(2500.0 / 51.0, rel=1e-12)
 
     def test_phi_independence(self):
         # Total two-channel information is N/a at every overlap angle.
@@ -367,27 +351,94 @@ class TestOpmSolvable:
         worst = 0.0
         for phi in np.linspace(0.01, math.pi - 0.01, 100):
             model = spin_model(float(phi))
-            rep = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
-            worst = max(worst, abs(rep.value - target) / target)
+            fi, _, _ = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
+            worst = max(worst, abs(fi - target) / target)
         assert worst < 1e-9
 
     def test_value_does_not_cancel_as_c_nears_minus_a_over_n(self):
-        # The block terms reach +-2.25e16 here and once summed to 8.0, not
-        # N/a = 10.  The value no longer cancels, the terms cannot sum to it,
-        # and the dense operator rejects the same covariance.
+        # For c < 0 both Sherman-Morrison terms are positive, so the value
+        # stays N/a = 10 here, while the block terms reach +-2.25e16 and sum
+        # to 8.0; the terms are not held to the value, and the dense operator
+        # rejects the same covariance.
         c = math.nextafter(-0.1, 0.0)
-        with pytest.raises(InvalidSpectrum, match="term decomposition sums to 8.0"):
-            fi_opm_solvable(1.0, c, 10, 0.5, 1.0, -1.0)
+        fi, _, terms = fi_opm_solvable(1.0, c, 10, 0.5, 1.0, -1.0)
+        assert fi == 10.0
+        assert sum(terms) == 8.0
         with pytest.raises(NotPositiveDefinite):
             make_covariance(CovSpec("solvable", 1.0, c, 10))
-        rep = fi_opm_solvable(1.0, -0.05, 10, 0.5, 1.0, -1.0)
-        assert rep.value == pytest.approx(10.0, rel=1e-12)
-        assert sum(rep.terms) == pytest.approx(10.0, rel=1e-12)
+        fi, _, terms = fi_opm_solvable(1.0, -0.05, 10, 0.5, 1.0, -1.0)
+        assert fi == pytest.approx(10.0, rel=1e-12)
+        assert sum(terms) == pytest.approx(10.0, rel=1e-12)
 
     def test_equal_weight_variance_saturates_for_spin(self):
         model = spin_model(0.7)
-        rep = fi_opm_solvable(2.0, 0.4, 60, model.gamma, model.aw, model.awp)
-        assert rep.equal_weight_variance == pytest.approx(1.0 / rep.value, rel=1e-10)
+        fi, var, _ = fi_opm_solvable(2.0, 0.4, 60, model.gamma, model.aw, model.awp)
+        assert var == pytest.approx(1.0 / fi, rel=1e-10)
+
+
+def _edgy(low, high):
+    """Floats in [low, high], any float, or 0, +-subnormals, +-1e200, +-inf and nan."""
+    return st.one_of(
+        st.floats(low, high),
+        st.floats(),
+        st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e200, -1e200,
+                         math.inf, -math.inf, math.nan]),
+    )
+
+
+def _solvable_spectrum(a, c, n):
+    """The solvable model's spectrum: a + n*c on the flat mode, which carries all
+    the weight, and a on the rest (Chain's closed form, without its factor)."""
+    check_model("solvable", a, c, n)
+    return WeightSpectrum(np.r_[a + n * c, np.full(n - 1, a)], np.r_[1.0, np.zeros(n - 1)])
+
+
+class TestClosedFormsAnswerOrRaise:
+    @settings(max_examples=400, deadline=None)
+    @given(a=_edgy(0.0, 10.0), c=_edgy(-1.0, 10.0), n=st.integers(1, 2000),
+           gamma=_edgy(0.0, 1.0), aw=_edgy(-30.0, 30.0), awp=_edgy(-30.0, 30.0),
+           shift=_edgy(-10.0, 10.0))
+    def test_finite_positive_or_estlab_error(self, a, c, n, gamma, aw, awp, shift):
+        # Never a ZeroDivisionError, and never a silent inf, nan or 0.
+        calls = [
+            lambda: fi_wva_solvable(a, c, n, gamma, aw),
+            lambda: fi_opm_solvable(a, c, n, gamma, aw, awp)[:2],
+            lambda: fi_eigen(_solvable_spectrum(a, c, n), mean_shift=shift),
+        ]
+        for call in calls:
+            try:
+                fi, var = call()
+            except EstlabError:
+                continue
+            assert 0.0 < fi < math.inf and 0.0 < var < math.inf, (fi, var)
+
+    def test_opm_near_minus_a_over_n_is_n_over_a(self):
+        # c < 0: the block terms cancel, not the value, which is N/a.
+        fi, _, _ = fi_opm_solvable(1.0, -0.000999999999, 1000, 0.3, *spin_coefficients(0.3))
+        assert fi == 1000.0000000000002
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-20])
+    def test_opm_cancelling_value_is_numeric_failure(self, a):
+        # c >= 0: the Sherman-Morrison value cancels, to 1.0000889 where
+        # 10/(10 + 1e-12) is exact, and to 0.0 at a = 1e-20.
+        with pytest.raises(InvalidSpectrum):
+            fi_opm_solvable(a, 1.0, 10, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: fi_opm_solvable(1.0, 0.05, 10, 0.5, 0.0, 0.0),
+        lambda: fi_opm_solvable(1.0, 0.05, 10, 0.5, math.inf, 1.0),
+        lambda: fi_wva_solvable(1.0, 0.05, 10, 0.5, 1e-200),
+        lambda: fi_wva_solvable(1.0, 0.05, 10, 0.5, 1e200),
+        lambda: fi_eigen(make_covariance(CovSpec("solvable", 1.0, 0.05, 10)).spectrum(),
+                         mean_shift=1e-200),
+        lambda: fi_eigen(make_covariance(CovSpec("solvable", 1.0, 0.05, 10)).spectrum(),
+                         mean_shift=1e200),
+    ], ids=["opm-zero-pair", "opm-inf-aw", "wva-underflow", "wva-overflow",
+            "eigen-underflow", "eigen-overflow"])
+    def test_coefficient_whose_square_leaves_the_normal_floats_is_invalid_spec(self, call):
+        # Once a ZeroDivisionError, an InvalidSpectrum, or an inf returned.
+        with pytest.raises(InvalidSpec, match="must square to a finite normal float"):
+            call()
 
 
 class TestEqualWeightVariance:
@@ -466,9 +517,9 @@ class TestInformationInequalities:
     @pytest.mark.parametrize("n", [2, 16, 100, 512])
     def test_cross_method_agreement(self, n):
         a, c = 1.0, 0.05
-        closed = fi_wva_solvable(a, c, n, 1.0, 1.0).value  # gamma = 1: direct closed form
+        closed = fi_wva_solvable(a, c, n, 1.0, 1.0)[0]  # gamma = 1: direct closed form
         numeric, _ = direct(Dense(build(CovSpec("solvable", a, c, n))))
         spectrum = make_covariance(CovSpec("solvable", a, c, n)).spectrum()
-        eigen = fi_eigen(spectrum).value
+        eigen = fi_eigen(spectrum)[0]
         assert numeric == pytest.approx(closed, rel=1e-8)
         assert eigen == pytest.approx(closed, rel=1e-8)

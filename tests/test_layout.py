@@ -7,13 +7,19 @@ count: re-exporting a name is not using it.  Likewise every public method or
 property of a public class must be read as an attribute (``obj.name``) in
 one of those modules.  A name that only its own tests call belongs in the
 tests.  And no module imports another's underscore-prefixed (private) name.
+
+The layout rules below each confine one kind of code to its home module:
+dense factorizations to the test oracle in tests/conftest.py, covariance
+contractions to covariance and fisher, 17-digit cell formats and result
+tables to experiments.  They read the code, not its comments.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = sorted(p for p in (ROOT / "src" / "estlab").glob("*.py") if p.name != "__init__.py")
+ALL_SRC = sorted((ROOT / "src" / "estlab").glob("*.py"))
+SRC = [p for p in ALL_SRC if p.name != "__init__.py"]
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -110,3 +116,78 @@ def test_no_module_imports_a_private_name_of_another():
         for name in _private_imports(_tree(path))
     )
     assert not reached, f"private names imported across modules: {reached}"
+
+
+def _offenders(check, allowed: tuple[str, ...] = ()) -> list[str]:
+    """``module:line`` of each node in src/estlab, outside ``allowed``, that ``check`` flags."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in ALL_SRC
+        if path.stem not in allowed
+        for node in ast.walk(_tree(path))
+        if check(node)
+    ]
+
+
+def _last_name(expr: ast.AST) -> str:
+    """``f`` of ``f`` or ``a.b.f``, else ''."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", "")
+
+
+def _callee(node: ast.AST) -> str:
+    """The last name of a call's callee (``f`` in ``a.b.f(...)``), else ''."""
+    return _last_name(node.func) if isinstance(node, ast.Call) else ""
+
+
+def _imports_matkernel(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    words = (getattr(node, "module", None) or "").split(".")
+    for alias in node.names:
+        words += [*alias.name.split("."), alias.asname]
+    return "matkernel" in words
+
+
+def _dense_solve(node: ast.AST) -> bool:
+    """A call of ``...cholesky``, ``...cho_solve`` or ``...linalg.solve``."""
+    callee = _callee(node)
+    return callee.endswith(("cholesky", "cho_solve")) or (
+        callee == "solve" and isinstance(node.func, ast.Attribute)
+        and _last_name(node.func.value).endswith("linalg"))
+
+
+def test_dense_oracle_only_in_the_tests_and_matkernel_only_symmatrix():
+    offenders = _offenders(lambda node: _imports_matkernel(node) or _dense_solve(node),
+                           allowed=("matkernel",))
+    assert not offenders, (
+        "src factors covariances with covariance.Chain; the dense oracle lives in "
+        f"tests/conftest.py, and matkernel holds only SymMatrix for the benchmark tracer: "
+        f"{offenders}")
+
+
+def test_study_contractions_only_through_fi_matched():
+    offenders = _offenders(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("quad", "form"),
+        allowed=("covariance", "fisher"))
+    assert not offenders, (
+        "studies take (fi, iv) from fisher.fi_matched; only covariance and fisher "
+        f"contract a covariance: {offenders}")
+
+
+def test_csv_cells_formatted_only_in_experiments():
+    offenders = _offenders(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+        and (".17g" if isinstance(node.value, str) else b".17g") in node.value,
+        allowed=("experiments",))
+    assert not offenders, (
+        "results hold str, float and int cells; experiments.write_csv alone formats "
+        f"them: {offenders}")
+
+
+def test_result_tables_built_only_in_experiments():
+    offenders = _offenders(lambda node: _callee(node).endswith("SweepResult"),
+                           allowed=("experiments",))
+    assert not offenders, (
+        "every result table is an experiments function's; the CLI parses argv and "
+        f"writes what that function returns: {offenders}")
