@@ -298,12 +298,14 @@ class Chain:
             try:
                 e[g] = _e_terms(self.a, self.c, fresh[g].tolist(), kept[g].tolist(), tails[g])
             except ZeroDivisionError:
-                e[g] = np.nan  # a zero pivot, which the check below rejects
+                e[g] = np.inf  # a zero pivot, which the check below rejects
         del fresh, kept
         cw = e
-        cw *= self.c
+        # E is non-finite after a zero pivot, or once it overflows for a subnormal a.
+        if np.isfinite(cw).all():
+            cw *= self.c
         pivot = cw + self.a
-        if not (pivot > PSD_TOLERANCE * (self.a + self.c)).all():
+        if not ((pivot > PSD_TOLERANCE * (self.a + self.c)) & (pivot < np.inf)).all():
             raise NotPositiveDefinite(
                 "covariance has an effectively zero variance direction"
             )

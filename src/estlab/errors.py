@@ -26,7 +26,3 @@ class InvalidSpec(EstlabError):
 
 class InvalidSpectrum(NumericFailure):
     """An eigenvalue/weight spectrum is inconsistent or non-positive."""
-
-
-class DegenerateDenominator(EstlabError):
-    """Optimal weighting is undefined because its denominator vanishes."""

@@ -38,7 +38,7 @@ from . import __version__
 from .covariance import (
     KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, Chain, CovSpec, check_model, make_covariance,
 )
-from .errors import DegenerateDenominator, InvalidSpec
+from .errors import InvalidSpec
 from .fisher import (
     TwoOutcomeSpec,
     fi_eigen,
@@ -326,11 +326,7 @@ def fig345_curves(alpha_grid) -> SweepResult:
     blocks = []
     for x, r in DEFAULT_CURVE_SPECS:
         spec = TwoOutcomeSpec.from_xr(x, r)
-        try:
-            alpha_star = optimal_alpha(spec)
-        except DegenerateDenominator:
-            # r = 1, x = 1: the curve is flat, every weighting is optimal.
-            alpha_star = 0.5
+        alpha_star = optimal_alpha(spec)
         minimum = two_outcome_variance(spec, alpha_star)
         blocks.append((
             x, r, alpha_cells, two_outcome_variance(spec, alpha_grid).tolist(),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import KIND_SOLVABLE, Covariance, WeightSpectrum, check_model
-from .errors import DegenerateDenominator, InvalidSpec, InvalidSpectrum
+from .errors import InvalidSpec, InvalidSpectrum, NumericFailure
 
 
 def _check_square(name: str, *squares: float) -> None:
@@ -141,13 +141,17 @@ def two_outcome_variance(spec: TwoOutcomeSpec, alpha) -> float | np.ndarray:
 
 
 def optimal_alpha(spec: TwoOutcomeSpec) -> float:
-    """Weight minimizing two_outcome_variance: (var2 - cov)/(var1 + var2 - 2cov)."""
+    """Weight minimizing two_outcome_variance: (var2 - cov)/(var1 + var2 - 2cov).
+
+    It is 0.5 on the flat curve var1 = var2 = cov, and NumericFailure where the
+    denominator cancels while var1 != var2: no float resolves that optimum.
+    """
     denom = spec.var1 + spec.var2 - 2.0 * spec.cov
-    if denom <= 0.0:
-        raise DegenerateDenominator(
-            "var1 + var2 - 2cov vanishes; every weighting has equal variance"
-        )
-    return (spec.var2 - spec.cov) / denom
+    if denom > 0.0:
+        return (spec.var2 - spec.cov) / denom
+    if spec.var1 != spec.var2:
+        raise NumericFailure(f"var1 + var2 - 2cov cancels to {denom!r} with var1 != var2")
+    return 0.5
 
 
 def fi_wva_solvable(
@@ -179,14 +183,14 @@ def fi_opm_solvable(
 ) -> tuple[float, float, tuple[float, float, float]]:
     """(fi, var, (I1, I2, I3)): exact two-channel information on the solvable model.
 
-    fi = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a
-       = (a*N*[g*Aw^2 + (1-g)*Awp^2] + c*g*(1-g)*N^2*(Aw - Awp)^2)
-         / (a^2 + N*a*c)
+    fi = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a             for c < 0,
+       = (a*sum mu^2 + c*n1*n2*(Aw - Awp)^2) / (a^2 + N*a*c)  for c >= 0,
 
-    with the block terms (I1, I2, I3) splitting the second form, and var
-    that of the matched plain average.  For the overlap-model coefficients
-    fi collapses to N/a at every gamma: using both channels and their
-    cross-correlation removes the correlated noise entirely.
+    with n1 = g*N and n2 = (1-g)*N: each form where its terms are all
+    non-negative, so that neither cancels.  The block terms (I1, I2, I3) split
+    the second form, and var is that of the matched plain average.  For the
+    overlap-model coefficients fi collapses to N/a at every gamma: using both
+    channels and their cross-correlation removes the correlated noise entirely.
     """
     check_model(KIND_SOLVABLE, a, c, n)
     if not 0.0 < gamma < 1.0:
@@ -206,10 +210,8 @@ def fi_opm_solvable(
     i3 = -2.0 * c * aw * awp * n1 * n2 / denom
     sum_mu = n1 * aw + n2 * awp
     ew_var = (a * sum_mu2 + c * sum_mu * sum_mu) / (sum_mu2 * sum_mu2)
-    # Sherman-Morrison.  For c < 0 both of its terms are positive, while the
-    # block terms grow without bound and cancel as c -> -a/n.  For c >= 0
-    # the value cancels instead, so the block terms must agree with it.
-    value = (sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a
-    if c >= 0.0 and not abs(i1 + i2 + i3 - value) <= 1e-9 * value:
-        raise InvalidSpectrum(f"term decomposition sums to {i1 + i2 + i3}, expected {value}")
+    if c < 0.0:  # the block terms grow without bound and cancel as c -> -a/n
+        value = (sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a
+    else:
+        value = (a * sum_mu2 + c * n1 * n2 * ((aw - awp) * (aw - awp))) / denom
     return *_answer(value, ew_var), (i1, i2, i3)

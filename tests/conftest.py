@@ -31,7 +31,7 @@ from estlab.covariance import (
     WeightSpectrum,
     subset_index,
 )
-from estlab.errors import DegenerateDenominator, InvalidSpec, NotPositiveDefinite, NumericFailure
+from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
 from estlab.experiments import DEFAULT_CURVE_SPECS, SweepResult, write_csv
 from estlab.fisher import TwoOutcomeSpec, fi_two_outcome, optimal_alpha, two_outcome_variance
@@ -121,10 +121,7 @@ def fig345_pointwise(alpha_grid) -> list[tuple]:
     rows = []
     for x, r in DEFAULT_CURVE_SPECS:
         spec = TwoOutcomeSpec.from_xr(x, r)
-        try:
-            alpha_star = optimal_alpha(spec)
-        except DegenerateDenominator:
-            alpha_star = 0.5
+        alpha_star = optimal_alpha(spec)
         minimum = two_outcome_variance(spec, alpha_star)
         for alpha in np.asarray(alpha_grid, dtype=float):
             rows.append(

@@ -260,6 +260,15 @@ class TestValidation:
         assert not out.exists()
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_subnormal_a_is_numeric_failure_without_a_warning(self, tmp_path, capsys):
+        # E/(a + cE) overflows to inf, and inf*c at c = 0 is nan: a
+        # RuntimeWarning, which the suite's filter would raise out of main.
+        out = tmp_path / "x.csv"
+        assert main(["fisher", "--model", "solvable", "--a", "1e-310", "--c", "0",
+                     "--n", "2", "-o", str(out)]) == 5
+        assert not out.exists()
+        assert "effectively zero variance direction" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", [2**32 + 1, 100_000_000_000])
     def test_more_than_2_pow_32_trials_is_invalid_configuration(
         self, trials, tmp_path, capsys

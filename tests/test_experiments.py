@@ -105,6 +105,16 @@ class TestTable1:
             before = sum(block_terms(make_covariance(CovSpec(kind, a, c, n)), blocks))
             assert abs(cells["opm", regime] - before) <= 1e-15 * before
 
+    def test_opm_closed_cell_moves_by_rounding_only(self):
+        # At the golden's point.  The cell was the Sherman-Morrison value; for
+        # c >= 0 it is now the grouped block form, whose terms are non-negative.
+        a, c, n, gamma = 1.3, 0.07, 300, 0.02
+        rows = list(table1(a, c, n, gamma).rows)
+        row = next(r for r in rows if r[:2] == ("opm", "correlated"))
+        assert abs(row[2] - n / a) <= 1e-15 * (n / a)
+        assert row[4] < 1e-12
+        assert [r[5] for r in rows] == ["true"] * 6
+
     @settings(max_examples=60, deadline=None)
     @given(
         a=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),

@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from estlab.covariance import Chain, CovSpec, WeightSpectrum, check_model, make_covariance
-from estlab.errors import (
-    DegenerateDenominator, EstlabError, InvalidSpec, InvalidSpectrum, NotPositiveDefinite,
-)
+from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.fisher import (
     TwoOutcomeSpec,
     fi_eigen,
@@ -28,6 +26,17 @@ from conftest import Dense, block_terms, build, chain_matrix, random_spd
 def direct(cov, mean_shift=1.0):
     """(fi, iv) of the direct strategy: every slot, mean coefficient mean_shift."""
     return fi_matched(cov, np.ones(cov.dim), mean_shift * mean_shift)
+
+
+def _decades(low, high):
+    """Positive floats 10**u, u uniform in [low, high]."""
+    return st.floats(low, high).map(lambda u: 10.0**u)
+
+
+def _signed_decades(low, high):
+    """Floats of either sign whose magnitudes are _decades(low, high)."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), _decades(low, high)).map(
+        lambda pair: pair[0] * pair[1])
 
 
 class TestDirectNumeric:
@@ -137,8 +146,8 @@ class TestTwoOutcome:
         assert two_outcome_variance(spec, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
-            optimal_alpha(TwoOutcomeSpec(1.0, 1.0, 1.0))
+        # var1 = var2 = cov: every weight has the same variance.
+        assert optimal_alpha(TwoOutcomeSpec(1.0, 1.0, 1.0)) == 0.5
 
     @pytest.mark.parametrize("x", [-1.0, 0.0, math.nan])
     def test_from_xr_needs_positive_asymmetry(self, x):
@@ -152,6 +161,32 @@ class TestTwoOutcome:
         grid = np.linspace(-2.0, 3.0, 501)
         values = [two_outcome_variance(spec, alpha) for alpha in grid]
         assert best <= min(values) + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @example(x=1.0, r=1.0)
+    @example(x=1.0, r=-1.0)
+    @example(x=4.0, r=1.0)
+    @given(x=st.one_of(st.just(1.0), _decades(-3.0, 3.0)),
+           r=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    def test_optimum_beats_a_fine_grid(self, x, r):
+        spec = TwoOutcomeSpec.from_xr(x, r)
+        try:
+            alpha = optimal_alpha(spec)
+        except NumericFailure:  # x near 1 and r = 1: no float resolves the optimum
+            return
+        best = two_outcome_variance(spec, alpha)
+        grid = two_outcome_variance(spec, np.linspace(-3.0, 4.0, 7001))
+        # best is the rounded sum of these terms, which cancel at |alpha| >> 1.
+        terms = alpha**2 * spec.var1 + (1 - alpha)**2 * spec.var2 \
+            + 2 * abs(alpha * (1 - alpha) * spec.cov)
+        assert best <= grid.min() + 1e-12 * (spec.var1 + spec.var2) + 4e-16 * terms
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-11, 1.0 - 1e-11])
+    def test_optimum_beyond_floating_point_is_numeric_failure(self, x):
+        # var1 + var2 - 2cov rounds to 0 or below, though the curve is not
+        # flat: its slope is about (1 - x)/2, and its optimum near 2/(1 - x).
+        with pytest.raises(NumericFailure, match="cancels"):
+            optimal_alpha(TwoOutcomeSpec.from_xr(x, 1.0))
 
 
 class TestPartitioned:
@@ -370,6 +405,20 @@ class TestOpmSolvable:
         assert fi == pytest.approx(10.0, rel=1e-12)
         assert sum(terms) == pytest.approx(10.0, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @example(a=1e-3, c=1e3, n=2000, n1=1000, aw=1.0, awp=1.0)
+    @example(a=1.0, c=0.0, n=2, n1=1, aw=-3.0, awp=0.01)
+    @given(a=_decades(-3.0, 3.0), c=st.one_of(st.just(0.0), _decades(-4.0, 3.0)),
+           n=st.integers(2, 2000), n1=st.integers(1, 1999),
+           aw=_signed_decades(-2.0, 2.0), awp=_signed_decades(-2.0, 2.0))
+    def test_value_is_the_numeric_information_for_c_at_least_zero(self, a, c, n, n1, aw, awp):
+        # Same-sign pairs are where the Sherman-Morrison value cancels.
+        assume(n1 < n)
+        mu = np.r_[np.full(n1, aw), np.full(n - n1, awp)]
+        want = float(fi_matched(Chain(a, c, math.inf, np.arange(n)), mu)[0])
+        fi, _, _ = fi_opm_solvable(a, c, n, n1 / n, aw, awp)
+        assert abs(fi - want) <= 1e-12 * want
+
     def test_equal_weight_variance_saturates_for_spin(self):
         model = spin_model(0.7)
         fi, var, _ = fi_opm_solvable(2.0, 0.4, 60, model.gamma, model.aw, model.awp)
@@ -398,6 +447,7 @@ class TestClosedFormsAnswerOrRaise:
     @given(a=_edgy(0.0, 10.0), c=_edgy(-1.0, 10.0), n=st.integers(1, 2000),
            gamma=_edgy(0.0, 1.0), aw=_edgy(-30.0, 30.0), awp=_edgy(-30.0, 30.0),
            shift=_edgy(-10.0, 10.0))
+    @example(a=1.0, c=0.0, n=1, gamma=2.2250738585e-313, aw=1e200, awp=0.0, shift=0.0)
     def test_finite_positive_or_estlab_error(self, a, c, n, gamma, aw, awp, shift):
         # Never a ZeroDivisionError, and never a silent inf, nan or 0.
         calls = [
@@ -418,11 +468,11 @@ class TestClosedFormsAnswerOrRaise:
         assert fi == 1000.0000000000002
 
     @pytest.mark.parametrize("a", [1e-12, 1e-20])
-    def test_opm_cancelling_value_is_numeric_failure(self, a):
-        # c >= 0: the Sherman-Morrison value cancels, to 1.0000889 where
-        # 10/(10 + 1e-12) is exact, and to 0.0 at a = 1e-20.
-        with pytest.raises(InvalidSpectrum):
-            fi_opm_solvable(a, 1.0, 10, 0.5, 1.0, 1.0)
+    def test_opm_value_does_not_cancel_for_c_at_least_zero(self, a):
+        # The Sherman-Morrison value gave 1.0000889 here, and 0.0 at a = 1e-20.
+        want = 10.0 / (10.0 + a)
+        fi, _, _ = fi_opm_solvable(a, 1.0, 10, 0.5, 1.0, 1.0)
+        assert abs(fi - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("call", [
         lambda: fi_opm_solvable(1.0, 0.05, 10, 0.5, 0.0, 0.0),

@@ -2,16 +2,18 @@
 
 A public module-level name (a function, class or constant not starting with
 an underscore) must be referenced by some module under src/estlab, or else
-by the benchmark harness in perfbench/.  The package ``__init__`` does not
-count: re-exporting a name is not using it.  Likewise every public method or
+by the benchmark harness in perfbench/.  Likewise every public method or
 property of a public class must be read as an attribute (``obj.name``) in
 one of those modules.  A name that only its own tests call belongs in the
 tests.  And no module imports another's underscore-prefixed (private) name.
+The package ``__init__`` binds nothing but ``__version__``: each name is
+imported from its module.
 
 The layout rules below each confine one kind of code to its home module:
 dense factorizations to the test oracle in tests/conftest.py, covariance
 contractions to covariance and fisher, 17-digit cell formats and result
-tables to experiments.  They read the code, not its comments.
+tables to experiments, and the handling of estlab's errors to cli.  They
+read the code, not its comments.
 """
 
 import ast
@@ -109,6 +111,15 @@ def _private_imports(tree: ast.Module) -> set[str]:
     }
 
 
+def test_package_binds_only_its_version():
+    statements = [
+        ast.unparse(node) for node in _tree(ROOT / "src" / "estlab" / "__init__.py").body
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+    ]
+    assert len(statements) == 1 and statements[0].startswith("__version__ = "), (
+        f"estlab/__init__.py binds more than __version__: {statements}")
+
+
 def test_no_module_imports_a_private_name_of_another():
     reached = sorted(
         f"{path.stem} imports {name}"
@@ -191,3 +202,15 @@ def test_result_tables_built_only_in_experiments():
     assert not offenders, (
         "every result table is an experiments function's; the CLI parses argv and "
         f"writes what that function returns: {offenders}")
+
+
+def test_only_the_cli_catches_estlab_errors():
+    errors = {node.name for node in _tree(ROOT / "src" / "estlab" / "errors.py").body
+              if isinstance(node, ast.ClassDef)}
+    offenders = _offenders(
+        lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(_last_name(name) in errors for name in ast.walk(node.type)),
+        allowed=("cli",))
+    assert not offenders, (
+        "library functions answer or raise; cli.main alone maps an estlab error to "
+        f"its exit code: {offenders}")
