@@ -468,8 +468,10 @@ class TestClosedFormsAnswerOrRaise:
         assert fi == 1000.0000000000002
 
     @pytest.mark.parametrize("a", [1e-12, 1e-20])
-    def test_opm_value_does_not_cancel_for_c_at_least_zero(self, a):
-        # The Sherman-Morrison value gave 1.0000889 here, and 0.0 at a = 1e-20.
+    def test_opm_cancelling_value_is_numeric_failure(self, a):
+        # c >= 0: the Sherman-Morrison value cancelled here, to 1.0000889 and
+        # to 0.0 at a = 1e-20, and was refused; the c >= 0 form has no
+        # cancelling terms, so the answer is now the exact 10/(10 + a).
         want = 10.0 / (10.0 + a)
         fi, _, _ = fi_opm_solvable(a, 1.0, 10, 0.5, 1.0, 1.0)
         assert abs(fi - want) <= 1e-15 * want
