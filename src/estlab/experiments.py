@@ -4,9 +4,9 @@ Each function returns SweepResults, whose blocks hold a grid axis or a
 per-curve constant once, and write_csv formats each of them once.  It
 writes a single metadata comment line, 17-significant-digit floats and LF
 line endings, so repeated runs are byte identical.  Each function takes
-every argument: the CLI holds the defaults.  The two-outcome studies
-evaluate fisher's closed forms over whole grids at once.  Every grid needs
-at least one point.
+every argument: the CLI holds the defaults.  The two-outcome studies and
+fig6 evaluate fisher's closed forms over whole grids at once.  Every grid
+needs at least one point.
 
 * ``fisher``  information of one model by every method that applies.
 * ``simulate``  seeded Monte Carlo of one estimator, and on request its
@@ -38,7 +38,7 @@ from . import __version__
 from .covariance import (
     KIND_EXPONENTIAL, KIND_SOLVABLE, KIND_WHITE, Chain, CovSpec, check_model, make_covariance,
 )
-from .errors import InvalidSpec
+from .errors import InvalidSpec, finite_positive
 from .fisher import (
     TwoOutcomeSpec,
     fi_eigen,
@@ -53,7 +53,9 @@ from .montecarlo import run_trials
 from .partition import (
     SCHEME_BERNOULLI,
     SCHEME_PERIODIC,
-    PartitionDesign,
+    bernoulli_retained,
+    blocks_layout,
+    check_inside,
     check_seed,
     make_design,
     spin_coefficients,
@@ -164,6 +166,12 @@ def _points(name: str, grid) -> np.ndarray:
     if grid.size == 0:
         raise InvalidSpec(f"the {name} grid needs at least one point")
     return grid
+
+
+def _span(name: str, grid: np.ndarray) -> dict:
+    """The metadata of a study's grid: its least and greatest point and its size."""
+    return {f"{name}_min": float(grid.min()), f"{name}_max": float(grid.max()),
+            f"{name}_points": grid.size}
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +303,7 @@ def fig2_surface(x_grid, r_grid) -> SweepResult:
     return SweepResult(
         headers=("x", "r", "inverse_fi_scaled"),
         blocks=[(x, r_cells, values) for x, values in zip(x_grid.tolist(), scaled.tolist())],
-        metadata=_metadata(
-            "fig2",
-            x_min=float(x_grid.min()),
-            x_max=float(x_grid.max()),
-            x_points=x_grid.size,
-            r_min=float(r_grid.min()),
-            r_max=float(r_grid.max()),
-            r_points=r_grid.size,
-        ),
+        metadata=_metadata("fig2", **_span("x", x_grid), **_span("r", r_grid)),
     )
 
 
@@ -335,13 +335,7 @@ def fig345_curves(alpha_grid) -> SweepResult:
     return SweepResult(
         headers=("x", "r", "alpha", "variance", "alpha_star", "min_variance"),
         blocks=blocks,
-        metadata=_metadata(
-            "fig345",
-            curves=len(DEFAULT_CURVE_SPECS),
-            alpha_min=float(alpha_grid.min()),
-            alpha_max=float(alpha_grid.max()),
-            alpha_points=alpha_grid.size,
-        ),
+        metadata=_metadata("fig345", curves=len(DEFAULT_CURVE_SPECS), **_span("alpha", alpha_grid)),
     )
 
 
@@ -359,30 +353,22 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
     """
     if n < 2 or c_over_a < 0.0:
         raise InvalidSpec(f"fig6 needs n >= 2 and c_over_a >= 0, got {n}, {c_over_a}")
-    phi_grid = _points("phi", phi_grid)
+    phi_grid = _points("phi", phi_grid).ravel()
     a = 1.0
     c = c_over_a * a
     unit = n / a
-    models = [spin_model(phi) for phi in phi_grid]
-    retained = [min(max(int(round(m.gamma * n)), 1), n - 1) for m in models]
+    model = spin_model(phi_grid)
+    retained = np.clip(np.rint(model.gamma * n), 1, n - 1).astype(int)
     # One pass over the mu' columns of every phi, not one solve per phi.
-    mu_prime = np.column_stack(
-        [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
-    )
-    numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)), mu_prime)
-    totals, _, terms = zip(*(fi_opm_solvable(a, c, n, m.gamma, m.aw, m.awp) for m in models))
+    layout, pair = blocks_layout(n, retained)
+    numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)),
+                            np.where(layout, *pair))
+    total, _, terms = fi_opm_solvable(a, c, n, model.gamma, model.aw, model.awp)
     return SweepResult(
-        headers=(
-            "phi", "gamma", "n_retained", "i1", "i2", "i3", "total", "total_numeric",
-        ),
-        blocks=[(
-            phi_grid.tolist(), [m.gamma for m in models], retained,
-            *([term / unit for term in column] for column in zip(*terms)),
-            [total / unit for total in totals], (numeric / unit).tolist(),
-        )],
-        metadata=_metadata(
-            "fig6", n=n, c_over_a=c_over_a, phi_points=phi_grid.size
-        ),
+        headers=("phi", "gamma", "n_retained", "i1", "i2", "i3", "total", "total_numeric"),
+        blocks=[(phi_grid.tolist(), model.gamma.tolist(), retained.tolist(),
+                 *((column / unit).tolist() for column in (*terms, total, numeric)))],
+        metadata=_metadata("fig6", n=n, c_over_a=c_over_a, phi_points=phi_grid.size),
     )
 
 
@@ -390,10 +376,8 @@ def fig6_decomposition(n: int, c_over_a: float, phi_grid) -> SweepResult:
 # fig7: exponential-correlation sweep
 # ---------------------------------------------------------------------------
 
-def retention_designs(
-    n: int, gamma: float, scheme: str, reps: int, seed: int
-) -> list[PartitionDesign]:
-    """fig7's retention patterns: the periodic design, or ``reps`` bernoulli ones.
+def retention_sets(n: int, gamma: float, scheme: str, reps: int, seed: int) -> list[np.ndarray]:
+    """fig7's retention patterns as retained slots: the periodic one, or ``reps`` bernoulli ones.
 
     Bernoulli patterns use the seeds seed, seed + 1, ... in turn, skipping
     any that retain no slot.  That stream is fixed by (n, gamma, seed,
@@ -403,22 +387,22 @@ def retention_designs(
     if reps < 1:
         raise InvalidSpec(f"reps must be at least 1, got {reps}")
     if scheme == SCHEME_PERIODIC:
-        return [make_design(n, SCHEME_PERIODIC, gamma=gamma)]
+        return [make_design(n, SCHEME_PERIODIC, gamma=gamma).channel_slots("retained")]
     if scheme != SCHEME_BERNOULLI:
         raise InvalidSpec("fig7 retention scheme must be periodic or bernoulli")
-    designs = []
-    draw = 0
-    while len(designs) < reps:
-        design = make_design(n, SCHEME_BERNOULLI, gamma=gamma, seed=seed + draw)
+    check_inside("gamma", gamma, 1.0, "1")
+    sets, draw = [], 0
+    while len(sets) < reps:
+        retained = np.flatnonzero(bernoulli_retained(n, gamma, seed + draw))
         draw += 1
-        if design.channel_slots("retained").size > 0:
-            designs.append(design)
+        if retained.size > 0:
+            sets.append(retained)
         if draw > 100 * reps:
             raise InvalidSpec(
                 f"bernoulli retention (n={n}, gamma={gamma!r}) kept no slot in "
-                f"{draw - len(designs)} of {draw} patterns from seed {seed}; "
+                f"{draw - len(sets)} of {draw} patterns from seed {seed}; "
                 f"{reps} non-empty patterns are needed")
-    return designs
+    return sets
 
 
 # fig7 solves at most this many (eta, slot) cells at once, about 71 B each.
@@ -462,11 +446,9 @@ def fig7_sweep(
     check_model(KIND_EXPONENTIAL, a, c, n)
     seed = check_seed(seed)
 
-    designs = retention_designs(n, gamma, scheme, reps, seed)
-    retained_sets = [d.channel_slots("retained") for d in designs]
-    aw2 = n / retained_sets[0].size if scheme == SCHEME_PERIODIC else 1.0 / gamma
-
     ones_and_g = np.column_stack([np.ones(n), make_design(n, "alternating").mu_prime])
+    retained_sets = retention_sets(n, gamma, scheme, reps, seed)
+    aw2 = n / retained_sets[0].size if scheme == SCHEME_PERIODIC else 1.0 / gamma
     step = max(1, BUDGET // n)
     chunks = []
     for k in range(0, eta_grid.size, step):
@@ -502,9 +484,7 @@ def fig7_sweep(
             gamma=gamma,
             scheme=scheme,
             reps=reps if scheme == SCHEME_BERNOULLI else 1,
-            eta_min=float(eta_grid.min()),
-            eta_max=float(eta_grid.max()),
-            eta_points=eta_grid.size,
+            **_span("eta", eta_grid),
         ),
     )
 
@@ -517,17 +497,21 @@ def delta_i(a: float, c: float, n: int) -> float:
     """Information gap N/a - N/(a+c) between full partitioning and WVA.
 
     Computed as N*c/(a*(a+c)), since the difference cancels when c << a.
+    It is 0 at c = 0; any other result must be a finite positive float.
     """
     if c < 0.0:
         raise InvalidSpec("delta_i requires c >= 0")
     check_model(KIND_SOLVABLE, a, c, n)
-    return n * c / (a * (a + c))
+    if c == 0.0:
+        return 0.0
+    denom = a * (a + c)  # 0 where it underflows, at a tiny a
+    return finite_positive("delta_i", n * c / denom if denom > 0.0 else math.inf)
 
 
 def delta_i_summary(a: float, c: float, n: int) -> SweepResult:
     """Exact gap plus its small-offset (c = a/N) approximation 1/(a + a/N)."""
     exact = delta_i(a, c, n)
-    approx = 1.0 / (a + a / n)
+    approx = finite_positive("the small-c approximation", 1.0 / (a + a / n))
     return SweepResult(
         headers=("a", "c", "n", "delta_i_exact", "delta_i_small_c_approx"),
         blocks=[(a, c, n, exact, approx)],

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import KIND_SOLVABLE, Covariance, WeightSpectrum, check_model
-from .errors import InvalidSpec, InvalidSpectrum, NumericFailure
+from .errors import InvalidSpec, InvalidSpectrum, NumericFailure, finite_positive
+from .partition import as_floats, check_inside
 
 
 def _check_square(name: str, *squares: float) -> None:
@@ -47,11 +48,9 @@ def _check_square(name: str, *squares: float) -> None:
                               f"finite normal float; its square is {square!r}")
 
 
-def _answer(fi: float, var: float) -> tuple[float, float]:
-    """(fi, var), or InvalidSpectrum unless both are finite and positive."""
-    if not (0.0 < fi < math.inf and 0.0 < var < math.inf):
-        raise InvalidSpectrum(f"fi = {fi!r} and var = {var!r} must be finite and positive")
-    return fi, var
+def _answer(fi, var) -> tuple:
+    """(fi, var), or InvalidSpectrum unless every entry of both is finite and positive."""
+    return finite_positive("fi", fi), finite_positive("var", var)
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,13 @@ def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> tuple[floa
     return _answer(value, var)
 
 
+@np.errstate(over="ignore")  # an infinite entry, at a subnormal var1 say, is rejected
 def fi_two_outcome(spec: TwoOutcomeSpec) -> float | np.ndarray:
     """Two-sample information (var1 + var2 - 2cov) / (var1*var2 - cov^2), per entry."""
     det = spec.var1 * spec.var2 - spec.cov * spec.cov
     if np.any(det <= 0.0):
         raise InvalidSpec("|r| = 1: degenerate covariance carries infinite information")
-    return (spec.var1 + spec.var2 - 2.0 * spec.cov) / det
+    return finite_positive("fi", (spec.var1 + spec.var2 - 2.0 * spec.cov) / det)
 
 
 def two_outcome_variance(spec: TwoOutcomeSpec, alpha) -> float | np.ndarray:
@@ -178,9 +178,8 @@ def fi_wva_solvable(
     return _answer(aw2 * retained / denom, (a / retained + c) / aw2)
 
 
-def fi_opm_solvable(
-    a: float, c: float, n: int, gamma: float, aw: float, awp: float
-) -> tuple[float, float, tuple[float, float, float]]:
+@np.errstate(over="ignore", invalid="ignore")
+def fi_opm_solvable(a: float, c: float, n: int, gamma, aw, awp) -> tuple:
     """(fi, var, (I1, I2, I3)): exact two-channel information on the solvable model.
 
     fi = (sum mu^2 - c*(sum mu)^2 / (a + N*c)) / a             for c < 0,
@@ -191,14 +190,16 @@ def fi_opm_solvable(
     the second form, and var is that of the matched plain average.  For the
     overlap-model coefficients fi collapses to N/a at every gamma: using both
     channels and their cross-correlation removes the correlated noise entirely.
+    gamma, aw and awp may be arrays that broadcast, each entry with its own
+    rules (an inf or nan is theirs to reject, not a warning's); scalars give floats.
     """
     check_model(KIND_SOLVABLE, a, c, n)
-    if not 0.0 < gamma < 1.0:
-        raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
+    gamma, aw, awp = np.broadcast_arrays(check_inside("gamma", gamma, 1.0, "1"), aw, awp)
     n1 = gamma * n
     n2 = (1.0 - gamma) * n
     sum_mu2 = n1 * aw * aw + n2 * awp * awp
-    _check_square("the squared norm of the mean coefficients", sum_mu2 * sum_mu2)
+    _check_square("the squared norm of the mean coefficients",
+                  *(sum_mu2 * sum_mu2).ravel().tolist())
     denom = a * a + n * a * c
     # a*a underflows for a below about 1e-154, and for c one ulp above
     # -a/n, n*c can round to -a.
@@ -214,4 +215,4 @@ def fi_opm_solvable(
         value = (sum_mu2 - c * sum_mu * sum_mu / (a + n * c)) / a
     else:
         value = (a * sum_mu2 + c * n1 * n2 * ((aw - awp) * (aw - awp))) / denom
-    return *_answer(value, ew_var), (i1, i2, i3)
+    return (*as_floats(*_answer(value, ew_var)), as_floats(i1, i2, i3))

@@ -13,7 +13,8 @@ mu_prime[i] * d.  ``make_design`` builds the five ``SCHEMES``:
 * ``blocks``       first round(gamma*n) slots in channel 1, rest in channel 2
 
 ``check_seed`` is the one seed rule (an integer >= 0), for the bernoulli
-draw here and for every seeded study and Monte Carlo run.  The two-state
+draw here and for every seeded study and Monte Carlo run.  make_design and
+the studies share ``blocks_layout`` and ``bernoulli_retained``.  The two-state
 overlap model ties an overlap angle phi to weak values and retention
 probability:
 
@@ -61,28 +62,55 @@ def check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class SpinModel:
-    """Weak values and retention probability of one overlap angle phi in (0, pi)."""
+    """Weak values and retention probability of an overlap angle phi in (0, pi), or arrays."""
 
     aw: float
     awp: float
     gamma: float
 
 
-def spin_model(phi: float) -> SpinModel:
-    """Overlap-model weak values; Aw * Awp == -1 identically."""
-    if not 0.0 < phi < math.pi:
-        raise InvalidSpec(f"phi must lie strictly inside (0, pi), got {phi}")
-    half = 0.5 * phi
-    sin_h = math.sin(half)
-    cos_h = math.cos(half)
-    return SpinModel(aw=-cos_h / sin_h, awp=sin_h / cos_h, gamma=sin_h * sin_h)
+def check_inside(name: str, values, hi: float, hi_name: str) -> np.ndarray:
+    """``values`` as a float array, or InvalidSpec naming the first entry outside (0, hi)."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((0.0 < values) & (values < hi))
+    if bad.any():
+        raise InvalidSpec(f"{name} must lie strictly inside (0, {hi_name}), got {values[bad][0]}")
+    return values
 
 
-def spin_coefficients(gamma: float) -> tuple[float, float]:
-    """(Aw, Awp) of the overlap model with retention probability gamma."""
-    if not 0.0 < gamma < 1.0:
-        raise InvalidSpec(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    return -math.sqrt((1.0 - gamma) / gamma), math.sqrt(gamma / (1.0 - gamma))
+def as_floats(*arrays) -> tuple:
+    """Each array, or its float where it has no axes: a scalar input gives floats."""
+    return tuple(float(x) if np.ndim(x) == 0 else x for x in arrays)
+
+
+# Near phi = 0 or gamma = 0, Aw overflows to -inf for its readers' rules to reject.
+@np.errstate(divide="ignore", over="ignore")
+def spin_model(phi) -> SpinModel:
+    """Overlap-model weak values; Aw * Awp == -1 identically.  phi may be an array."""
+    half = 0.5 * check_inside("phi", phi, math.pi, "pi")
+    # numpy's float64 sin and cos round as math's do; the tests hold them to it.
+    sin_h, cos_h = np.sin(half), np.cos(half)
+    return SpinModel(*as_floats(-cos_h / sin_h, sin_h / cos_h, sin_h * sin_h))
+
+
+@np.errstate(divide="ignore", over="ignore")
+def spin_coefficients(gamma) -> tuple:
+    """(Aw, Awp) of the overlap model with retention probability gamma, which may be an array."""
+    gamma = check_inside("gamma", gamma, 1.0, "1")
+    return as_floats(-np.sqrt((1.0 - gamma) / gamma), np.sqrt(gamma / (1.0 - gamma)))
+
+
+def blocks_layout(n: int, n1) -> tuple[np.ndarray, tuple]:
+    """(retained, (Aw, Awp)): the first n1 of n slots retained, and the overlap pair
+    at the realized fraction n1/n, so the layout is an exact overlap-model partition
+    whatever gamma*n is.  An array n1 gives one column of ``retained`` per entry."""
+    return np.less.outer(np.arange(n), n1), spin_coefficients(n1 / n)
+
+
+def bernoulli_retained(n: int, gamma: float, seed: int) -> np.ndarray:
+    """Bernoulli retention of a checked ``seed``: slot i is kept where draw i of the
+    seeded generator, PCG64 of SeedSequence(seed), falls below gamma."""
+    return np.random.default_rng(np.random.SeedSequence(seed)).random(n) < gamma
 
 
 @dataclass(frozen=True)
@@ -178,8 +206,7 @@ def make_design(
                 f"{scheme} scheme requires gamma strictly inside (0, 1), got {gamma}"
             )
         if scheme == SCHEME_BERNOULLI:
-            rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
-            retained = rng.random(n) < gamma
+            retained = bernoulli_retained(n, gamma, check_seed(seed))
         elif scheme == SCHEME_PERIODIC:
             # Capped at n, where slot 0 alone is retained, so 1/gamma = inf cannot
             # overflow int(); gamma < 1 and n >= 2 keep the period at least 1.
@@ -190,10 +217,8 @@ def make_design(
                 raise InvalidSpec(
                     f"gamma={gamma} leaves an empty channel for n={n} contiguous blocks"
                 )
-            retained = slots < n1
-            # Coefficients at the realized fraction keep the layout an exact
-            # overlap-model partition even when gamma*n is not an integer.
-            coeffs = coeffs or spin_coefficients(n1 / n)
+            retained, pair = blocks_layout(n, n1)
+            coeffs = coeffs or pair
         assignment = np.where(retained, 0, 1)
         coeffs = coeffs or (math.sqrt(1.0 / gamma), 0.0)
 

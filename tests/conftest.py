@@ -9,10 +9,11 @@ formula, the reference for the weights ``estlab.estimators`` builds once per
 run.  ``column`` reads one column of a SweepResult as a float array, and
 ``block_terms`` is the numeric (I1, I2, I3) split of a two-channel design's
 information that the closed terms of ``fi_opm_solvable`` are held to.
-``fig2_pointwise`` and ``fig345_pointwise`` are the two-outcome studies
-evaluated one grid point at a time, the scalar oracle of their whole-grid
-evaluation, and ``per_cell_csv`` is write_csv with every cell formatted by
-itself (``_format_cell``), the byte oracle of its per-list formatting.
+``fig2_pointwise``, ``fig345_pointwise`` and ``fig6_pointwise`` are the
+studies evaluated one grid point at a time, the scalar oracle of their
+whole-grid evaluation, and ``per_cell_csv`` is write_csv with every cell
+formatted by itself (``_format_cell``), the byte oracle of its per-list
+formatting.
 """
 
 import io
@@ -29,14 +30,22 @@ from estlab.covariance import (
     PSD_TOLERANCE,
     CovSpec,
     WeightSpectrum,
+    make_covariance,
     subset_index,
 )
 from estlab.errors import InvalidSpec, NotPositiveDefinite, NumericFailure
 from estlab.estimators import Dataset
 from estlab.experiments import DEFAULT_CURVE_SPECS, SweepResult, write_csv
-from estlab.fisher import TwoOutcomeSpec, fi_two_outcome, optimal_alpha, two_outcome_variance
+from estlab.fisher import (
+    TwoOutcomeSpec,
+    fi_matched,
+    fi_opm_solvable,
+    fi_two_outcome,
+    optimal_alpha,
+    two_outcome_variance,
+)
 from estlab.matkernel import SymMatrix
-from estlab.partition import CHANNEL_RETAINED
+from estlab.partition import CHANNEL_RETAINED, make_design, spin_model
 
 
 class ConvergenceFailure(NumericFailure):
@@ -127,6 +136,25 @@ def fig345_pointwise(alpha_grid) -> list[tuple]:
             rows.append(
                 (x, r, alpha, two_outcome_variance(spec, alpha), alpha_star, minimum)
             )
+    return rows
+
+
+def fig6_pointwise(n: int, c_over_a: float, phi_grid) -> list[tuple]:
+    """fig6_decomposition's rows, one spin_model, make_design and fi_opm_solvable call per phi."""
+    a = 1.0
+    c = c_over_a * a
+    unit = n / a
+    models = [spin_model(phi) for phi in np.asarray(phi_grid, dtype=float).tolist()]
+    retained = [min(max(int(round(m.gamma * n)), 1), n - 1) for m in models]
+    mu_prime = np.column_stack(
+        [make_design(n, "blocks", gamma=n1 / n).mu_prime for n1 in retained]
+    )
+    numeric, _ = fi_matched(make_covariance(CovSpec(KIND_SOLVABLE, a, c, n)), mu_prime)
+    rows = []
+    for phi, m, n1, total_numeric in zip(phi_grid, models, retained, numeric.tolist()):
+        total, _, terms = fi_opm_solvable(a, c, n, m.gamma, m.aw, m.awp)
+        rows.append((float(phi), m.gamma, n1, *(term / unit for term in terms),
+                     total / unit, total_numeric / unit))
     return rows
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from estlab import __version__
 from estlab.cli import build_parser, main
 from estlab.covariance import Chain
 from estlab.experiments import table1, write_csv
+from estlab.partition import PartitionDesign
 
 from conftest import Dense, chain_matrix
 
@@ -269,6 +271,25 @@ class TestValidation:
         assert not out.exists()
         assert "effectively zero variance direction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # a*(a + c) underflows to 0: once a ZeroDivisionError, exit 1.
+        ["delta-i", "--a", "1e-310", "--c", "1e-310", "--n", "200"],
+        # n*c and a*(a + c) overflow: once exit 0 with nan, then with inf.
+        ["delta-i", "--a", "3", "--c", "1e308", "--n", "200"],
+        ["delta-i", "--a", "1", "--c", "1e308", "--n", "1000"],
+        # The information overflows at x = 1e-310: once exit 0, with a
+        # RuntimeWarning and inverse_fi_scaled = 0 on those rows.
+        ["figure", "fig2", "--x-min", "1e-310", "--x-points", "3", "--r-points", "3"],
+    ], ids=["delta-i-underflow", "delta-i-nan", "delta-i-inf", "fig2-subnormal-x"])
+    def test_result_outside_the_positive_floats_is_numeric_failure(self, argv, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["-o", str(out)]) == 5
+        assert not out.exists()
+        assert "is not a finite positive float" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", [2**32 + 1, 100_000_000_000])
     def test_more_than_2_pow_32_trials_is_invalid_configuration(
         self, trials, tmp_path, capsys
@@ -327,6 +348,51 @@ class TestFactorsOnce:
         argv = ["figure", "fig6", "--phi-points", str(points), "-o", str(tmp_path / "x.csv")]
         assert main(argv) == 0
         assert passes == ["quad"]
+        capsys.readouterr()
+
+
+class TestCallsPerStudy:
+    """A study's calls into its closed forms and designs do not grow with its grid."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls per name of the patched ``experiments`` functions."""
+        import estlab.experiments as experiments
+
+        counts = {}
+        for name in ("make_design", "spin_model", "fi_opm_solvable"):
+            original = getattr(experiments, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counting)
+        return counts
+
+    def test_fig6_calls_do_not_grow_with_phi_points(self, calls, tmp_path, capsys):
+        seen = []
+        for points in (1, 12, 200):
+            calls.clear()
+            assert main(["figure", "fig6", "--phi-points", str(points),
+                         "-o", str(tmp_path / "x.csv")]) == 0
+            seen.append(dict(calls))
+        assert seen == [{"spin_model": 1, "fi_opm_solvable": 1}] * 3
+        capsys.readouterr()
+
+    def test_bernoulli_fig7_designs_do_not_grow_with_reps(self, monkeypatch, tmp_path, capsys):
+        built = []
+        original = PartitionDesign.__post_init__
+        monkeypatch.setattr(PartitionDesign, "__post_init__",
+                            lambda self: built.append(self.scheme) or original(self))
+        seen = []
+        for reps in (1, 32, 200):
+            built.clear()
+            assert main(["figure", "fig7", "--scheme", "bernoulli", "--reps", str(reps),
+                         "--eta-points", "3", "--seed", "5",
+                         "-o", str(tmp_path / "x.csv")]) == 0
+            seen.append(list(built))
+        assert seen == [["alternating"]] * 3
         capsys.readouterr()
 
 
@@ -551,14 +617,13 @@ class TestFigureCommands:
         import estlab.experiments as experiments
 
         drawn = []
-        original = experiments.make_design
+        original = experiments.bernoulli_retained
 
-        def counting(n, scheme, *args, **kwargs):
-            if scheme == "bernoulli":
-                drawn.append(kwargs["seed"])
-            return original(n, scheme, *args, **kwargs)
+        def counting(n, gamma, seed):
+            drawn.append(seed)
+            return original(n, gamma, seed)
 
-        monkeypatch.setattr(experiments, "make_design", counting)
+        monkeypatch.setattr(experiments, "bernoulli_retained", counting)
         # gamma * n = 20: no pattern of the stream comes out empty.
         argv = ["figure", "fig7", "--scheme", "bernoulli", "--n", "200",
                 "--gamma", "0.1", "--reps", "4", "--seed", "9", "--eta-points", "3",

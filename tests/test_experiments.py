@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from estlab import experiments
 from estlab.cli import main
 from estlab.covariance import KIND_SOLVABLE, KIND_WHITE, Chain, CovSpec, make_covariance
-from estlab.errors import InvalidSpec
+from estlab.errors import EstlabError, InvalidSpec, NumericFailure
 from estlab.estimators import estimator_weights
 from estlab.experiments import (
     DEFAULT_CURVE_SPECS,
@@ -38,6 +38,7 @@ from conftest import (
     chain_matrix,
     column,
     fig2_pointwise,
+    fig6_pointwise,
     fig345_pointwise,
     per_cell_csv,
 )
@@ -289,6 +290,36 @@ class TestFig6:
             before = sum(fi_opm_solvable(1.0, c_over_a, n, model.gamma, model.aw,
                                          model.awp)[2]) / n
             assert abs(total - before) <= 1e-15 * before
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 2000),
+        c_over_a=st.floats(0.0, 10.0),
+        phi_grid=st.lists(st.one_of(
+            st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+            st.floats(5e-324, 1e-3),
+            st.floats(5e-324, 1e-3).map(lambda e: math.pi - e).filter(lambda p: p < math.pi),
+        ), min_size=1, max_size=12),
+    )
+    @example(n=100, c_over_a=0.5, phi_grid=[1e-160, 0.5, math.nextafter(math.pi, 0.0)])
+    @example(n=2, c_over_a=0.0, phi_grid=[1e-3, math.pi - 1e-3])
+    def test_grid_is_the_pointwise_oracle(self, n, c_over_a, phi_grid):
+        # Near 0 or pi gamma rounds to 0 or 1, or the information overflows:
+        # then the grid raises the error of one of its points.
+        errors = set()
+        for phi in phi_grid:
+            try:
+                fig6_pointwise(n, c_over_a, [phi])
+            except EstlabError as exc:
+                errors.add((type(exc), str(exc)))
+        if errors:
+            with pytest.raises(EstlabError) as raised:
+                fig6_decomposition(n, c_over_a, phi_grid)
+            assert (type(raised.value), str(raised.value)) in errors
+            return
+        result = fig6_decomposition(n, c_over_a, phi_grid)
+        rows = fig6_pointwise(n, c_over_a, phi_grid)
+        assert _csv(result) == per_cell_csv(replace(result, blocks=rows))
 
     def test_small_angle_limit(self):
         result = fig6_decomposition(n=100, c_over_a=0.5, phi_grid=[0.001])

@@ -462,6 +462,40 @@ class TestClosedFormsAnswerOrRaise:
                 continue
             assert 0.0 < fi < math.inf and 0.0 < var < math.inf, (fi, var)
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(st.floats(0.01, 10.0), _edgy(0.0, 10.0)),
+           c=st.one_of(st.floats(0.0, 10.0), _edgy(-1.0, 10.0)), n=st.integers(1, 2000),
+           entries=st.lists(st.one_of(
+               st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+               st.tuples(_edgy(0.0, 1.0), _edgy(-30.0, 30.0), _edgy(-30.0, 30.0)),
+           ), min_size=1, max_size=6))
+    @example(a=1.0, c=0.5, n=100, entries=[(0.3, -1.5, 0.6), (0.0, 1.0, 1.0), (0.5, 1.0, -1.0)])
+    @example(a=1.0, c=-0.005, n=100, entries=[(0.3, -1.5, 0.6), (0.7, 2.0, -0.5)])
+    @example(a=1.0, c=0.5, n=100, entries=[(0.3, -1.5, 0.6), (0.5, 0.0, 0.0)])
+    def test_opm_array_is_its_scalar_calls(self, a, c, n, entries):
+        # Bit for bit where every entry answers; else the error of an entry's
+        # scalar call, which is that entry's if it alone is bad.
+        scalars = []
+        for entry in entries:
+            try:
+                fi, var, terms = fi_opm_solvable(a, c, n, *entry)
+            except EstlabError as exc:
+                scalars.append((type(exc), str(exc)))
+            else:
+                assert all(type(v) is float for v in (fi, var, *terms))
+                scalars.append((fi, var, *terms))
+        arrays = [np.array(column) for column in zip(*entries)]
+        errors = {s for s in scalars if isinstance(s[0], type)}
+        if errors:
+            with pytest.raises(EstlabError) as raised:
+                fi_opm_solvable(a, c, n, *arrays)
+            assert (type(raised.value), str(raised.value)) in errors
+        else:
+            fi, var, terms = fi_opm_solvable(a, c, n, *arrays)
+            got = np.vstack([fi, var, *terms]).T
+            assert got.view(np.int64).tolist() == np.array(scalars).view(np.int64).tolist()
+
     def test_opm_near_minus_a_over_n_is_n_over_a(self):
         # c < 0: the block terms cancel, not the value, which is N/a.
         fi, _, _ = fi_opm_solvable(1.0, -0.000999999999, 1000, 0.3, *spin_coefficients(0.3))

@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from estlab.covariance import CovSpec
 from estlab.errors import InvalidSpec
 from estlab.fisher import fi_matched
 from estlab.matkernel import SymMatrix
 from estlab.partition import (
+    bernoulli_retained,
+    blocks_layout,
     check_seed,
     make_design,
     spin_coefficients,
@@ -63,6 +68,79 @@ class TestSpinModel:
         aw, awp = spin_coefficients(model.gamma)
         assert aw == pytest.approx(model.aw, rel=1e-12)
         assert awp == pytest.approx(model.awp, rel=1e-12)
+
+
+def _bits(values) -> list[int]:
+    """The IEEE bit patterns of ``values``: equal only if the floats are identical."""
+    return np.asarray(values, dtype=float).view(np.int64).ravel().tolist()
+
+
+# Anywhere in (0, pi), and close to either end, down to the subnormals and
+# the last float below pi.
+PHIS = st.one_of(
+    st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    st.floats(5e-324, 1e-3),
+    st.floats(5e-324, 1e-3).map(lambda e: math.pi - e).filter(lambda p: p < math.pi),
+    st.sampled_from([5e-324, 1e-310, math.nextafter(math.pi, 0.0)]),
+)
+GAMMAS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 1e-310, math.nextafter(1.0, 0.0)]),
+)
+
+
+class TestWholeArrays:
+    """Array calls are their per-entry scalar calls, bit for bit and rule for rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=PHIS)
+    def test_spin_model_rounds_as_math_sin_and_cos(self, phi):
+        half = 0.5 * phi
+        sin_h, cos_h = math.sin(half), math.cos(half)
+        model = spin_model(phi)
+        assert [type(v) for v in (model.aw, model.awp, model.gamma)] == [float] * 3
+        # At phi = 5e-324 half underflows to 0, and Aw is -inf.
+        aw = -cos_h / sin_h if sin_h else -math.inf
+        assert _bits([model.aw, model.awp, model.gamma]) == _bits(
+            [aw, sin_h / cos_h, sin_h * sin_h])
+
+    @settings(max_examples=100, deadline=None)
+    @given(phis=st.lists(PHIS, min_size=1, max_size=40))
+    def test_spin_model_array_is_its_scalar_calls(self, phis):
+        model = spin_model(np.array(phis))
+        scalars = [spin_model(phi) for phi in phis]
+        for name in ("aw", "awp", "gamma"):
+            assert _bits(getattr(model, name)) == _bits([getattr(m, name) for m in scalars])
+
+    @settings(max_examples=100, deadline=None)
+    @given(gammas=st.lists(GAMMAS, min_size=1, max_size=40))
+    def test_spin_coefficients_array_is_its_scalar_calls(self, gammas):
+        aw, awp = spin_coefficients(np.array(gammas))
+        assert all(type(v) is float for v in spin_coefficients(gammas[0]))
+        pairs = [spin_coefficients(g) for g in gammas]
+        assert _bits(aw) == _bits([p[0] for p in pairs])
+        assert _bits(awp) == _bits([p[1] for p in pairs])
+
+    @pytest.mark.parametrize("call,bad", [
+        (spin_model, 0.0), (spin_model, math.pi), (spin_model, -1.0), (spin_model, math.nan),
+        (spin_coefficients, 0.0), (spin_coefficients, 1.0), (spin_coefficients, math.inf),
+    ])
+    def test_one_bad_entry_raises_as_its_scalar_call(self, call, bad):
+        with pytest.raises(InvalidSpec) as scalar:
+            call(bad)
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(str(scalar.value))}$"):
+            call(np.array([0.5, 0.25, bad, 0.75]))
+
+    def test_blocks_layout_of_many_sizes_is_each_blocks_design(self):
+        n, sizes = 12, np.array([1, 5, 6, 11])
+        retained, (aw, awp) = blocks_layout(n, sizes)
+        for k, n1 in enumerate(sizes.tolist()):
+            design = make_design(n, "blocks", gamma=n1 / n)
+            assert np.array_equal(np.where(retained[:, k], aw[k], awp[k]), design.mu_prime)
+
+    def test_bernoulli_retained_is_the_bernoulli_design(self):
+        mask = bernoulli_retained(1000, 0.005, 12345)
+        assert np.flatnonzero(mask).tolist() == GOLDEN_BERNOULLI_12345
 
 
 class TestMakeDesign:
