@@ -7,7 +7,10 @@ simulate_tables, the studies) and the write of what that call returns.
 Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 I/O failure,
 5 numeric failure.  The class of the error decides, not where it was raised:
 a NumericFailure (valid inputs, failed computation), FloatingPointError or
-MemoryError is 5, any other EstlabError 3 and an OSError 4.  The library
+MemoryError is 5, any other EstlabError 3 and an OSError 4.  Each command
+runs under numpy's errstate with overflow, invalid and divide set to raise
+(FloatingPointError) and underflow ignored, except where a module allows
+an infinity locally.  The library
 checks what its inputs mean, such as a covariance singular by construction
 (covariance.check_model) or a negative seed (partition.check_seed); this
 module checks only what lives in argv: finite float flags, an integer
@@ -289,6 +292,7 @@ def _figure_result(args: argparse.Namespace) -> SweepResult:
     )
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
 def _outputs(args: argparse.Namespace) -> list[tuple[SweepResult, str]]:
     """Run the parsed command: each result with the path it is written to."""
     _check_argv(args)

@@ -101,13 +101,6 @@ class CovSpec:
                 f"exponential model requires a finite eta >= 0, got {self.eta}"
             )
 
-    def digest(self) -> str:
-        """Compact textual record used in run metadata."""
-        parts = [f"kind={self.kind}", f"a={self.a!r}", f"c={self.c!r}", f"n={self.n}"]
-        if self.eta is not None:
-            parts.append(f"eta={self.eta!r}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class WeightSpectrum:
@@ -280,8 +273,8 @@ class Chain:
         gaps[cuts] = 1.0  # time may step back at a cut, whose phi is set to 0 below
         if not (gaps > 0.0).all():
             raise InvalidSpec("sample times must be strictly increasing")
-        # (len(eta), n-1): lag 0 at eta = inf, inf at eta = 0 and across a cut.
-        with np.errstate(divide="ignore"):
+        # (len(eta), n-1): lag 0 at eta = inf, inf at eta = 0 or subnormal and across a cut.
+        with np.errstate(divide="ignore", over="ignore"):
             lag = gaps / self.eta.reshape(-1, 1)
         lag[:, cuts] = np.inf
         # Per eta, the first gap from which every lag is the same: 0 when equally spaced.

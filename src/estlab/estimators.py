@@ -15,7 +15,7 @@ import numpy as np
 
 from .covariance import KIND_SOLVABLE, Covariance, CovSpec
 from .errors import InvalidSpec
-from .partition import CHANNEL_RETAINED, PartitionDesign
+from .partition import SCHEME_ALTERNATING, SCHEME_DIRECT, PartitionDesign
 
 ESTIMATOR_NAMES = ("equal", "ml", "wva", "bgsub", "wva-corrected")
 
@@ -42,29 +42,30 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
         raise InvalidSpec(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if design.n != spec.n:
         raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
+    if not np.isfinite([design.aw, design.awp]).all():  # Aw, at a subnormal phi or gamma
+        raise InvalidSpec(f"the coefficients must be finite, got {design.aw!r}, {design.awp!r}")
     if name == "wva-corrected":
         if spec.kind != KIND_SOLVABLE:
             raise InvalidSpec("wva-corrected applies to the solvable model only")
     if name == "equal":
-        if len(design.channels) != 1 or design.coefficients[0] != 1.0:
+        if design.scheme != SCHEME_DIRECT or design.aw != 1.0:
             raise InvalidSpec("the equal estimator needs a single channel with "
                               "coefficient 1 (--scheme direct)")
     elif name == "ml":
         if not design.mu_prime.any():
             raise InvalidSpec("ml needs a design with a nonzero mean coefficient")
     elif name == "bgsub":
-        coeffs = np.sort(design.coefficients)
-        if len(design.channels) != 2 or coeffs[0] != -1.0 or coeffs[1] != 1.0:
+        if design.scheme == SCHEME_DIRECT or sorted((design.aw, design.awp)) != [-1.0, 1.0]:
             raise InvalidSpec("bgsub needs a two-channel design with coefficients "
                               "+1 and -1 (alternating, or blocks with --gamma 0.5)")
     else:
-        if CHANNEL_RETAINED not in design.channels:
+        if design.scheme == SCHEME_ALTERNATING:
             raise InvalidSpec(f"{name} needs a retained channel")
-        if name == "wva-corrected" and len(design.channels) != 2:
+        if name == "wva-corrected" and design.scheme == SCHEME_DIRECT:
             raise InvalidSpec("wva-corrected needs a retained/rejected design")
-        if design.channel_slots(CHANNEL_RETAINED).size == 0:
+        if design.retained.size == 0:
             raise InvalidSpec("this retention pattern kept no slots")
-        if design.coefficient(CHANNEL_RETAINED) == 0.0:
+        if design.aw == 0.0:
             raise InvalidSpec("the retained channel has zero coefficient")
 
 
@@ -83,10 +84,9 @@ def estimator_weights(
     if name == "ml":
         y = cov.solve(mu)
         return y / float(y @ mu)
-    read = design.channel_slots(CHANNEL_RETAINED) if name.startswith("wva") else np.arange(n)
+    read = design.retained if name.startswith("wva") else np.arange(n)
     weights = np.zeros(n)
     weights[read] = 1.0 / (mu[read] * read.size)
     if name == "wva-corrected":
-        aw = design.coefficient(CHANNEL_RETAINED)
-        weights -= aw * spec.c * (read.size / n) / (spec.a + n * spec.c)
+        weights -= design.aw * spec.c * (read.size / n) / (spec.a + n * spec.c)
     return weights

@@ -49,9 +49,11 @@ from .fisher import (
     optimal_alpha,
     two_outcome_variance,
 )
-from .montecarlo import run_trials
+from .montecarlo import GENERATOR_NAME, NORMAL_METHOD, run_trials
 from .partition import (
+    SCHEME_ALTERNATING,
     SCHEME_BERNOULLI,
+    SCHEME_DIRECT,
     SCHEME_PERIODIC,
     bernoulli_retained,
     blocks_layout,
@@ -211,14 +213,23 @@ def simulate_tables(
     gamma: float | None, phi: float | None, estimator: str, d: float, trials: int,
     seed: int, dump: bool,
 ) -> list[SweepResult]:
-    """The summary row of seeded Monte Carlo trials, then each trial's estimate if ``dump``."""
+    """The summary row of seeded Monte Carlo trials, then each trial's estimate if ``dump``;
+    metadata["digest"] records the run: model, design, estimator, d, trials, seed, generator."""
     spec = CovSpec(kind, a, c, n, eta=eta)
     design = make_design(n, scheme, gamma=gamma, seed=seed, phi=phi)
     ensemble = run_trials(spec, design, estimator, d_true=d, trials=trials, seed=seed)
+    names = {SCHEME_DIRECT: ("retained",), SCHEME_ALTERNATING: ("plus", "minus")}.get(
+        scheme, ("retained", "rejected"))
+    digest = " | ".join([
+        f"kind={kind} a={a!r} c={c!r} n={n}" + ("" if eta is None else f" eta={eta!r}"),
+        f"scheme={scheme} n={n} channels=" + ",".join(
+            f"{name}:{coef!r}" for name, coef in zip(names, (design.aw, design.awp))),
+        f"estimator={estimator}", f"d_true={d!r}", f"trials={ensemble.trials}",
+        f"seed={ensemble.seed}", f"rng={GENERATOR_NAME} normal={NORMAL_METHOD}",
+    ])
     metadata = _metadata(
         "simulate", seed=seed, model=kind, a=a, c=c, n=n, eta=eta, scheme=design.scheme,
-        gamma=gamma, phi=phi, estimator=estimator, d=d, trials=trials,
-        digest=ensemble.config_digest,
+        gamma=gamma, phi=phi, estimator=estimator, d=d, trials=trials, digest=digest,
     )
     tables = [SweepResult(
         headers=("estimator", "scheme", "trials", "seed", "d_true",
@@ -252,7 +263,7 @@ def table1(a: float, c: float, n: int, gamma: float) -> SweepResult:
     the blocks design, so gamma obeys that design's rules.
     """
     design = make_design(n, "blocks", gamma=gamma)
-    retained = design.channel_slots("retained")
+    retained = design.retained
     aw2 = 1.0 / gamma
     # Factored last, so invalid inputs are reported before a numeric failure.
     covs = [make_covariance(CovSpec(kind, a, c, n)) for kind in (KIND_WHITE, KIND_SOLVABLE)]
@@ -387,7 +398,7 @@ def retention_sets(n: int, gamma: float, scheme: str, reps: int, seed: int) -> l
     if reps < 1:
         raise InvalidSpec(f"reps must be at least 1, got {reps}")
     if scheme == SCHEME_PERIODIC:
-        return [make_design(n, SCHEME_PERIODIC, gamma=gamma).channel_slots("retained")]
+        return [make_design(n, SCHEME_PERIODIC, gamma=gamma).retained]
     if scheme != SCHEME_BERNOULLI:
         raise InvalidSpec("fig7 retention scheme must be periodic or bernoulli")
     check_inside("gamma", gamma, 1.0, "1")

@@ -125,8 +125,11 @@ def fi_eigen(spectrum: WeightSpectrum, *, mean_shift: float = 1.0) -> tuple[floa
 def fi_two_outcome(spec: TwoOutcomeSpec) -> float | np.ndarray:
     """Two-sample information (var1 + var2 - 2cov) / (var1*var2 - cov^2), per entry."""
     det = spec.var1 * spec.var2 - spec.cov * spec.cov
-    if np.any(det <= 0.0):
-        raise InvalidSpec("|r| = 1: degenerate covariance carries infinite information")
+    if np.any(det <= 0.0):  # |r| = 1 to the spec's slack, or an underflow at a smaller |r|
+        r = spec.cov / (np.sqrt(spec.var1) * np.sqrt(spec.var2))
+        if np.any((det <= 0.0) & (np.abs(r) >= 1.0 - 1e-12)):
+            raise InvalidSpec("|r| = 1: degenerate covariance carries infinite information")
+        raise NumericFailure("var1*var2 - cov^2 underflows to 0 at |r| < 1")
     return finite_positive("fi", (spec.var1 + spec.var2 - 2.0 * spec.cov) / det)
 
 

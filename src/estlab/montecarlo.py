@@ -66,7 +66,6 @@ class TrialEnsemble:
     estimates: np.ndarray
     empirical_mean: float
     empirical_variance: float
-    config_digest: str
 
     def __post_init__(self) -> None:
         est = np.asarray(self.estimates, dtype=float)
@@ -112,22 +111,10 @@ def run_trials(
         z *= loading
         estimates[first:first + count] = offset + z.sum(axis=1)
 
-    digest = " | ".join(
-        [
-            spec.digest(),
-            design.digest(),
-            f"estimator={estimator}",
-            f"d_true={d_true!r}",
-            f"trials={trials}",
-            f"seed={seed}",
-            f"rng={GENERATOR_NAME} normal={NORMAL_METHOD}",
-        ]
-    )
     return TrialEnsemble(
         seed=seed,
         trials=trials,
         estimates=estimates,
         empirical_mean=float(np.mean(estimates)),
         empirical_variance=float(np.var(estimates, ddof=1)),
-        config_digest=digest,
     )

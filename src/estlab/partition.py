@@ -1,16 +1,17 @@
-"""Partition designs: which slot feeds which output channel, and with what
+"""Partition designs: which slot feeds which of two channels, and with what
 mean-shift coefficient.
 
-A design assigns each of the n measurement slots to a channel and gives each
-channel a coefficient (its weak value): slot i then has mean coefficient
-mu_prime[i] = coefficient(channel(i)), so the expected sample is
-mu_prime[i] * d.  ``make_design`` builds the five ``SCHEMES``:
+A design assigns each of the n measurement slots to channel 0 (retained, or
+plus) or channel 1 (rejected, or minus), with coefficients (weak values) Aw
+and Awp: slot i has mean coefficient mu_prime[i], Aw in channel 0 and Awp in
+channel 1, so the expected sample is mu_prime[i] * d.  ``make_design``
+builds the five ``SCHEMES``:
 
-* ``direct``       no partitioning: one channel, unit coefficient
+* ``direct``       no partitioning: channel 0 only, unit coefficient
 * ``bernoulli``    each slot retained independently with probability gamma
 * ``periodic``     slots at multiples of round(1/gamma) retained
 * ``alternating``  odd slots +1, even slots -1 (sign-flipped signal)
-* ``blocks``       first round(gamma*n) slots in channel 1, rest in channel 2
+* ``blocks``       first round(gamma*n) slots in channel 0, rest in channel 1
 
 ``check_seed`` is the one seed rule (an integer >= 0), for the bernoulli
 draw here and for every seeded study and Monte Carlo run.  make_design and
@@ -42,11 +43,6 @@ SCHEME_ALTERNATING = "alternating"
 SCHEME_BLOCKS = "blocks"
 SCHEME_DIRECT = "direct"
 SCHEMES = (SCHEME_DIRECT, SCHEME_BERNOULLI, SCHEME_PERIODIC, SCHEME_ALTERNATING, SCHEME_BLOCKS)
-
-CHANNEL_RETAINED = "retained"
-CHANNEL_REJECTED = "rejected"
-CHANNEL_PLUS = "plus"
-CHANNEL_MINUS = "minus"
 
 
 def check_seed(seed) -> int:
@@ -115,48 +111,27 @@ def bernoulli_retained(n: int, gamma: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionDesign:
-    """Assignment of n slots to channels with per-channel coefficients."""
+    """Each slot's channel, 0 or 1 in a read-only ``assignment``, and the
+    coefficients (aw, awp) of the two channels."""
 
-    n: int
     scheme: str
-    channels: tuple[str, ...]
     assignment: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
+    aw: float
+    awp: float
 
-    def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.intp)
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        if assignment.shape != (self.n,):
-            raise InvalidSpec("assignment must have one entry per slot")
-        if coefficients.shape != (len(self.channels),):
-            raise InvalidSpec("one coefficient per channel required")
-        if assignment.size and (
-            assignment.min() < 0 or assignment.max() >= len(self.channels)
-        ):
-            raise InvalidSpec("slot assigned to a nonexistent channel")
-        assignment.setflags(write=False)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "coefficients", coefficients)
+    @property
+    def n(self) -> int:
+        return self.assignment.size
 
     @property
     def mu_prime(self) -> np.ndarray:
         """Per-slot mean-shift coefficients (the derivative of the mean in d)."""
-        return self.coefficients[self.assignment]
+        return np.array([self.aw, self.awp])[self.assignment]
 
-    def channel_slots(self, name: str) -> np.ndarray:
-        """Indices of the slots assigned to the named channel."""
-        return np.flatnonzero(self.assignment == self.channels.index(name))
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.channels.index(name)])
-
-    def digest(self) -> str:
-        pairs = ",".join(
-            f"{name}:{float(coef)!r}"
-            for name, coef in zip(self.channels, self.coefficients)
-        )
-        return f"scheme={self.scheme} n={self.n} channels={pairs}"
+    @property
+    def retained(self) -> np.ndarray:
+        """Indices of the channel-0 slots: retained, or plus."""
+        return np.flatnonzero(self.assignment == 0)
 
 
 def make_design(
@@ -193,12 +168,11 @@ def make_design(
         if gamma is None:
             gamma = model.gamma
 
-    channels = (CHANNEL_RETAINED, CHANNEL_REJECTED)
     slots = np.arange(n)
     if scheme == SCHEME_DIRECT:
-        channels, assignment, coeffs = channels[:1], np.zeros(n, dtype=np.intp), (1.0,)
+        assignment, coeffs = np.zeros(n, dtype=np.intp), (1.0, 1.0)
     elif scheme == SCHEME_ALTERNATING:
-        channels, assignment = (CHANNEL_PLUS, CHANNEL_MINUS), slots % 2
+        assignment = slots % 2
         coeffs = coeffs or (1.0, -1.0)
     else:
         if gamma is None or not 0.0 < gamma < 1.0:
@@ -221,6 +195,5 @@ def make_design(
             coeffs = coeffs or pair
         assignment = np.where(retained, 0, 1)
         coeffs = coeffs or (math.sqrt(1.0 / gamma), 0.0)
-
-    return PartitionDesign(n=n, scheme=scheme, channels=channels, assignment=assignment,
-                           coefficients=np.asarray(coeffs, dtype=float))
+    assignment.setflags(write=False)
+    return PartitionDesign(scheme, assignment, *map(float, coeffs))

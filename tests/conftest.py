@@ -45,7 +45,7 @@ from estlab.fisher import (
     two_outcome_variance,
 )
 from estlab.matkernel import SymMatrix
-from estlab.partition import CHANNEL_RETAINED, make_design, spin_model
+from estlab.partition import make_design, spin_model
 
 
 class ConvergenceFailure(NumericFailure):
@@ -321,9 +321,8 @@ def estimate_ml(data: Dataset, cov) -> float:
 def estimate_wva(data: Dataset) -> float:
     """sum(s_retained) / (Aw * m), m the realized retained count."""
     design = data.design
-    retained = design.channel_slots(CHANNEL_RETAINED)
-    aw = design.coefficient(CHANNEL_RETAINED)
-    return float(data.samples[retained].sum()) / (aw * retained.size)
+    retained = design.retained
+    return float(data.samples[retained].sum()) / (design.aw * retained.size)
 
 
 def estimate_background_subtraction(data: Dataset) -> float:
@@ -334,9 +333,8 @@ def estimate_background_subtraction(data: Dataset) -> float:
 def estimate_wva_corrected(data: Dataset, a: float, c: float) -> float:
     """The weak-value estimate minus Aw*c*gamma/(a + n*c) times the sum of all samples."""
     design = data.design
-    aw = design.coefficient(CHANNEL_RETAINED)
-    gamma = design.channel_slots(CHANNEL_RETAINED).size / design.n
-    prefactor = aw * c * gamma / (a + design.n * c)
+    gamma = design.retained.size / design.n
+    prefactor = design.aw * c * gamma / (a + design.n * c)
     return estimate_wva(data) - prefactor * float(data.samples.sum())
 
 

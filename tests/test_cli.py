@@ -1,4 +1,6 @@
+import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,6 @@ from estlab import __version__
 from estlab.cli import build_parser, main
 from estlab.covariance import Chain
 from estlab.experiments import table1, write_csv
-from estlab.partition import PartitionDesign
 
 from conftest import Dense, chain_matrix
 
@@ -305,6 +306,141 @@ class TestValidation:
         assert "invalid configuration" in capsys.readouterr().err
 
 
+# The same steps under the command's numeric policy: each once warned and wrote
+# nan or inf (or, under -W error, left a traceback).
+OVERFLOWING_ARGV = {
+    "fig345-alpha-max": ["figure", "fig345", "--alpha-min", "0.005", "--alpha-max", "1e200"],
+    "fisher-huge-c-subnormal-eta": ["fisher", "--model", "exponential", "--a", "2",
+                                    "--c", "1e308", "--n", "50", "--eta", "5e-324"],
+    "fisher-huge-a": ["fisher", "--model", "white", "--a", "1e308", "--c", "1", "--n", "50"],
+    "fig7-huge-a": ["figure", "fig7", "--a", "1e308", "--c", "3", "--n", "50",
+                    "--eta-points", "3"],
+    "simulate-huge-d": ["simulate", "--model", "solvable", "--n", "10", "--estimator", "equal",
+                        "--trials", "10", "--d", "1e308"],
+    # Aw = -2e160 is finite, but its square is not.
+    "simulate-huge-aw": ["simulate", "--model", "white", "--a", "1", "--c", "1", "--n", "10",
+                         "--scheme", "bernoulli", "--estimator", "ml", "--trials", "2",
+                         "--seed", "50", "--gamma", "0.6", "--phi", "1e-160"],
+    # Every r is inside 0.99, but var1*var2 - cov^2 underflows to 0 at x = 5e-324.
+    "fig2-subnormal-determinant": ["figure", "fig2", "--x-min", "5e-324", "--x-points", "3",
+                                   "--r-points", "3"],
+}
+
+
+class TestNumericPolicy:
+    @pytest.mark.parametrize("argv", OVERFLOWING_ARGV.values(), ids=OVERFLOWING_ARGV.keys())
+    def test_overflow_is_numeric_failure(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["-o", str(out)]) == 5
+        assert not list(tmp_path.iterdir())
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "solvable", "--estimator", "ml", "--scheme", "alternating",
+         "--phi", "1e-310"],
+        ["--model", "white", "--a", "1", "--c", "1", "--scheme", "periodic",
+         "--estimator", "wva", "--gamma", "5e-324"],
+    ], ids=["aw-minus-inf", "idealized-aw-inf"])
+    def test_infinite_coefficient_is_invalid_configuration(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--n", "10", "--trials", "10", *argv, "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "coefficients must be finite" in capsys.readouterr().err
+
+    def test_subnormal_eta_is_white_noise(self, tmp_path, capsys):
+        # lag = 1/eta overflows to inf, as it is at eta = 0: the rows are those
+        # the previous build wrote.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fisher", "--model", "exponential", "--a", "1", "--c", "0.05",
+                         "--n", "50", "--eta", "5e-324", "-o", str(out)]) == 0
+        assert out.read_text().split("\n")[1:] == [
+            "model,method,value,equal_weight_variance",
+            "exponential,numeric_inverse,47.619047619047613,0.020999999999999998",
+            "exponential,eigen_weighted,47.61904761904762,0.020999999999999998",
+            "",
+        ]
+        capsys.readouterr()
+
+
+# Floats at the edges of the doubles, and log-uniform ones, mostly positive.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, -1e-200, 1e200, -1e200,
+                     1e308, -1e308]),
+    st.builds(lambda sign, power: sign * 10.0**power,
+              st.sampled_from([1.0, 1.0, 1.0, -1.0]), st.floats(-12.0, 12.0)),
+)
+_N = st.one_of(st.integers(-1, 12), st.sampled_from([100, 1000]))
+_POINTS = st.integers(0, 5)
+_SEEDS = st.integers(-1, 2**64)
+_MODEL = ("--model", st.sampled_from(["solvable", "exponential", "white"]))
+_ACN = [("--a", _EDGE_FLOATS), ("--c", _EDGE_FLOATS), ("--n", _N)]
+# Per command: its words, the flags always given (grid sizes, trials and reps
+# among them, so no call runs at a default size) and the flags given or not.
+_COMMANDS = {
+    "fisher": (["fisher"], [_MODEL], [*_ACN, ("--eta", _EDGE_FLOATS),
+                                      ("--mean-shift", _EDGE_FLOATS)]),
+    "simulate": (
+        ["simulate"],
+        [_MODEL, ("--estimator", st.sampled_from(["equal", "ml", "wva", "bgsub",
+                                                  "wva-corrected"])),
+         ("--trials", st.integers(-1, 50))],
+        [*_ACN, ("--eta", _EDGE_FLOATS), ("--gamma", _EDGE_FLOATS), ("--phi", _EDGE_FLOATS),
+         ("--d", _EDGE_FLOATS), ("--seed", _SEEDS),
+         ("--scheme", st.sampled_from(["direct", "bernoulli", "periodic", "alternating",
+                                       "blocks"]))],
+    ),
+    "fig2": (["figure", "fig2"], [("--x-points", _POINTS), ("--r-points", _POINTS)],
+             [("--x-min", _EDGE_FLOATS), ("--x-max", _EDGE_FLOATS),
+              ("--r-min", _EDGE_FLOATS), ("--r-max", _EDGE_FLOATS)]),
+    "fig345": (["figure", "fig345"], [("--alpha-points", _POINTS)],
+               [("--alpha-min", _EDGE_FLOATS), ("--alpha-max", _EDGE_FLOATS)]),
+    "fig6": (["figure", "fig6"], [("--phi-points", _POINTS)],
+             [("--n", _N), ("--c-over-a", _EDGE_FLOATS)]),
+    "fig7": (["figure", "fig7"], [("--eta-points", _POINTS), ("--reps", st.integers(0, 5))],
+             [*_ACN, ("--gamma", _EDGE_FLOATS), ("--eta-min", _EDGE_FLOATS),
+              ("--eta-max", _EDGE_FLOATS), ("--seed", _SEEDS),
+              ("--scheme", st.sampled_from(["periodic", "bernoulli"]))]),
+    "table1": (["table1"], [], [*_ACN, ("--gamma", _EDGE_FLOATS)]),
+    "delta-i": (["delta-i"], _ACN, []),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_code_and_finite_cells_or_no_file(data, tmp_path_factory):
+    words, always, optional = _COMMANDS[data.draw(st.sampled_from(sorted(_COMMANDS)))]
+    flags = always + [flag for flag in optional if data.draw(st.booleans())]
+    argv = words + [f"{flag}={data.draw(values)}" for flag, values in flags]
+    folder = tmp_path_factory.mktemp("argv")
+    outputs = [folder / "out.csv"]
+    argv += ["-o", str(outputs[0])]
+    if words == ["simulate"] and data.draw(st.booleans()):
+        outputs.append(folder / "dump.csv")
+        argv += ["--dump-estimates", str(outputs[1])]
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        assert not list(folder.iterdir())
+        return
+    for path in outputs:
+        for line in path.read_text().splitlines()[2:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a name, such as a model or method
+                assert math.isfinite(value), (argv, line)
+
+
 class TestFactorsOnce:
     """Each command factors each covariance it contracts exactly once."""
 
@@ -381,10 +517,12 @@ class TestCallsPerStudy:
         capsys.readouterr()
 
     def test_bernoulli_fig7_designs_do_not_grow_with_reps(self, monkeypatch, tmp_path, capsys):
+        import estlab.experiments as experiments
+
         built = []
-        original = PartitionDesign.__post_init__
-        monkeypatch.setattr(PartitionDesign, "__post_init__",
-                            lambda self: built.append(self.scheme) or original(self))
+        original = experiments.make_design
+        monkeypatch.setattr(experiments, "make_design", lambda n, scheme, **kw:
+                            built.append(scheme) or original(n, scheme, **kw))
         seen = []
         for reps in (1, 32, 200):
             built.clear()

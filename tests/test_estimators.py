@@ -81,13 +81,7 @@ class TestMaximumLikelihood:
             )
 
     def test_rejects_design_without_signal(self):
-        design = PartitionDesign(
-            n=3,
-            scheme="bernoulli",
-            channels=("retained", "rejected"),
-            assignment=np.ones(3, dtype=np.intp),
-            coefficients=np.array([2.0, 0.0]),
-        )
+        design = PartitionDesign("bernoulli", np.ones(3, dtype=np.intp), aw=2.0, awp=0.0)
         with pytest.raises(InvalidSpec, match="ml needs a design with a nonzero mean"):
             check_fits("ml", _spec(design), design)
 
@@ -99,29 +93,17 @@ class TestMaximumLikelihood:
 class TestWeakValue:
     def test_noise_free_recovery(self):
         design = dataclasses.replace(
-            make_design(10, "periodic", gamma=0.2), coefficients=(5.0, 0.0)
+            make_design(10, "periodic", gamma=0.2), aw=5.0
         )
         d0 = 0.9
         assert _estimate("wva", design.mu_prime * d0, design) == pytest.approx(d0, rel=1e-12)
 
     def test_full_retention_unit_weak_value_is_mean(self):
-        design = PartitionDesign(
-            n=4,
-            scheme="periodic",
-            channels=("retained",),
-            assignment=np.zeros(4, dtype=np.intp),
-            coefficients=np.array([1.0]),
-        )
+        design = PartitionDesign("periodic", np.zeros(4, dtype=np.intp), aw=1.0, awp=0.0)
         assert _estimate("wva", [1.0, 2.0, 3.0, 6.0], design) == pytest.approx(3.0)
 
     def test_empty_retained_set(self):
-        design = PartitionDesign(
-            n=3,
-            scheme="bernoulli",
-            channels=("retained", "rejected"),
-            assignment=np.ones(3, dtype=np.intp),
-            coefficients=np.array([2.0, 0.0]),
-        )
+        design = PartitionDesign("bernoulli", np.ones(3, dtype=np.intp), aw=2.0, awp=0.0)
         with pytest.raises(InvalidSpec, match="this retention pattern kept no slots"):
             check_fits("wva", _spec(design), design)
 
@@ -205,11 +187,7 @@ class TestMonteCarloCalibration:
         # Predicted variance 1/800.
         spec = CovSpec("solvable", 1.0, 0.05, 5)
         design = PartitionDesign(
-            n=5,
-            scheme="periodic",
-            channels=("retained",),
-            assignment=np.zeros(5, dtype=np.intp),
-            coefficients=np.array([math.sqrt(200.0)]),
+            "periodic", np.zeros(5, dtype=np.intp), aw=math.sqrt(200.0), awp=0.0
         )
         ens = run_trials(spec, design, "wva", d_true=1.0, trials=100_000, seed=31415)
         assert ens.empirical_variance == pytest.approx(1.0 / 800.0, rel=0.03)

@@ -24,12 +24,13 @@ from estlab.experiments import (
     fig345_curves,
     fig6_decomposition,
     fig7_sweep,
+    simulate_tables,
     table1,
     write_csv,
 )
 
 from estlab.fisher import fi_opm_solvable
-from estlab.montecarlo import run_trials
+from estlab.montecarlo import GENERATOR_NAME, NORMAL_METHOD, run_trials
 from estlab.partition import make_design, spin_model
 
 from conftest import (
@@ -54,6 +55,76 @@ def _cli_csv(tmp_path, argv) -> str:
     out = tmp_path / "out.csv"
     assert main([*argv, "-o", str(out)]) == 0
     return out.read_text()
+
+
+# simulate_tables' run records at d = 0.75, 7 trials and seed 3, each ending in
+# _RUN_TAIL, as the build that assembled them in three modules wrote them.
+_RUN_TAIL = " | d_true=0.75 | trials=7 | seed=3 | rng=pcg64 normal=inverse-cdf"
+SIMULATE_DIGESTS = [
+    pytest.param(("solvable", 1.0, 0.05, 10, None, "direct", None, None, "equal"),
+                 "kind=solvable a=1.0 c=0.05 n=10 | "
+                 "scheme=direct n=10 channels=retained:1.0 | estimator=equal",
+                 id="direct-solvable"),
+    pytest.param(("exponential", 0.5, 0.25, 12, 1.5, "direct", None, None, "ml"),
+                 "kind=exponential a=0.5 c=0.25 n=12 eta=1.5 | "
+                 "scheme=direct n=12 channels=retained:1.0 | estimator=ml",
+                 id="direct-exponential"),
+    pytest.param(("white", 1.0, 0.05, 12, None, "bernoulli", 0.5, None, "wva"),
+                 "kind=white a=1.0 c=0.05 n=12 | "
+                 "scheme=bernoulli n=12 channels=retained:1.4142135623730951,"
+                 "rejected:0.0 | estimator=wva",
+                 id="bernoulli"),
+    pytest.param(("exponential", 1.0, 0.3, 16, 2.5, "bernoulli", None, 1.0, "ml"),
+                 "kind=exponential a=1.0 c=0.3 n=16 eta=2.5 | "
+                 "scheme=bernoulli n=16 channels=retained:-1.830487721712452,"
+                 "rejected:0.5463024898437905 | estimator=ml",
+                 id="bernoulli-phi"),
+    pytest.param(("exponential", 1.0, 0.3, 20, 0.5, "periodic", 0.2, None, "wva"),
+                 "kind=exponential a=1.0 c=0.3 n=20 eta=0.5 | "
+                 "scheme=periodic n=20 channels=retained:2.23606797749979,"
+                 "rejected:0.0 | estimator=wva",
+                 id="periodic"),
+    pytest.param(("white", 2.0, 0.1, 20, None, "periodic", None, 0.7, "ml"),
+                 "kind=white a=2.0 c=0.1 n=20 | "
+                 "scheme=periodic n=20 channels=retained:-2.7395121590837834,"
+                 "rejected:0.36502849483042454 | estimator=ml",
+                 id="periodic-phi"),
+    pytest.param(("white", 1.0, 0.05, 10, None, "alternating", None, None, "bgsub"),
+                 "kind=white a=1.0 c=0.05 n=10 | "
+                 "scheme=alternating n=10 channels=plus:1.0,"
+                 "minus:-1.0 | estimator=bgsub",
+                 id="alternating"),
+    pytest.param(("exponential", 1.0, 0.2, 10, 3.0, "alternating", None, 1.2, "ml"),
+                 "kind=exponential a=1.0 c=0.2 n=10 eta=3.0 | "
+                 "scheme=alternating n=10 channels=plus:-1.4616959470781021,"
+                 "minus:0.6841368083416923 | estimator=ml",
+                 id="alternating-phi"),
+    pytest.param(("white", 1.0, 0.05, 10, None, "blocks", 0.5, None, "bgsub"),
+                 "kind=white a=1.0 c=0.05 n=10 | "
+                 "scheme=blocks n=10 channels=retained:-1.0,"
+                 "rejected:1.0 | estimator=bgsub",
+                 id="blocks"),
+    pytest.param(("exponential", 1.0, 0.2, 10, 4.0, "blocks", None, 2.0, "wva"),
+                 "kind=exponential a=1.0 c=0.2 n=10 eta=4.0 | "
+                 "scheme=blocks n=10 channels=retained:-0.6420926159343308,"
+                 "rejected:1.557407724654902 | estimator=wva",
+                 id="blocks-phi"),
+    pytest.param(("solvable", 1.0, 0.05, 10, None, "blocks", 0.3, None, "wva-corrected"),
+                 "kind=solvable a=1.0 c=0.05 n=10 | "
+                 "scheme=blocks n=10 channels=retained:-1.5275252316519468,"
+                 "rejected:0.6546536707079772 | estimator=wva-corrected",
+                 id="blocks-wva-corrected"),
+]
+
+class TestSimulateDigest:
+    """The run record in simulate's metadata, for every scheme, with and without phi."""
+
+    @pytest.mark.parametrize("args,digest", SIMULATE_DIGESTS)
+    def test_digest_text(self, args, digest):
+        tables = simulate_tables(*args, d=0.75, trials=7, seed=3, dump=True)
+        assert [t.metadata["digest"] for t in tables] == [repr(digest + _RUN_TAIL)] * 2
+        assert f"estimator={args[-1]}" in digest
+        assert _RUN_TAIL.endswith(f" | rng={GENERATOR_NAME} normal={NORMAL_METHOD}")
 
 
 class TestTable1:
@@ -197,14 +268,18 @@ class TestFig2:
     @pytest.mark.parametrize("x_grid,r_grid,message", [
         ([1.0, -2.0], [0.0], "the asymmetry x must be > 0, got -2.0"),
         ([2.0, math.nan], [0.5], "the asymmetry x must be > 0, got nan"),
-        # r*sqrt(x) squares to x itself at the least subnormal x: det = 0.
-        ([1.0, 5e-324], [0.999, 0.0], r"\|r\| = 1: degenerate covariance"),
     ])
     def test_rules_keep_their_messages(self, x_grid, r_grid, message):
         with pytest.raises(InvalidSpec, match=message):
             fig2_pointwise(x_grid, r_grid)
         with pytest.raises(InvalidSpec, match=message):
             fig2_surface(x_grid, r_grid)
+
+    def test_subnormal_determinant_is_a_numeric_failure(self):
+        # r*sqrt(x) squares to x itself at the least subnormal x: det = 0 at |r| < 1.
+        for study in (fig2_pointwise, fig2_surface):
+            with pytest.raises(NumericFailure, match=r"underflows to 0 at \|r\| < 1"):
+                study([1.0, 5e-324], [0.999, 0.0])
 
     def test_whole_grid_names_its_smallest_bad_x(self):
         # The point-by-point loop named the first bad x in grid order.
@@ -381,7 +456,7 @@ class TestFig7:
         # rebuilt from the model; the form is now sum_i D_i (L'u)_i^2.
         eta_grid = np.logspace(-2, 6, 6)
         result = _fig7_golden(eta_grid)
-        retained = make_design(300, "periodic", gamma=0.05).channel_slots("retained")
+        retained = make_design(300, "periodic", gamma=0.05).retained
         m = retained.size
         g = make_design(300, "alternating").mu_prime
         for k, eta in enumerate(eta_grid):

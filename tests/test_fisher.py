@@ -18,7 +18,7 @@ from estlab.fisher import (
     two_outcome_variance,
 )
 from estlab.matkernel import SymMatrix
-from estlab.partition import CHANNEL_RETAINED, make_design, spin_coefficients, spin_model
+from estlab.partition import make_design, spin_coefficients, spin_model
 
 from conftest import Dense, block_terms, build, chain_matrix, random_spd
 
@@ -206,7 +206,7 @@ class TestPartitioned:
         design = make_design(n, "blocks", gamma=0.3)
         m = build(CovSpec("solvable", a, c, n))
         value, _ = fi_matched(Dense(m), design.mu_prime)
-        aw, awp = design.coefficients
+        aw, awp = design.aw, design.awp
         closed, _, terms = fi_opm_solvable(a, c, n, 0.3, aw, awp)
         assert value == pytest.approx(closed, rel=1e-10)
         for t_num, t_closed in zip(block_terms(Dense(m), design), terms):
@@ -582,12 +582,11 @@ class TestInformationInequalities:
         # alone, and the two agree for white noise, where no slot informs
         # another.  Both are computed only to rounding, hence the 1e-12 slack.
         design = make_design(n, scheme, gamma=gamma, seed=seed)
-        retained = design.channel_slots(CHANNEL_RETAINED)
+        retained = design.retained
         assume(retained.size > 0)
         cov = Chain(a, c, eta, np.arange(n))
         full, _ = fi_matched(cov, design.mu_prime)
-        aw = design.coefficient(CHANNEL_RETAINED)
-        wva = aw * aw * float(cov.restrict(retained).quad(np.ones(retained.size)))
+        wva = design.aw * design.aw * float(cov.restrict(retained).quad(np.ones(retained.size)))
         assert full >= wva * (1.0 - 1e-12)
         if eta == 0.0:
             assert full == pytest.approx(wva, rel=1e-12)

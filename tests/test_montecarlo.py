@@ -12,13 +12,7 @@ from estlab.covariance import CovSpec
 from estlab.errors import EstlabError, InvalidSpec, NotPositiveDefinite
 from estlab.estimators import ESTIMATOR_NAMES, Dataset, check_fits, estimator_weights
 from estlab.matkernel import SymMatrix
-from estlab.montecarlo import (
-    BLOCK_WORDS,
-    GENERATOR_NAME,
-    NORMAL_METHOD,
-    _trial_normals,
-    run_trials,
-)
+from estlab.montecarlo import BLOCK_WORDS, _trial_normals, run_trials
 from estlab.partition import make_design
 
 from conftest import (
@@ -148,7 +142,6 @@ class TestRunTrials:
         b = run_trials(spec, make_design(20, "direct"), "equal",
                        d_true=1.0, trials=200, seed=5)
         assert np.array_equal(a.estimates, b.estimates)
-        assert a.config_digest == b.config_digest
         assert a.empirical_mean == b.empirical_mean
 
     def test_summary_recomputable(self):
@@ -195,14 +188,6 @@ class TestRunTrials:
         e = ens.estimates
         rho = np.corrcoef(e[:-1], e[1:])[0, 1]
         assert abs(rho) < 4.0 / np.sqrt(trials)
-
-    def test_digest_names_generator_and_method(self):
-        spec = CovSpec("solvable", 1.0, 0.05, 10)
-        ens = run_trials(spec, make_design(10, "direct"), "equal",
-                         d_true=1.0, trials=10, seed=0)
-        assert GENERATOR_NAME in ens.config_digest
-        assert NORMAL_METHOD in ens.config_digest
-        assert "estimator=equal" in ens.config_digest
 
     def test_estimates_read_only(self):
         spec = CovSpec("solvable", 1.0, 0.05, 10)

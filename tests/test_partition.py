@@ -146,53 +146,62 @@ class TestWholeArrays:
 class TestMakeDesign:
     def test_periodic_count_and_spacing(self):
         design = make_design(1000, "periodic", gamma=0.005)
-        retained = design.channel_slots("retained")
+        retained = design.retained
         assert retained.size == 5
         assert np.array_equal(np.diff(retained), [200, 200, 200, 200])
 
     def test_alternating_pattern(self):
         design = make_design(4, "alternating")
         assert np.array_equal(design.mu_prime, [1.0, -1.0, 1.0, -1.0])
-        assert design.channels == ("plus", "minus")
+        assert design.assignment.tolist() == [0, 1, 0, 1]
+        assert (design.aw, design.awp) == (1.0, -1.0)
 
     def test_bernoulli_golden_pattern(self):
         design = make_design(1000, "bernoulli", gamma=0.005, seed=12345)
-        assert design.channel_slots("retained").tolist() == GOLDEN_BERNOULLI_12345
+        assert design.retained.tolist() == GOLDEN_BERNOULLI_12345
 
     def test_bernoulli_reproducible(self):
         a = make_design(1000, "bernoulli", gamma=0.005, seed=7)
         b = make_design(1000, "bernoulli", gamma=0.005, seed=7)
         assert np.array_equal(a.assignment, b.assignment)
 
+    @pytest.mark.parametrize("scheme,gamma", [
+        ("direct", None), ("bernoulli", 0.3), ("periodic", 0.3), ("alternating", None),
+        ("blocks", 0.3),
+    ])
+    def test_assignment_is_a_read_only_channel_array(self, scheme, gamma):
+        design = make_design(10, scheme, gamma=gamma, seed=2)
+        assert set(design.assignment.tolist()) <= {0, 1} and design.n == 10
+        with pytest.raises(ValueError, match="read-only"):
+            design.assignment[0] = 1
+
     def test_bernoulli_mean_retained_count(self):
         counts = [
-            make_design(1000, "bernoulli", gamma=0.005, seed=s)
-            .channel_slots("retained")
-            .size
+            make_design(1000, "bernoulli", gamma=0.005, seed=s).retained.size
             for s in range(10_000)
         ]
         assert abs(np.mean(counts) - 5.0) <= 0.15
 
     def test_blocks_layout(self):
         design = make_design(10, "blocks", gamma=0.3)
-        assert design.channel_slots("retained").tolist() == [0, 1, 2]
-        assert design.channel_slots("rejected").tolist() == list(range(3, 10))
+        assert design.retained.tolist() == [0, 1, 2]
+        assert np.flatnonzero(design.assignment == 1).tolist() == list(range(3, 10))
 
     def test_blocks_default_coefficients_are_spin_pair(self):
         design = make_design(10, "blocks", gamma=0.5)
-        assert design.coefficients.tolist() == pytest.approx([-1.0, 1.0])
+        assert [design.aw, design.awp] == pytest.approx([-1.0, 1.0])
 
     def test_postselect_default_coefficients_idealized(self):
         design = make_design(100, "periodic", gamma=0.04)
-        assert design.coefficient("retained") == pytest.approx(5.0)
-        assert design.coefficient("rejected") == 0.0
+        assert design.aw == pytest.approx(5.0)
+        assert design.awp == 0.0
 
     def test_coefficient_override(self):
         design = dataclasses.replace(
-            make_design(100, "periodic", gamma=0.04), coefficients=(-3.0, 0.5)
+            make_design(100, "periodic", gamma=0.04), aw=-3.0, awp=0.5
         )
-        assert design.coefficient("retained") == -3.0
-        assert design.coefficient("rejected") == 0.5
+        assert design.mu_prime[design.retained].tolist() == [-3.0] * 4
+        assert (design.mu_prime == 0.5).sum() == 96
 
     @pytest.mark.parametrize("gamma", [None, 0.0, 1.0, -0.2])
     def test_gamma_required_for_postselect(self, gamma):
@@ -226,14 +235,14 @@ class TestMakeDesign:
 
     def test_direct_scheme(self):
         design = make_design(5, "direct")
-        assert design.channels == ("retained",)
+        assert not design.assignment.any()
         assert np.array_equal(design.mu_prime, np.ones(5))
 
     @pytest.mark.parametrize("scheme", ["bernoulli", "periodic", "alternating", "blocks"])
     def test_phi_gives_the_overlap_pair(self, scheme):
         model = spin_model(1.0)
         design = make_design(40, scheme, phi=1.0)
-        assert design.coefficients.tolist() == [model.aw, model.awp]
+        assert (design.aw, design.awp) == (model.aw, model.awp)
 
     @pytest.mark.parametrize("scheme", ["bernoulli", "periodic", "blocks"])
     def test_phi_sets_gamma_unless_given(self, scheme):
@@ -306,10 +315,10 @@ class TestMeanVector:
 
     def test_retained_only_amplification(self):
         design = dataclasses.replace(
-            make_design(10, "periodic", gamma=0.2), coefficients=(4.0, 0.0)
+            make_design(10, "periodic", gamma=0.2), aw=4.0
         )
         vec = design.mu_prime * 0.5
-        retained = design.channel_slots("retained")
+        retained = design.retained
         assert np.array_equal(vec[retained], np.full(retained.size, 2.0))
         assert not vec[np.setdiff1d(np.arange(10), retained)].any()
 
