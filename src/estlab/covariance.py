@@ -24,7 +24,11 @@ estimator weight and Monte Carlo loading in estlab is one of its
                      ``subset_index``); given a list of index sets, one
                      chain with one segment per set,
 * ``spectrum()``   eigenvalues of C with the flat-vector weights, for every
-                   model: closed form at eta = 0 and eta = inf.
+                   model: closed form at eta = 0 and eta = inf; at a finite
+                   eta the times must be equally spaced, and two half-size
+                   tridiagonal eigenproblems, the symmetric and the
+                   antisymmetric modes, solved one after the other, peak
+                   near n^2/2 doubles.
 
 A retained subset of a chain is again a chain, with per-gap correlations
 phi_k = exp(-dt_k/eta).  A chain may be cut into segments, with phi = 0
@@ -34,8 +38,8 @@ bit for bit that of the segment's own chain.  C is diagonal plus
 semiseparable, so its Cholesky factor costs O(n) to build and to apply
 (the one-term celerite factorization, Foreman-Mackey et al. 2017), every
 contraction reads C only through that factor, and no operation builds an
-n x n array.  The dense oracle in tests/conftest.py (Cholesky and eigh on a
-materialized matrix) is the reference the tests hold this operator to.
+n x n array.  The dense oracle in tests/conftest.py (Cholesky and eigh on
+a materialized matrix) is the reference the tests hold this operator to.
 """
 
 from __future__ import annotations
@@ -407,12 +411,24 @@ class Chain:
 
         At eta = 0 (K = I) every eigenvalue is a + c, and at eta = inf (K
         all ones) the flat mode has n*c + a and carries all the weight, the
-        others a.  A finite eta takes the eigenvectors of the tridiagonal
-        K^-1 from eigh_tridiagonal, O(n^2); each eigenvalue of K^-1 is then
-        recomputed as the Rayleigh quotient in bidiagonal form,
-        v_0^2 + sum_j ((v_j - v_{j-1}) + (1 - rho_j) v_{j-1})^2 / (1 - rho_j^2),
+        others a.  A finite eta needs equally spaced times, where K^-1 is
+        tridiagonal and persymmetric (Cantoni & Butler 1976): each
+        eigenvector is symmetric, v = (x, [x_m,] Jx) with J the reversal, or
+        antisymmetric, v = (x, [0,] -Jx), and 1'v = 0 exactly for the
+        latter.  So eigh_tridiagonal solves two half-size blocks built from
+        the first half of K^-1, one after the other, and the peak is one
+        block's eigenvectors and LAPACK's workspace, about n^2/2 doubles.
+        With m = n // 2, for even n they are the m x m leading block with
+        the last diagonal entry plus (symmetric) or minus (antisymmetric)
+        the middle off-diagonal; for odd n the (m + 1) x (m + 1) leading
+        block with its coupling to the middle slot scaled by sqrt(2)
+        (symmetric), and the m x m one (antisymmetric).  Each eigenvalue of
+        K^-1 is then recomputed, on its vector rebuilt to length n 64
+        columns at a time, as the Rayleigh quotient in bidiagonal form,
+        v_0^2 + sum_j ((v_j - v_{j-1}) + (1 - rho) v_{j-1})^2 / (1 - rho^2),
         which is free of cancellation and second order in the vector error,
         where the eigenvalues eigh_tridiagonal returns lose digits as rho -> 1.
+        The antisymmetric modes carry weight exactly 0.
         """
         if self.eta.ndim or self.segments is not None:
             raise InvalidSpec("spectrum needs a single eta and an unsegmented chain")
@@ -423,22 +439,47 @@ class Chain:
             weights = np.zeros(self.dim)
             weights[0] = 1.0
             return WeightSpectrum(sigmasq=sigmasq, weights=weights)
-        rho, one_minus = self._phi[0, 0], self._one_minus[0, 0]
+        gaps = np.diff(self.times)
+        if (gaps != gaps[:1]).any():
+            raise InvalidSpec("spectrum at a finite eta needs equally spaced sample times")
+        n, m = self.dim, self.dim // 2
+        rho, one_minus = (self._phi[0, 0, 0], self._one_minus[0, 0, 0]) if n > 1 else (0.0, 1.0)
         one_minus_sq = one_minus * (1.0 + rho)
-        diag = np.zeros(self.dim)
+        diag = np.zeros(n - m)  # the first half of K^-1's diagonal
         diag[0] = 1.0
         diag[1:] += 1.0 / one_minus_sq
-        diag[:-1] += rho * rho / one_minus_sq
-        _, vectors = eigh_tridiagonal(diag, -rho / one_minus_sq)
-        steps = np.diff(vectors, axis=0)
-        steps += one_minus[:, None] * vectors[:-1]
-        np.square(steps, out=steps)
-        steps /= one_minus_sq[:, None]
-        kinv_values = vectors[0] ** 2 + steps.sum(axis=0)
-        column_sums = vectors.sum(axis=0)
+        diag += rho * rho / one_minus_sq
+        off = -rho / one_minus_sq
+        sym_off = np.full(diag.size - 1, off)
+        anti = diag[:m].copy()
+        if n % 2:
+            sym_off[m - 1:] *= math.sqrt(2.0)  # the coupling to the middle slot; none at n = 1
+        else:
+            diag[-1] += off
+            anti[-1] -= off
+        blocks = [(diag, sym_off, 1.0)]
+        if m:  # n = 1 has no antisymmetric mode
+            blocks.append((anti, np.full(m - 1, off), -1.0))
+        kinv, weights = [], []
+        for d, e, sign in blocks:
+            x = eigh_tridiagonal(d, e)[1]
+            for k in range(0, d.size, 64):  # 64 vectors at a time, rebuilt to length n
+                u = np.empty((n, min(64, d.size - k)))  # sqrt(2) times each eigenvector
+                u[:m] = x[:m, k:k + 64]
+                np.multiply(u[:m][::-1], sign, out=u[n - m:])
+                if n % 2:
+                    u[m] = math.sqrt(2.0) * x[m, k:k + 64] if sign > 0.0 else 0.0
+                steps = np.diff(u, axis=0)
+                steps += one_minus * u[:-1]
+                np.square(steps, out=steps)
+                steps /= one_minus_sq
+                kinv.append(0.5 * (u[0] ** 2 + steps.sum(axis=0)))
+                sums = u.sum(axis=0)
+                weights.append(sums * sums / (2 * n) if sign > 0.0 else np.zeros(u.shape[1]))
+            del x  # freed before the next block's solve
         return WeightSpectrum(
-            sigmasq=self.a + self.c / kinv_values,
-            weights=column_sums * column_sums / self.dim,
+            sigmasq=self.a + self.c / np.concatenate(kinv),
+            weights=np.concatenate(weights),
         )
 
 

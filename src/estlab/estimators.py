@@ -42,8 +42,6 @@ def check_fits(name: str, spec: CovSpec, design: PartitionDesign) -> None:
         raise InvalidSpec(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if design.n != spec.n:
         raise InvalidSpec(f"design covers {design.n} slots but spec has n={spec.n}")
-    if not np.isfinite([design.aw, design.awp]).all():  # Aw, at a subnormal phi or gamma
-        raise InvalidSpec(f"the coefficients must be finite, got {design.aw!r}, {design.awp!r}")
     if name == "wva-corrected":
         if spec.kind != KIND_SOLVABLE:
             raise InvalidSpec("wva-corrected applies to the solvable model only")

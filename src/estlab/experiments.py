@@ -60,6 +60,7 @@ from .partition import (
     check_inside,
     check_seed,
     make_design,
+    periodic_retained,
     spin_coefficients,
     spin_model,
 )
@@ -397,11 +398,11 @@ def retention_sets(n: int, gamma: float, scheme: str, reps: int, seed: int) -> l
     """
     if reps < 1:
         raise InvalidSpec(f"reps must be at least 1, got {reps}")
-    if scheme == SCHEME_PERIODIC:
-        return [make_design(n, SCHEME_PERIODIC, gamma=gamma).retained]
-    if scheme != SCHEME_BERNOULLI:
+    if scheme not in (SCHEME_PERIODIC, SCHEME_BERNOULLI):
         raise InvalidSpec("fig7 retention scheme must be periodic or bernoulli")
     check_inside("gamma", gamma, 1.0, "1")
+    if scheme == SCHEME_PERIODIC:
+        return [np.flatnonzero(periodic_retained(n, gamma))]
     sets, draw = [], 0
     while len(sets) < reps:
         retained = np.flatnonzero(bernoulli_retained(n, gamma, seed + draw))

@@ -15,7 +15,8 @@ builds the five ``SCHEMES``:
 
 ``check_seed`` is the one seed rule (an integer >= 0), for the bernoulli
 draw here and for every seeded study and Monte Carlo run.  make_design and
-the studies share ``blocks_layout`` and ``bernoulli_retained``.  The two-state
+the studies share ``blocks_layout``, ``periodic_retained`` and
+``bernoulli_retained``.  The two-state
 overlap model ties an overlap angle phi to weak values and retention
 probability:
 
@@ -103,6 +104,15 @@ def blocks_layout(n: int, n1) -> tuple[np.ndarray, tuple]:
     return np.less.outer(np.arange(n), n1), spin_coefficients(n1 / n)
 
 
+def periodic_retained(n: int, gamma: float) -> np.ndarray:
+    """Periodic retention: slot i is kept where i is a multiple of round(1/gamma).
+
+    The period is capped at n, where slot 0 alone is kept, so 1/gamma = inf
+    cannot overflow int(); 0 < gamma < 1 keeps it at least 1.
+    """
+    return np.arange(n) % int(round(min(1.0 / gamma, n))) == 0
+
+
 def bernoulli_retained(n: int, gamma: float, seed: int) -> np.ndarray:
     """Bernoulli retention of a checked ``seed``: slot i is kept where draw i of the
     seeded generator, PCG64 of SeedSequence(seed), falls below gamma."""
@@ -182,9 +192,7 @@ def make_design(
         if scheme == SCHEME_BERNOULLI:
             retained = bernoulli_retained(n, gamma, check_seed(seed))
         elif scheme == SCHEME_PERIODIC:
-            # Capped at n, where slot 0 alone is retained, so 1/gamma = inf cannot
-            # overflow int(); gamma < 1 and n >= 2 keep the period at least 1.
-            retained = slots % int(round(min(1.0 / gamma, n))) == 0
+            retained = periodic_retained(n, gamma)
         else:
             n1 = int(round(gamma * n))
             if not 1 <= n1 <= n - 1:
@@ -195,5 +203,8 @@ def make_design(
             coeffs = coeffs or pair
         assignment = np.where(retained, 0, 1)
         coeffs = coeffs or (math.sqrt(1.0 / gamma), 0.0)
+    aw, awp = map(float, coeffs)
+    if not math.isfinite(aw) or not math.isfinite(awp):  # Aw, at a subnormal phi or gamma
+        raise InvalidSpec(f"the coefficients must be finite, got {aw!r}, {awp!r}")
     assignment.setflags(write=False)
-    return PartitionDesign(scheme, assignment, *map(float, coeffs))
+    return PartitionDesign(scheme, assignment, aw, awp)

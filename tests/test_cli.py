@@ -353,8 +353,11 @@ class TestNumericPolicy:
         assert "coefficients must be finite" in capsys.readouterr().err
 
     def test_subnormal_eta_is_white_noise(self, tmp_path, capsys):
-        # lag = 1/eta overflows to inf, as it is at eta = 0: the rows are those
-        # the previous build wrote.
+        # lag = 1/eta overflows to inf, as it is at eta = 0, so K = I.  The
+        # numeric_inverse row is the one earlier builds wrote; in the eigen_weighted
+        # row each symmetric mode carries 2/n, so it reads 47.619047619047613 and
+        # 0.021000000000000001 (47.61904761904762 and 0.020999999999999998 when
+        # all n modes of the full K^-1 carried 1/n each; 50/1.05 and 0.021 exact).
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -363,7 +366,7 @@ class TestNumericPolicy:
         assert out.read_text().split("\n")[1:] == [
             "model,method,value,equal_weight_variance",
             "exponential,numeric_inverse,47.619047619047613,0.020999999999999998",
-            "exponential,eigen_weighted,47.61904761904762,0.020999999999999998",
+            "exponential,eigen_weighted,47.619047619047613,0.021000000000000001",
             "",
         ]
         capsys.readouterr()

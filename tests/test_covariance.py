@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from estlab.covariance import Chain, CovSpec, _e_terms, make_covariance
+from estlab.covariance import Chain, CovSpec, WeightSpectrum, _e_terms, make_covariance
 from estlab.errors import InvalidSpec, NotPositiveDefinite
 from estlab.fisher import fi_eigen, fi_matched
 
@@ -70,6 +72,12 @@ def _assert_spectrum_matches_dense(chain, dense) -> None:
     )
 
 
+def _draw_spaced(data, n: int) -> list[int]:
+    """Equally spaced slots, drawn as a start and a step: the times spectrum() takes."""
+    start = data.draw(st.integers(0, n - 1), label="start")
+    return list(range(start, n, data.draw(st.integers(1, n), label="step")))
+
+
 @settings(deadline=None, max_examples=60)
 @given(spec=_specs(), seed=st.integers(0, 2**32 - 1), data=st.data())
 @example(spec=CovSpec("white", 0.3, 0.7, 200), seed=1, data=None)
@@ -82,12 +90,13 @@ def test_chain_matches_dense(spec, seed, data):
     _assert_factor_matches_dense(chain, dense, seed)
     n = spec.n
     if data is None:
-        kept = list(range(0, n, 3))
+        kept = spaced = list(range(0, n, 3))
     else:
         kept = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="kept"))
+        spaced = _draw_spaced(data, n)
     _assert_factor_matches_dense(chain.restrict(kept), dense.restrict(kept), seed)
     _assert_spectrum_matches_dense(chain, dense)
-    _assert_spectrum_matches_dense(chain.restrict(kept), dense.restrict(kept))
+    _assert_spectrum_matches_dense(chain.restrict(spaced), dense.restrict(spaced))
 
 
 @settings(deadline=None, max_examples=60)
@@ -112,7 +121,8 @@ def test_exponential_matches_dense(n, a, c, eta, seed, data):
     U = _columns(len(kept), seed)
     np.testing.assert_allclose(sub.quad(U), dense_sub.quad(U), rtol=RTOL)
     np.testing.assert_allclose(sub.form(U), dense_sub.form(U), rtol=RTOL)
-    _assert_spectrum_matches_dense(sub, dense_sub)
+    spaced = _draw_spaced(data, n)
+    _assert_spectrum_matches_dense(structured.restrict(spaced), dense.restrict(spaced))
 
 
 def test_exponential_matches_dense_at_n4096():
@@ -134,6 +144,82 @@ def test_exponential_matches_dense_at_n4096():
     # solve refined with long-double residuals), so every operation is held
     # to RTOL here and to FACTOR_RTOL at n <= 1024 above.
     _assert_solves_match_dense(structured, dense, U, RTOL)
+
+
+def _full_eigenproblem(chain) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues of K^-1, weights) from all n eigenvectors of the full
+    tridiagonal K^-1, each eigenvalue its Rayleigh quotient: the one size-n
+    problem that the two half-size blocks of Chain.spectrum replace."""
+    rho, one_minus = chain._phi[0, 0], chain._one_minus[0, 0]
+    one_minus_sq = one_minus * (1.0 + rho)
+    diag = np.zeros(chain.dim)
+    diag[0] = 1.0
+    diag[1:] += 1.0 / one_minus_sq
+    diag[:-1] += rho * rho / one_minus_sq
+    _, vectors = eigh_tridiagonal(diag, -rho / one_minus_sq)
+    steps = np.diff(vectors, axis=0)
+    steps += one_minus[:, None] * vectors[:-1]
+    kinv = vectors[0] ** 2 + (steps * steps / one_minus_sq[:, None]).sum(axis=0)
+    sums = vectors.sum(axis=0)
+    return kinv, sums * sums / chain.dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 100, 101, 999, 1000, 1999, 2000])
+def test_half_size_blocks_stay_near_the_full_eigenproblem(n):
+    # The fisher eigen_weighted row, (fi, var), from the two half-size blocks
+    # against the full-size problem they replace, a in [0.05, 20].
+    for eta in (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8):
+        kinv, weights = _full_eigenproblem(Chain(1.0, 1.0, eta, np.arange(n)))
+        for a in (0.05, 1.0, 20.0):
+            np.testing.assert_allclose(
+                fi_eigen(Chain(a, 1.0, eta, np.arange(n)).spectrum()),
+                fi_eigen(WeightSpectrum(a + 1.0 / kinv, weights)),
+                rtol=1e-11, atol=0.0, err_msg=f"eta={eta}, a={a}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 16, 33, 128, 257])
+@pytest.mark.parametrize("eta", [0.3, 7.0, 1e3])
+def test_spectrum_matches_dense_eigendecomposition(n, eta):
+    chain = Chain(0.4, 1.3, eta, np.arange(n))
+    dense = Dense(chain_matrix(0.4, 1.3, eta, n))
+    _assert_spectrum_matches_dense(chain, dense)
+    got, want = chain.spectrum(), dense.spectrum()
+    # A mode's weight is held looser than fi and var: near the white limit the
+    # top modes lie about 2e-5 apart, so either solver splits their weight to
+    # about 1e-16 / 2e-5 (eta = 0.3, n = 257: 1.7e-12 apart).
+    got_order, want_order = np.argsort(got.sigmasq), np.argsort(want.sigmasq)
+    np.testing.assert_allclose(got.sigmasq[got_order], want.sigmasq[want_order], rtol=RTOL)
+    np.testing.assert_allclose(got.weights[got_order], want.weights[want_order],
+                               rtol=0.0, atol=1e-10)
+    # Each antisymmetric mode is orthogonal to the flat vector: weight exactly 0.
+    assert np.count_nonzero(got.weights) == (n + 1) // 2
+    assert (got.weights[(n + 1) // 2:] == 0.0).all()
+
+
+def test_spectrum_needs_equally_spaced_times():
+    with pytest.raises(InvalidSpec, match="spectrum at a finite eta needs equally spaced"):
+        Chain(1.0, 0.1, 2.0, [0.0, 1.0, 3.0]).spectrum()
+    with pytest.raises(InvalidSpec, match="spectrum at a finite eta needs equally spaced"):
+        Chain(1.0, 0.1, 2.0, np.arange(10)).restrict([0, 1, 2, 4]).spectrum()
+    # Any equal step will do, and the closed forms need no grid.
+    fi, _ = fi_eigen(Chain(1.0, 0.1, 2.0, np.arange(0.0, 30.0, 3.0)).spectrum())
+    assert fi == pytest.approx(float(Chain(1.0, 0.1, 2.0 / 3.0, np.arange(10)).quad(np.ones(10))),
+                               rel=RTOL)
+    for eta in (0.0, np.inf):
+        Chain(1.0, 0.1, eta, [0.0, 1.0, 3.0]).spectrum()
+
+
+def test_spectrum_forms_no_n_by_n_array():
+    # Two half-size blocks: about n^2/2 doubles at the peak (16 MB at
+    # n = 2000), where all n eigenvectors and their workspace took 92 MB.
+    chain = Chain(1.0, 0.05, 100.0, np.arange(2000))
+    tracemalloc.start()
+    try:
+        chain.spectrum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_eta_grid_is_the_per_eta_results_stacked():
